@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph with frozenset adjacency."""
 
-    Adjacency is kept both as frozensets (convenient) and as bitmasks
-    (fast intersection tests for the clique machinery).
-    """
-
-    __slots__ = ("n", "adj", "bits", "_edges")
+    __slots__ = ("n", "adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -27,13 +23,6 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
-        bits = []
-        for s in adj:
-            m = 0
-            for v in s:
-                m |= 1 << v
-            bits.append(m)
-        self.bits = tuple(bits)
         self._edges = tuple(sorted((u, v) for u in range(n) for v in adj[u] if u < v))
 
     @property
@@ -192,9 +181,3 @@ def star_graph(rays: int) -> Graph:
     """K1,rays with the center at vertex 0."""
     return Graph(rays + 1, [(0, i) for i in range(1, rays + 1)])
 
-
-def iter_all_graphs(n: int) -> Iterator[Graph]:
-    """All labeled simple graphs on n vertices (for tiny oracle sweeps)."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for mask in range(1 << len(pairs)):
-        yield Graph(n, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import product
+from typing import Iterator, Optional, Sequence
 
 from .errors import TooLarge
 from .graph import Graph
@@ -135,47 +138,23 @@ def verify_t_representation(g: Graph, rep: TRepresentation) -> bool:
     return True
 
 
-def _labeled_trees(n: int) -> Iterator[Graph]:
-    """All labeled trees on n vertices via Prüfer sequences."""
-    if n == 1:
-        yield Graph(1, [])
-        return
-    if n == 2:
-        yield Graph(2, [(0, 1)])
-        return
-
-    def from_pruefer(seq: tuple[int, ...]) -> Graph:
-        degree = [1] * n
-        for x in seq:
-            degree[x] += 1
-        edges = []
-        seq_list = list(seq)
-        leaves = sorted(v for v in range(n) if degree[v] == 1)
-        for x in seq_list:
-            leaf = leaves.pop(0)
-            edges.append((min(leaf, x), max(leaf, x)))
-            degree[x] -= 1
-            if degree[x] == 1:
-                # keep the leaf pool sorted for determinism
-                lo = 0
-                while lo < len(leaves) and leaves[lo] < x:
-                    lo += 1
-                leaves.insert(lo, x)
-        u, v = leaves
-        edges.append((min(u, v), max(u, v)))
-        return Graph(n, edges)
-
-    for seq in _product_range(n, n - 2):
-        yield from_pruefer(seq)
-
-
-def _product_range(base: int, repeat: int) -> Iterator[tuple[int, ...]]:
-    if repeat == 0:
-        yield ()
-        return
-    for rest in _product_range(base, repeat - 1):
-        for x in range(base):
-            yield rest + (x,)
+def _pruefer_tree(n: int, seq: Sequence[int]) -> Graph:
+    """The labeled tree on n >= 2 vertices with Prüfer sequence seq."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u, v = sorted(leaves)
+    edges.append((u, v))
+    return Graph(n, edges)
 
 
 def tree_catalog(d: int) -> list[Graph]:
@@ -190,12 +169,12 @@ def tree_catalog(d: int) -> list[Graph]:
         return _TREE_CATALOG_CACHE[d]
     found: list[Graph] = []
     for n in range(2, 2 * d - 1):
-        for t in _labeled_trees(n):
-            degs = [t.degree(v) for v in range(n)]
-            if sum(1 for x in degs if x == 1) != d:
+        for seq in product(range(n), repeat=n - 2):
+            # vertex v has degree 1 + seq.count(v): the leaves are the d absent
+            # vertices, and a vertex present exactly once would have degree 2
+            if n - len(set(seq)) != d or 1 in Counter(seq).values():
                 continue
-            if any(x == 2 for x in degs):
-                continue
+            t = _pruefer_tree(n, seq)
             if any(brute_force_isomorphism(t, s) is not None for s in found if s.n == n):
                 continue
             found.append(t)
@@ -210,24 +189,7 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     """Uniform-ish random labeled tree (random Prüfer sequence)."""
     if n <= 2:
         return Graph(n, [(0, 1)] if n == 2 else [])
-    seq = tuple(rng.randrange(n) for _ in range(n - 2))
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    import heapq
-
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u, v = sorted(leaves)
-    edges.append((u, v))
-    return Graph(n, edges)
+    return _pruefer_tree(n, [rng.randrange(n) for _ in range(n - 2)])
 
 
 def random_t_graph(d: int, n: int, seed: int) -> tuple[Graph, TRepresentation]:

@@ -313,26 +313,6 @@ def level_group(cd: CombinedDecomposition, level: int) -> PermGroup:
     return group
 
 
-def check_a2(cd: CombinedDecomposition, p: Perm, origin_level: int, host_level: int, r: int) -> bool:
-    """Cross-level attachment correspondence for one (origin, host, cardinality) slice.
-
-    Each attachment shard must map to the same chain position of the mapped
-    origin fragment, hosted in the mapped host fragment.
-    """
-    frag_of_point = {pt: ident for pt, (kind, ident) in enumerate(cd.point_kind) if kind == "frag"}
-    for t in cd.terminals:
-        if t.origin_level != origin_level or t.level != host_level or len(t.vertices) != r:
-            continue
-        o_img = frag_of_point.get(p(cd.frag_point[t.origin_gid]))
-        h_img = frag_of_point.get(p(cd.frag_point[t.host_gid]))
-        if o_img is None or h_img is None:
-            return False
-        target = cd.key_to_terminal.get((o_img, t.position, h_img))
-        if target is None or p(cd.term_point[t.tid]) != cd.term_point[target]:
-            return False
-    return True
-
-
 def _tower_bound(cd: CombinedDecomposition) -> int:
     s = max((sum(1 for cf in cd.fragments if cf.level == k) for k in range(1, cd.depth + 1)), default=1)
     t = 1

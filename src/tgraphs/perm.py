@@ -6,7 +6,6 @@ Composition convention: (p * q)(x) == q(p(x)), i.e. apply p first, then q.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -244,13 +243,6 @@ class PermGroup:
 
         return rec(0)
 
-    def random_element(self, rng: random.Random) -> Perm:
-        g = Perm.identity(self.degree)
-        for lvl in self._levels:
-            x = rng.choice(sorted(lvl.transversal))
-            g = g * lvl.transversal[x]
-        return g
-
     def conjugate_or_copy(self, base_hint: Sequence[int]) -> "PermGroup":
         """Same group, rebuilt with a preferred base order (for searches)."""
         return PermGroup(self.degree, self.generators, base_hint=base_hint)
@@ -309,24 +301,6 @@ def build_group(m: int, gens: Iterable[Perm]) -> PermGroup:
     return PermGroup(m, gens)
 
 
-def reduced_group(degree: int, gens: Iterable[Perm], base_hint: Sequence[int] = ()) -> PermGroup:
-    """The same group from a greedily filtered generating set.
-
-    Keeps only generators that grow the group, so the kept list stays within
-    log2(order); worthwhile whenever many redundant generators accumulate.
-    """
-    group = PermGroup(degree, [], base_hint=base_hint)
-    kept: list[Perm] = []
-    for g in gens:
-        if g.degree != degree:
-            raise DomainMismatch(f"generator degree {g.degree} != {degree}")
-        if not g.is_identity() and not group.contains(g):
-            kept.append(g)
-            group._add_strong_gen(g)
-    group.generators = tuple(kept)
-    return group
-
-
 @dataclass
 class MembershipPredicate:
     """Decidable subgroup membership test with a declared index bound.
@@ -346,12 +320,7 @@ class MembershipPredicate:
         return self.test(p)
 
 
-def fhl_subgroup(
-    group: PermGroup,
-    pred: MembershipPredicate,
-    debug_closure_samples: int = 0,
-    rng: Optional[random.Random] = None,
-) -> PermGroup:
+def fhl_subgroup(group: PermGroup, pred: MembershipPredicate) -> PermGroup:
     """Generators of {p in group : pred(p)} via coset-representative discovery.
 
     Walks the coset graph of the subgroup, using pred (or its coset signature)
@@ -361,9 +330,7 @@ def fhl_subgroup(
     """
     from collections import deque
 
-    ident = Perm.identity(group.degree)
-    if not pred(ident):
-        raise NotClosed(f"predicate {pred.name!r} rejects the identity")
+    ident = _identity_accepted(pred, group.degree)
     reps: list[Perm] = [ident]
     inv_reps: list[Perm] = [ident]
     hgens: dict[tuple[int, ...], Perm] = {}
@@ -420,32 +387,31 @@ def fhl_subgroup(
         raise AssertionError(
             f"subgroup order {sub.order()} disagrees with coset count for {pred.name!r}"
         )
-    if debug_closure_samples and rng is not None:
-        _closure_check(sub, pred, debug_closure_samples, rng)
     return sub
 
 
-def _closure_check(sub: PermGroup, pred: MembershipPredicate, samples: int, rng: random.Random):
-    for _ in range(samples):
-        a = sub.random_element(rng)
-        b = sub.random_element(rng)
-        if not pred(a * b) or not pred(a.inverse()):
-            raise NotClosed(f"predicate {pred.name!r} is not closed under the group operation")
+def _identity_accepted(pred: MembershipPredicate, degree: int) -> Perm:
+    """The identity of the given degree; NotClosed if pred rejects it."""
+    ident = Perm.identity(degree)
+    if not pred(ident):
+        raise NotClosed(f"predicate {pred.name!r} rejects the identity")
+    return ident
 
 
-def tower_of_groups(
-    g0: PermGroup,
-    preds: Sequence[MembershipPredicate],
-    debug_closure_samples: int = 0,
-    rng: Optional[random.Random] = None,
-) -> PermGroup:
+def tower_of_groups(g0: PermGroup, preds: Sequence[MembershipPredicate]) -> PermGroup:
     """Iterated subgroup computation along a chain of restrictions.
 
-    Asserts the per-stage index ratio against each predicate's declared bound.
+    A stage whose predicate holds on every generator of the current group is
+    skipped: the predicate defines a subgroup, so it then holds on the whole
+    group. Asserts the per-stage index ratio against each predicate's
+    declared bound.
     """
     cur = g0
     for pred in preds:
-        nxt = fhl_subgroup(cur, pred, debug_closure_samples, rng)
+        if all(map(pred, cur.generators)):
+            _identity_accepted(pred, cur.degree)
+            continue
+        nxt = fhl_subgroup(cur, pred)
         prev_order, new_order = cur.order(), nxt.order()
         if prev_order % new_order != 0 or prev_order // new_order > pred.index_bound:
             raise IndexBoundExceeded(

@@ -11,7 +11,7 @@ from math import factorial
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import IndexBoundExceeded
-from .perm import MembershipPredicate, Perm, PermGroup, symmetric_on_classes, tower_of_groups
+from .perm import MembershipPredicate, Perm, PermGroup, tower_of_groups
 
 
 @dataclass(frozen=True)
@@ -148,50 +148,6 @@ def max_antichain_size(family: SetFamily) -> int:
     return m - matched
 
 
-def _enumerate_antichains(family: SetFamily, k: int, cap: int) -> Optional[list[tuple[int, ...]]]:
-    """Index tuples of pairwise-incomparable size-k subfamilies; None if over cap."""
-    m = len(family.sets)
-    sets = family.sets
-    out: list[tuple[int, ...]] = []
-
-    def extend(chain: list[int], candidates: list[int]) -> bool:
-        if len(chain) == k:
-            out.append(tuple(chain))
-            return len(out) <= cap
-        for pos, c in enumerate(candidates):
-            nxt = [
-                j
-                for j in candidates[pos + 1 :]
-                if not (sets[c] <= sets[j] or sets[j] <= sets[c])
-            ]
-            if len(nxt) < k - len(chain) - 1:
-                continue
-            chain.append(c)
-            ok = extend(chain, nxt)
-            chain.pop()
-            if not ok:
-                return False
-        return True
-
-    if not extend([], list(range(m))):
-        return None
-    return out
-
-
-def _sub_venn_profile(sets: Sequence[frozenset[int]]) -> tuple[tuple[int, int], ...]:
-    """Standalone Venn profile of a subfamily: (position-pattern-bitmask, count) pairs."""
-    counts: dict[int, int] = {}
-    universe = frozenset().union(*sets) if sets else frozenset()
-    for z in universe:
-        mask = 0
-        for pos, s in enumerate(sets):
-            if z in s:
-                mask |= 1 << pos
-        if mask:
-            counts[mask] = counts.get(mask, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def _bundled_seed(m: int, class_list: list[list[int]], color: dict[int, Any], inter) -> PermGroup:
     """Symmetric product over rigid index bundles.
 
@@ -267,10 +223,12 @@ def _bundled_seed(m: int, class_list: list[list[int]], color: dict[int, Any], in
 def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
     """Automorphism group of the family on member-set indices.
 
-    Tower schedule: annotation/cardinality symmetric product, pairwise
-    intersection profiles per class pair, standalone Venn equality on
-    antichain subfamilies of growing size, then an exact full-signature
-    stage. Only annotation-preserving permutations are admitted.
+    Tower schedule: a seed of symmetric products over the classes of an
+    iterated annotation/cardinality/intersection refinement, with rigid
+    bundles moving as one; pairwise intersection profiles per class pair;
+    then the exact cardinality Venn diagram. Stages that every generator of
+    the current group already satisfies are skipped. Only
+    annotation-preserving permutations are admitted.
     """
     m = len(family.sets)
     if m == 0:
@@ -330,31 +288,6 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
             pred = pairwise_pred(a, b)
             if pred is not None:
                 preds.append(pred)
-
-    for k in range(3, min(antichain_bound, 5) + 1):
-        antichains = _enumerate_antichains(family, k, cap=20000)
-        if antichains is None:
-            break  # the exact final stage still guarantees correctness
-        if not antichains:
-            continue
-        profiles = {s: _sub_venn_profile([family.sets[i] for i in s]) for s in antichains}
-
-        def test(p: Perm, antichains=antichains, profiles=profiles) -> bool:
-            for s in antichains:
-                image = [family.sets[p(i)] for i in s]
-                if _sub_venn_profile(image) != profiles[s]:
-                    return False
-            return True
-
-        def signature(p: Perm, antichains=antichains) -> tuple:
-            inv = p.inverse()
-            return tuple(
-                _sub_venn_profile([family.sets[inv(i)] for i in s]) for s in antichains
-            )
-
-        preds.append(
-            MembershipPredicate(test, stage_bound, name=f"antichain-{k}", signature=signature)
-        )
 
     sig_source = cell_signature(family)
     realized = sorted(sig_source, key=lambda pat: sorted(pat))

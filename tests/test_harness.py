@@ -105,6 +105,27 @@ class TestRandomRelabel:
 
 
 class TestTreeCatalog:
+    # the catalog picks random_t_graph's skeletons, so any change to its
+    # enumeration order or labels moves every generated graph
+    @pytest.mark.parametrize(
+        "d, expected",
+        [
+            (2, [[(0, 1)]]),
+            (3, [[(0, 1), (0, 2), (0, 3)]]),
+            (4, [[(0, 1), (0, 2), (0, 3), (0, 4)], [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]]),
+            (
+                5,
+                [
+                    [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)],
+                    [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6)],
+                    [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (2, 6), (2, 7)],
+                ],
+            ),
+        ],
+    )
+    def test_pinned_edge_lists(self, d, expected):
+        assert [list(t.edges) for t in tree_catalog(d)] == expected
+
     def test_d2(self):
         cat = tree_catalog(2)
         assert len(cat) == 1

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from tgraphs import perm as perm_module
 from tgraphs.errors import DomainMismatch, IndexBoundExceeded, NotAPartition, NotClosed
 from tgraphs.graph import Graph, complete_graph, path_graph
 from tgraphs.harness import brute_force_autgroup
@@ -207,6 +208,32 @@ class TestTower:
     def test_empty_tower(self):
         g = s_n(4)
         assert tower_of_groups(g, []).order() == g.order()
+
+    def test_skips_stage_every_generator_passes(self, monkeypatch):
+        computed = []
+        real = perm_module.fhl_subgroup
+
+        def counting(group, pred):
+            computed.append(pred.name)
+            return real(group, pred)
+
+        monkeypatch.setattr(perm_module, "fhl_subgroup", counting)
+        preds = [
+            MembershipPredicate(lambda p: True, 1, "everything"),
+            MembershipPredicate(lambda p: p(0) == 0, 4, "fix0"),
+            MembershipPredicate(lambda p: p(0) == 0, 1, "fix0-again"),
+        ]
+        got = tower_of_groups(s_n(4), preds)
+        assert computed == ["fix0"]
+        assert got.order() == real(s_n(4), preds[1]).order() == 6
+
+    @pytest.mark.parametrize("group", [PermGroup(3, []), s_n(3)], ids=["trivial", "s3"])
+    def test_rejecting_identity_raises(self, group):
+        # every generator of S3 is a non-identity element, so the stage is
+        # skipped and the identity check alone must reject it
+        pred = MembershipPredicate(lambda p: not p.is_identity(), 6, "bogus")
+        with pytest.raises(NotClosed):
+            tower_of_groups(group, [pred])
 
     def test_colored_cycle_demo(self):
         """Bounded color multiplicity: color classes of a 2-colored 6-cycle."""
