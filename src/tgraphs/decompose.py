@@ -51,28 +51,14 @@ def clique_preceq(g: Graph, cliques: Sequence[Iterable[int]], i: int, j: int) ->
     cliques[j] must separate cliques[i] from cliques[k] in g; None when no
     witness in the ambient collection works.
     """
-    if i == j:
-        return None
-    sets = [frozenset(c) for c in cliques]
-    for k in range(len(sets)):
-        if k in (i, j):
-            continue
-        if separates(g, sets[j], sets[i], sets[k]):
-            return k
-    return None
+    witnesses = _relations(g, [frozenset(c) for c in cliques])[i][j]
+    return min(witnesses) if witnesses else None
 
 
 def clique_approx(g: Graph, cliques: Sequence[Iterable[int]], i: int, j: int) -> bool:
     """Both separation directions hold with one common witness."""
-    if i == j:
-        return False
-    sets = [frozenset(c) for c in cliques]
-    for k in range(len(sets)):
-        if k in (i, j):
-            continue
-        if separates(g, sets[j], sets[i], sets[k]) and separates(g, sets[i], sets[j], sets[k]):
-            return True
-    return False
+    witnesses = _relations(g, [frozenset(c) for c in cliques])
+    return bool(witnesses[i][j] & witnesses[j][i])
 
 
 def _component_signatures(g: Graph, removed: frozenset[int], cliques: Sequence[frozenset[int]]):
@@ -92,30 +78,25 @@ def _component_signatures(g: Graph, removed: frozenset[int], cliques: Sequence[f
     return sigs
 
 
-def _relations(g: Graph, cliques: list[frozenset[int]]):
-    """preceq and approx matrices over an ambient clique collection."""
+def _relations(g: Graph, cliques: list[frozenset[int]]) -> list[list[set[int]]]:
+    """Separation witnesses over an ambient clique collection.
+
+    witnesses[i][j] holds every k (distinct from i and j) such that cliques[j]
+    separates cliques[i] from cliques[k]: i precedes j iff the set is nonempty,
+    and i approx j iff witnesses[i][j] and witnesses[j][i] share a k.
+    """
     m = len(cliques)
-    sig = [None] * m  # sig[j][i] = components touched by clique i after removing clique j
+    witnesses: list[list[set[int]]] = [[set() for _ in range(m)] for _ in range(m)]
     for j in range(m):
-        sig[j] = _component_signatures(g, cliques[j], cliques)
-    preceq = [[False] * m for _ in range(m)]
-    witness_sets: list[list[set[int]]] = [[set() for _ in range(m)] for _ in range(m)]
-    for j in range(m):
+        # sig[i] = components touched by clique i after removing clique j
+        sig = _component_signatures(g, cliques[j], cliques)
         for i in range(m):
             if i == j:
                 continue
             for k in range(m):
-                if k in (i, j):
-                    continue
-                if not (sig[j][i] & sig[j][k]):
-                    preceq[i][j] = True
-                    witness_sets[i][j].add(k)
-    approx = [[False] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i != j and witness_sets[i][j] & witness_sets[j][i]:
-                approx[i][j] = True
-    return preceq, approx
+                if k not in (i, j) and not (sig[i] & sig[k]):
+                    witnesses[i][j].add(k)
+    return witnesses
 
 
 def _build_completion(
@@ -205,17 +186,18 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int) -> list[E
     simplicial = simplicial_vertices(g)
     leaf = [frozenset(c) for c in leaf_cliques(g)]
     # Step 2: drop cliques strictly above another in the separation preorder
-    preceq, _approx_full = _relations(g, leaf)
+    below = _relations(g, leaf)
     strict_removed = set()
     for i in range(len(leaf)):
         for j in range(len(leaf)):
-            if i != j and preceq[i][j] and not preceq[j][i]:
+            if below[i][j] and not below[j][i]:
                 strict_removed.add(j)
     l0 = [leaf[j] for j in range(len(leaf)) if j not in strict_removed]
     if not l0:
         raise NotTGraph("no leaf cliques survived the preorder filter")
     # Step 3: cliques incomparable with all others under the common-witness relation
-    _p0, approx = _relations(g, l0)
+    below = _relations(g, l0)
+    approx = [[bool(below[i][j] & below[j][i]) for j in range(len(l0))] for i in range(len(l0))]
     l1 = [
         l0[i]
         for i in range(len(l0))

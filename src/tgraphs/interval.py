@@ -644,19 +644,15 @@ def _encoding_group(enc: _Encoding) -> PermGroup:
 
 def marked_action_group(m: MarkedIntervalGraph, antichain_bound: Optional[int] = None) -> PermGroup:
     """Action on marked-set indices of tail-fixing, family-preserving host automorphisms."""
-    flat = m.flat_sets()
     if antichain_bound is not None:
-        actual = max_antichain_size(SetFamily(m.host.n, flat))
+        actual = max_antichain_size(SetFamily(m.host.n, m.flat_sets()))
         if actual > antichain_bound:
             raise IndexBoundExceeded(
                 f"marked antichain {actual} exceeds declared bound {antichain_bound}",
                 bound=antichain_bound,
                 stage="marked-antichain",
             )
-    enc = _marked_encoding(m)
-    group = _encoding_group(enc)
-    order = [i for fam in enc.a_indices for i in fam]
-    return group.restriction(order)
+    return MarkedContext(m).action_group()
 
 
 def brute_marked_autgroup(m: MarkedIntervalGraph, guard: int = 10) -> PermGroup:
@@ -962,47 +958,6 @@ def _side_indices(enc: _Encoding, host: Graph, n1: int) -> tuple[list[int], list
     return left, right
 
 
-def marked_transport(
-    m1: MarkedIntervalGraph,
-    m2: MarkedIntervalGraph,
-    set_action: dict[tuple[int, int], int],
-) -> Optional[list[int]]:
-    """A witness isomorphism realizing a prescribed set mapping, or None.
-
-    set_action maps (family index, position in m1's family) to the required
-    position in m2's family.
-    """
-    if len(m1.families) != len(m2.families):
-        raise ValueError("both sides must carry the same number of families")
-    if (m1.tail is None) != (m2.tail is None) or m1.host.n != m2.host.n:
-        return None
-    n1 = m1.host.n
-    host = m1.host.union_disjoint(m2.host)
-    families: list[tuple[frozenset[int], ...]] = []
-    for f1, f2 in zip(m1.families, m2.families):
-        families.append(tuple(list(f1) + [frozenset(v + n1 for v in s) for s in f2]))
-    if m1.tail is not None:
-        families.append((frozenset([m1.tail]), frozenset([m2.tail + n1])))
-    combined = MarkedIntervalGraph(host, families, tail=None)
-    enc = _marked_encoding(combined)
-    group = _encoding_group(enc)
-    prescribed: dict[int, int] = {}
-    for (j, pos1), pos2 in set_action.items():
-        offset = len(m1.families[j])
-        prescribed[enc.a_indices[j][pos1]] = enc.a_indices[j][offset + pos2]
-    left, right = _side_indices(enc, host, n1)
-    element = find_element(group, prescribed, [(left, right), (right, left)])
-    if element is None:
-        return None
-    sigma = _realize_vertex_map(enc, element)
-    vertex_map = []
-    for v in range(n1):
-        img = sigma(v)
-        assert img >= n1
-        vertex_map.append(img - n1)
-    return vertex_map
-
-
 class MarkedContext:
     """Cached encoding and family group of one marked host.
 
@@ -1039,7 +994,7 @@ class MarkedContext:
         prescribed = {}
         for (j, pos), (j2, pos2) in action.items():
             prescribed[self.flat_index(j, pos)] = self.flat_index(j2, pos2)
-        element = find_element(self.group, prescribed, [])
+        element = find_element(self.group, prescribed)
         if element is None:
             return None
         sigma = _realize_vertex_map(self.enc, element)

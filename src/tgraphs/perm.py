@@ -243,10 +243,6 @@ class PermGroup:
 
         return rec(0)
 
-    def conjugate_or_copy(self, base_hint: Sequence[int]) -> "PermGroup":
-        """Same group, rebuilt with a preferred base order (for searches)."""
-        return PermGroup(self.degree, self.generators, base_hint=base_hint)
-
     def restriction(self, points: Sequence[int]) -> "PermGroup":
         """Action restricted to an invariant point subset, renumbered 0..len-1."""
         points = list(points)
@@ -481,7 +477,7 @@ def find_element(
         constrained |= a
     if not constrained:
         return Perm.identity(group.degree)
-    search_group = group.conjugate_or_copy(base_hint=sorted(constrained))
+    search_group = PermGroup(group.degree, group.generators, base_hint=sorted(constrained))
     base = search_group.base
 
     def want(p: int, img: int) -> bool:
@@ -513,8 +509,3 @@ def find_block_swap(group: PermGroup, block_a: Iterable[int], block_b: Iterable[
 
 def exists_block_swap(group: PermGroup, block_a: Iterable[int], block_b: Iterable[int]) -> bool:
     return find_block_swap(group, block_a, block_b) is not None
-
-
-def find_with_images(group: PermGroup, prescribed: dict[int, int]) -> Optional[Perm]:
-    """An element realizing the prescribed point images, or None."""
-    return find_element(group, prescribed, ())

@@ -1,366 +1,57 @@
-"""Acceptance suite: every criterion at its stated scale, one line per criterion.
+"""Acceptance gate: each criterion of the `tgraphs.selftest` corpus at its full scale.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; each criterion is one test and fails loudly on any violation.
+Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line per
+criterion; `tgraphs selftest --profile full` runs the same checks.
 """
 
-import random
-import time
-from itertools import permutations
-
-from tgraphs.chordal import maximal_cliques
-from tgraphs.decompose import canonical_decomposition
-from tgraphs.graph import Graph
-from tgraphs.harness import (
-    brute_force_autgroup,
-    brute_force_isomorphism,
-    random_relabel,
-    random_t_graph,
-    verify_t_representation,
-)
-from tgraphs.interval import (
-    MarkedIntervalGraph,
-    brute_marked_autgroup,
-    build_pq_tree,
-    marked_action_group,
-)
-from tgraphs.iso import (
-    ISOMORPHIC,
-    NOT_T_GRAPH,
-    combine,
-    decomposition_autgroup,
-    is_isomorphic,
-    project_automorphism,
-)
-from tgraphs.perm import (
-    MembershipPredicate,
-    Perm,
-    PermGroup,
-    build_group,
-    fhl_subgroup,
-    symmetric_on_classes,
-    tower_of_groups,
-)
-from tgraphs.setfamily import (
-    SetFamily,
-    family_autgroup,
-    is_family_automorphism,
-    max_antichain_size,
-)
+from tgraphs.selftest import CHECKS, CRITERIA, PROFILES, SEED_BASES
 
 
-def report(criterion, ok, detail):
-    print(f"[{'PASS' if ok else 'FAIL'}] acceptance {criterion}: {detail}")
-    assert ok, f"acceptance {criterion}: {detail}"
+def gate(check):
+    results = list(CHECKS[check](PROFILES["full"]))
+    for r in results:
+        print(f"[{'PASS' if r.ok else 'FAIL'}] acceptance {CRITERIA[r.name]}: {r.detail}")
+    assert results and all(r.ok for r in results), [r.detail for r in results]
+
+
+def test_full_profile_is_pinned():
+    assert PROFILES["full"] == {
+        "pairs": 500, "canon": 200, "bounds": 200, "proj": 50, "filters": 20,
+        "families": 300, "family_groups": 60, "pq": 200, "marked": 100, "scaling": True,
+    }
+    assert SEED_BASES == {
+        "oracle": 41000, "oracle-other": 42000, "canonicity": 43000, "bounds": 44000,
+        "projection": 45000, "projection-other": 46000, "family-groups": 1000, "pq": 47000, "marked": 48000,
+    }
 
 
 def test_criterion_1_and_8_oracle_equivalence_and_witnesses():
-    """End-to-end check: the engine agrees with brute force on 500 pairs."""
-    start = time.time()
-    disagreements = 0
-    spurious = 0
-    verified = 0
-    isomorphic_count = 0
-    for seed in range(500):
-        rng = random.Random(seed)
-        d = [2, 3, 4][seed % 3]
-        n = rng.randint(1, 10)
-        g1, rep1 = random_t_graph(d, n, 41000 + seed)
-        assert verify_t_representation(g1, rep1)
-        if seed % 2 == 0:
-            g2, _ = random_relabel(g1, seed)
-        else:
-            g2, _ = random_t_graph(d, n, 42000 + seed)
-        verdict = is_isomorphic(g1, g2, d)
-        if verdict.kind == NOT_T_GRAPH:
-            spurious += 1
-            continue
-        expected = brute_force_isomorphism(g1, g2) is not None
-        if (verdict.kind == ISOMORPHIC) != expected:
-            disagreements += 1
-        if verdict.kind == ISOMORPHIC:
-            isomorphic_count += 1
-            witness = verdict.witness
-            if sorted(witness) == list(range(g2.n)) and all(
-                g2.has_edge(witness[u], witness[v]) for u, v in g1.edges
-            ):
-                verified += 1
-    elapsed = time.time() - start
-    report(
-        "1 (oracle equivalence)",
-        disagreements == 0 and spurious == 0 and elapsed < 300,
-        f"500 pairs, {disagreements} disagreements, {spurious} spurious rejections, {elapsed:.1f}s",
-    )
-    report(
-        "8 (witness soundness)",
-        verified == isomorphic_count,
-        f"{verified}/{isomorphic_count} isomorphic verdicts carried a verified witness",
-    )
+    gate("oracle-agreement")
 
 
 def test_criterion_2_canonicity():
-    failures = 0
-    for seed in range(200):
-        rng = random.Random(seed)
-        d = [2, 3, 4][seed % 3]
-        n = rng.randint(2, 10)
-        g, _ = random_t_graph(d, n, 43000 + seed)
-        h, p = random_relabel(g, seed)
-        dec_g = canonical_decomposition(g, d)
-        dec_h = canonical_decomposition(h, d)
-        if dec_g.depth != dec_h.depth:
-            failures += 1
-            continue
-        for lv_g, lv_h in zip(dec_g.levels, dec_h.levels):
-            image = {frozenset(p(v) for v in f.vertices) for f in lv_g}
-            if image != {f.vertices for f in lv_h}:
-                failures += 1
-                break
-    report("2 (canonicity)", failures == 0, f"200 relabelings, {failures} failures")
+    gate("canonicity")
 
 
 def test_criterion_3_bounds_on_certified_inputs():
-    violations = 0
-    for seed in range(200):
-        rng = random.Random(seed)
-        d = [2, 3, 4][seed % 3]
-        n = rng.randint(2, 12)
-        g, rep = random_t_graph(d, n, 44000 + seed)
-        assert verify_t_representation(g, rep)
-        try:
-            dec = canonical_decomposition(g, d)
-        except Exception:
-            # the extraction raises the moment |L1| > d, |Z0| > d or s > 2d
-            violations += 1
-            continue
-        for level in dec.levels[:-1]:
-            if not (0 < len(level) <= 2 * d):
-                violations += 1
-                break
-    report("3 (structural bounds)", violations == 0, f"200 certified inputs, {violations} violations")
+    gate("certified-bounds")
 
 
 def test_criterion_4_proposition_equivalence():
-    mismatches = 0
-    count = 0
-    seed = 0
-    while count < 50:
-        rng = random.Random(seed)
-        d = [2, 3][seed % 2]
-        n = rng.randint(1, 4)
-        g1, _ = random_t_graph(d, n, 45000 + seed)
-        if seed % 3 == 0:
-            g2, _ = random_t_graph(d, rng.randint(1, 9 - g1.n), 46000 + seed) if g1.n < 9 else (g1, None)
-        else:
-            g2 = g1
-        seed += 1
-        if g1.n + g2.n > 9:
-            continue
-        dec1 = canonical_decomposition(g1, d)
-        dec2 = canonical_decomposition(g2, d)
-        cd = combine(g1, dec1, g2, dec2)
-        if cd is None:
-            continue
-        count += 1
-        group = decomposition_autgroup(cd)
-        aut = brute_force_autgroup(cd.h)
-        projected = PermGroup(cd.degree, [project_automorphism(cd, s) for s in aut.generators])
-        if projected.order() != group.order() or not all(
-            group.contains(x) for x in projected.generators
-        ):
-            mismatches += 1
-    report("4 (projection equivalence)", mismatches == 0, f"{count} instances with |V(H)| <= 9, {mismatches} mismatches")
-
-
-def s_n(n):
-    return build_group(n, [Perm.from_cycles(n, [(0, 1)]), Perm.from_cycles(n, [tuple(range(n))])])
+    gate("projection-equivalence")
 
 
 def test_criterion_5_group_engine():
-    mismatches = 0
-    # point stabilizer, alternating-style filter, partition stabilizer
-    fixtures = []
-    fixtures.append((s_n(4), MembershipPredicate(lambda p: p(0) == 0, 4, "fix0")))
-    blocks = [frozenset({0, 1}), frozenset({2, 3}), frozenset({4})]
-    fixtures.append(
-        (
-            s_n(5),
-            MembershipPredicate(
-                lambda p: {p.image_of_set(b) for b in blocks} == set(blocks), 15, "blocks"
-            ),
-        )
-    )
-    for group, pred in fixtures:
-        sub = fhl_subgroup(group, pred)
-        want = [p for p in group.elements() if pred(p)]
-        if sub.order() != len(want) or not all(sub.contains(p) for p in want):
-            mismatches += 1
-    # bounded color multiplicity demo: 2-colored 6-cycle
-    cycle = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    g0 = symmetric_on_classes([[0, 2, 4], [1, 3, 5]], degree=6)
-    tower = tower_of_groups(
-        g0,
-        [
-            MembershipPredicate(
-                lambda p: all(cycle.has_edge(p(u), p(v)) for u, v in cycle.edges), 36, "edges"
-            )
-        ],
-    )
-    brute = [
-        p
-        for p in permutations(range(6))
-        if all(p[v] % 2 == v % 2 for v in range(6))
-        and all(cycle.has_edge(p[u], p[v]) for u, v in cycle.edges)
-    ]
-    if tower.order() != len(brute):
-        mismatches += 1
-    # random subgroup filters with |group| <= 10^4
-    for seed in range(20):
-        rng = random.Random(seed)
-        degree = rng.randint(3, 6)
-        gens = []
-        for _ in range(2):
-            images = list(range(degree))
-            rng.shuffle(images)
-            gens.append(Perm(images))
-        group = build_group(degree, gens)
-        if group.order() > 10_000:
-            continue
-        fixed = rng.randrange(degree)
-        pred = MembershipPredicate(lambda p, f=fixed: p(f) == f, max(group.order(), 1), "stab")
-        sub = fhl_subgroup(group, pred)
-        want = [p for p in group.elements() if p(fixed) == fixed]
-        if sub.order() != len(want):
-            mismatches += 1
-    report("5 (group engine)", mismatches == 0, f"{mismatches} fixture mismatches; per-stage bounds asserted in every tower run")
+    gate("group-engine")
 
 
 def test_criterion_6_set_families():
-    mismatches = 0
-    cases = 0
-    for seed in range(300):
-        rng = random.Random(seed)
-        ground = rng.randint(1, 6)
-        m = rng.randint(1, 4)
-        fam = SetFamily(
-            ground, [[z for z in range(ground) if rng.random() < 0.5] for _ in range(m)]
-        )
-        images = list(range(m))
-        rng.shuffle(images)
-        p = Perm(images)
-        cases += 1
-        got = is_family_automorphism(fam, p)
-        want = any(
-            all(frozenset(zeta[z] for z in fam.sets[i]) == fam.sets[p(i)] for i in range(m))
-            for zeta in permutations(range(ground))
-        )
-        if got != want:
-            mismatches += 1
-    group_checks = 0
-    for seed in range(60):
-        rng = random.Random(1000 + seed)
-        ground = rng.randint(1, 6)
-        m = rng.randint(1, 6)
-        fam = SetFamily(
-            ground, [[z for z in range(ground) if rng.random() < 0.5] for _ in range(m)]
-        )
-        group = family_autgroup(fam, max(max_antichain_size(fam), 1))
-        exhaustive = sum(
-            1 for images in permutations(range(m)) if is_family_automorphism(fam, Perm(images))
-        )
-        group_checks += 1
-        if group.order() != exhaustive:
-            mismatches += 1
-    report(
-        "6 (set families)",
-        mismatches == 0,
-        f"{cases} automorphism tests + {group_checks} group orders, {mismatches} mismatches",
-    )
-
-
-def brute_interval_orders(g):
-    cliques = maximal_cliques(g)
-    rows = [frozenset(i for i, c in enumerate(cliques) if v in c) for v in g.vertices()]
-    for order in permutations(range(len(cliques))):
-        pos = {c: i for i, c in enumerate(order)}
-        ok = True
-        for r in rows:
-            ps = sorted(pos[c] for c in r)
-            if ps != list(range(ps[0], ps[-1] + 1)):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    gate("set-families")
 
 
 def test_criterion_7_interval_pq():
-    from tgraphs.chordal import is_chordal
-
-    mismatches = 0
-    pq_cases = 0
-    seed = 0
-    while pq_cases < 200:
-        rng = random.Random(seed)
-        n = rng.randint(2, 8)
-        g, _ = random_t_graph(rng.choice([2, 3]), n, 47000 + seed)
-        seed += 1
-        comps = g.components()
-        sub, _ = g.subgraph(comps[0])
-        if is_chordal(sub) is None or len(maximal_cliques(sub)) > 7:
-            continue
-        pq_cases += 1
-        tree = build_pq_tree(sub)
-        if (tree is not None) != brute_interval_orders(sub):
-            mismatches += 1
-    marked_cases = 0
-    seed = 0
-    while marked_cases < 100:
-        rng = random.Random(seed)
-        n = rng.randint(2, 9)
-        g = None
-        for s in range(48000 + seed, 48600 + seed):
-            cand, _ = random_t_graph(2, n, s)
-            if cand.is_connected():
-                g = cand
-                break
-        seed += 1
-        if g is None:
-            continue
-        cliques = maximal_cliques(g)
-        fams = []
-        for _ in range(rng.randint(1, 3)):
-            fam = []
-            for _ in range(rng.randint(0, 3)):
-                c = rng.choice(cliques)
-                fam.append(frozenset(rng.sample(list(c), rng.randint(1, len(c)))))
-            fams.append(tuple(fam))
-        tail = None
-        if rng.random() < 0.4:
-            leaves = [v for v in range(g.n) if g.degree(v) == 1]
-            if leaves:
-                tail = rng.choice(leaves)
-        m = MarkedIntervalGraph(g, fams, tail=tail)
-        marked_cases += 1
-        got = marked_action_group(m)
-        want = brute_marked_autgroup(m)
-        if got.order() != want.order() or not all(got.contains(x) for x in want.generators):
-            mismatches += 1
-    report(
-        "7 (interval/PQ)",
-        mismatches == 0,
-        f"{pq_cases} presence checks + {marked_cases} marked action groups, {mismatches} mismatches",
-    )
+    gate("interval-pq")
 
 
 def test_criterion_9_scaling_smoke():
-    g1, _ = random_t_graph(4, 200, 1)
-    g2, _ = random_relabel(g1, 7)
-    start = time.time()
-    verdict = is_isomorphic(g1, g2, 4)
-    elapsed = time.time() - start
-    report(
-        "9 (scaling smoke)",
-        verdict.kind == ISOMORPHIC and elapsed < 60,
-        f"n=200 d=4 decided {verdict.kind} in {elapsed:.1f}s (limit 60s)",
-    )
+    gate("scaling-smoke")

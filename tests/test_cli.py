@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -128,10 +130,19 @@ class TestAnalyze:
         assert data["maximal_cliques"] == [list(c) for c in maximal_cliques(g)]
 
 
+@pytest.fixture(scope="module")
+def quick_selftest():
+    """One `selftest --profile quick --json` run: (exit status, parsed summary)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["selftest", "--profile", "quick", "--json"])
+    return status, json.loads(out.getvalue())
+
+
 class TestSelftest:
-    def test_quick_profile_passes(self, capsys):
-        assert main(["selftest", "--profile", "quick", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
+    def test_quick_profile_passes(self, quick_selftest):
+        status, data = quick_selftest
+        assert status == 0
         assert data["failed"] == 0
         assert {c["name"] for c in data["checks"]} >= {
             "fixture-analysis",
@@ -149,9 +160,9 @@ class TestSelftest:
         by_name = {r.name: r for r in results}
         assert not by_name["fixture-analysis"].ok
 
-    def test_summary_schema_stable(self, capsys):
-        assert main(["selftest", "--profile", "quick", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
+    def test_summary_schema_stable(self, quick_selftest):
+        status, data = quick_selftest
+        assert status == 0
         assert set(data) == {"profile", "passed", "failed", "checks"}
         for check in data["checks"]:
             assert set(check) == {"name", "ok", "detail"}

@@ -12,7 +12,7 @@ from tgraphs.decompose import (
     extract_fragments,
 )
 from tgraphs.errors import BadSeparator, NotChordal, NotTGraph
-from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, separates, star_graph
 from tgraphs.harness import random_relabel, random_t_graph
 
 
@@ -89,6 +89,17 @@ class TestCliqueRelations:
         cliques = maximal_cliques(g)
         m = len(cliques)
         rel = [[clique_preceq(g, cliques, i, j) is not None for j in range(m)] for i in range(m)]
+        # oracle: the irreflexive per-pair definition, one separates call per candidate witness
+        sets = [frozenset(c) for c in cliques]
+        witnesses = [
+            [{k for k in range(m) if i != j and k not in (i, j) and separates(g, sets[j], sets[i], sets[k])}
+             for j in range(m)]
+            for i in range(m)
+        ]
+        for i in range(m):
+            for j in range(m):
+                assert clique_preceq(g, cliques, i, j) == (min(witnesses[i][j]) if witnesses[i][j] else None)
+                assert clique_approx(g, cliques, i, j) == bool(witnesses[i][j] & witnesses[j][i])
         for i in range(m):
             for j in range(m):
                 for k in range(m):

@@ -7,13 +7,13 @@ from tgraphs.chordal import is_chordal, maximal_cliques
 from tgraphs.graph import Graph, complete_graph, path_graph, star_graph
 from tgraphs.harness import random_t_graph
 from tgraphs.interval import (
+    MarkedContext,
     MarkedIntervalGraph,
     brute_marked_autgroup,
     build_pq_tree,
     inner_vertices,
     marked_action_group,
     marked_isomorphism,
-    marked_transport,
     pq_tree_to_text,
     reduce_clean,
 )
@@ -352,13 +352,17 @@ class TestMarkedIsomorphism:
                 assert image == m2.families[j][smaps[j][pos]]
 
     def test_transport_identity(self):
-        m = random_marked(6, 7)
-        action = {}
-        for j, fam in enumerate(m.families):
-            for pos in range(len(fam)):
-                action[(j, pos)] = pos
-        vmap = marked_transport(m, m, action)
-        assert vmap is not None
-        for j, fam in enumerate(m.families):
-            for pos, s in enumerate(fam):
-                assert frozenset(vmap[v] for v in s) == s
+        # seed 7 has a trivial action group; seeds 6 and 4 add non-identity actions
+        for m in (random_marked(6, 7), random_marked(6, 6), random_marked(6, 4)):
+            ctx = MarkedContext(m)
+            slots = [(j, pos) for j, fam in enumerate(m.families) for pos in range(len(fam))]
+            actions = [{slot: slot for slot in slots}]
+            # action_group() numbers the marked sets family by family, as slots does
+            actions += [{slot: slots[gen(t)] for t, slot in enumerate(slots)} for gen in ctx.action_group().generators]
+            for action in actions:
+                vmap = ctx.automorphism_with_action(action)
+                assert vmap is not None
+                for u, v in m.host.edges:
+                    assert m.host.has_edge(vmap[u], vmap[v])
+                for (j, pos), (j2, pos2) in action.items():
+                    assert frozenset(vmap[v] for v in m.families[j][pos]) == m.families[j2][pos2]

@@ -17,7 +17,7 @@ from tgraphs.perm import (
     exists_block_swap,
     fhl_subgroup,
     find_block_swap,
-    find_with_images,
+    find_element,
     format_perm,
     parse_perm,
     symmetric_on_classes,
@@ -313,12 +313,12 @@ class TestBlockSwap:
 class TestFindWithImages:
     def test_transporter(self):
         group = s_n(5)
-        p = find_with_images(group, {0: 3, 1: 2})
+        p = find_element(group, {0: 3, 1: 2})
         assert p is not None and p(0) == 3 and p(1) == 2
 
     def test_infeasible(self):
         group = build_group(4, [Perm([1, 2, 3, 0])])
-        assert find_with_images(group, {0: 1, 1: 0}) is None
+        assert find_element(group, {0: 1, 1: 0}) is None
 
 
 class TestSerialization:
