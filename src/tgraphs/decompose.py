@@ -379,9 +379,6 @@ class Decomposition:
     def fragment(self, level: int, index: int) -> Fragment:
         return self.levels[level - 1][index]
 
-    def terminal_sets_in(self, level: int, index: int) -> list[TerminalSet]:
-        return [t for t in self.terminal_sets if t.host_level == level and t.host_fragment == index]
-
     def to_json_dict(self) -> dict:
         return {
             "levels": [

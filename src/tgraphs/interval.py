@@ -9,13 +9,15 @@ the marked-set machinery consumes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Iterator, Optional, Sequence
 
 from .chordal import is_chordal, maximal_cliques
 from .errors import IndexBoundExceeded, TooLarge
 from .graph import Graph
-from .perm import Perm, PermGroup, find_block_swap, find_element
+from .perm import Perm, PermGroup, find_element
 from .setfamily import SetFamily, family_autgroup, max_antichain_size
 
 
@@ -637,11 +639,6 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
     )
 
 
-def _encoding_group(enc: _Encoding) -> PermGroup:
-    bound = max(max_antichain_size(enc.family), 1)
-    return family_autgroup(enc.family, bound)
-
-
 def marked_action_group(m: MarkedIntervalGraph, antichain_bound: Optional[int] = None) -> PermGroup:
     """Action on marked-set indices of tail-fixing, family-preserving host automorphisms."""
     if antichain_bound is not None:
@@ -721,13 +718,16 @@ def _clean_iso(
     """Extend `out` with a structural bijection between two equal-code clean subtrees."""
     assigned_a = sorted(tree_a.assigned_vertices(a))
     assigned_b = sorted(tree_b.assigned_vertices(b))
-    assert len(assigned_a) == len(assigned_b), "clean subtree codes disagree with sizes"
+    if len(assigned_a) != len(assigned_b):
+        raise AssertionError("clean subtree codes disagree with sizes")
     if a.kind == "L" or b.kind == "L":
-        assert a.kind == b.kind == "L"
+        if not a.kind == b.kind == "L":
+            raise AssertionError("a leaf paired with an inner node")
         for va, vb in zip(assigned_a, assigned_b):
             out[back_a[va]] = back_b[vb]
         return
-    assert a.kind == b.kind
+    if a.kind != b.kind:
+        raise AssertionError("clean subtree node kinds disagree")
     if a.kind == "P":
         for va, vb in zip(assigned_a, assigned_b):
             out[back_a[va]] = back_b[vb]
@@ -739,7 +739,8 @@ def _clean_iso(
     # Q-node: forward if the forward tuples agree, else reversed
     fa, fb = _fwd_code_tuple(tree_a, a), _fwd_code_tuple(tree_b, b)
     k = len(a.children)
-    assert len(b.children) == k
+    if len(b.children) != k:
+        raise AssertionError("Q-node child counts disagree")
     if fa == fb:
         pairing = list(range(k))
         flip = False
@@ -758,7 +759,8 @@ def _clean_iso(
         lo, hi = run
         target_run = (k - 1 - hi, k - 1 - lo) if flip else run
         ws = buckets_b.get(target_run)
-        assert ws is not None and len(ws) == len(vs), "run multisets disagree"
+        if ws is None or len(ws) != len(vs):
+            raise AssertionError("run multisets disagree")
         for va, vb in zip(sorted(vs), sorted(ws)):
             out[back_a[va]] = back_b[vb]
 
@@ -779,7 +781,8 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
     node_map: dict[tuple[int, int], tuple[int, int]] = {}
     for key, idx in enc.b_index.items():
         img = tau(idx)
-        assert img in set_to_bkey, "tau must map node sets to node sets"
+        if img not in set_to_bkey:
+            raise AssertionError("tau must map node sets to node sets")
         node_map[key] = set_to_bkey[img]
     # consistency: parents map to parents
     for ti, red in enumerate(enc.reductions):
@@ -789,9 +792,8 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
                 tj, nj = node_map[(ti, node.nid)]
                 pj = node_map[(ti, node.parent.nid)]
                 mapped = node_by_key[(tj, nj)]
-                assert mapped.parent is not None and (tj, mapped.parent.nid) == pj, (
-                    "tau does not respect the tree structure"
-                )
+                if mapped.parent is None or (tj, mapped.parent.nid) != pj:
+                    raise AssertionError("tau does not respect the tree structure")
 
     out: dict[int, int] = {}
     pattern: dict[int, frozenset[int]] = {}
@@ -808,7 +810,8 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
         target_key = node_map[key]
         target_pat = frozenset(tau(i) for i in pat)
         ws = buckets.get((target_key, target_pat))
-        assert ws is not None and len(ws) == len(vs), "cell sizes disagree under tau"
+        if ws is None or len(ws) != len(vs):
+            raise AssertionError("cell sizes disagree under tau")
         for va, vb in zip(sorted(vs), sorted(ws)):
             out[va] = vb
 
@@ -825,7 +828,8 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
             back2 = back_of_tree[tj]
             node2 = node_by_key[(tj, nj)]
             drops2 = enc.reductions[tj].discarded.get(node2.nid, ())
-            assert len(drops) == len(drops2), "discarded subtree counts disagree"
+            if len(drops) != len(drops2):
+                raise AssertionError("discarded subtree counts disagree")
             if node.kind == "Q":
                 flip = _q_orientation(enc, tau, ti, node, tj, node2)
                 k = len(node.children)
@@ -833,7 +837,8 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
                 drop2_by_pos = dict(drops2)
                 for pos, code in drops:
                     t_pos = target_of[pos]
-                    assert drop2_by_pos.get(t_pos) == code, "Q discard codes disagree"
+                    if drop2_by_pos.get(t_pos) != code:
+                        raise AssertionError("Q discard codes disagree")
                     _clean_iso(
                         tree,
                         node.children[pos],
@@ -847,7 +852,8 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
                 src = sorted(drops, key=lambda pc: (pc[1], pc[0]))
                 dst = sorted(drops2, key=lambda pc: (pc[1], pc[0]))
                 for (pos, code), (pos2, code2) in zip(src, dst):
-                    assert code == code2, "P discard codes disagree"
+                    if code != code2:
+                        raise AssertionError("P discard codes disagree")
                     _clean_iso(
                         tree,
                         node.children[pos],
@@ -858,14 +864,19 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
                         out,
                     )
 
-    assert len(out) == host.n and sorted(out) == list(range(host.n)), "vertex map incomplete"
+    if len(out) != host.n or sorted(out) != list(range(host.n)):
+        raise AssertionError("vertex map incomplete")
     sigma = Perm([out[v] for v in range(host.n)])
-    assert sorted(sigma.images) == list(range(host.n))
+    if sorted(sigma.images) != list(range(host.n)):
+        raise AssertionError("realized map is not a bijection")
     for u, v in host.edges:
-        assert host.has_edge(sigma(u), sigma(v)), "realized map breaks an edge"
-    assert host.m == len({(min(sigma(u), sigma(v)), max(sigma(u), sigma(v))) for u, v in host.edges})
+        if not host.has_edge(sigma(u), sigma(v)):
+            raise AssertionError("realized map breaks an edge")
+    if host.m != len({(min(sigma(u), sigma(v)), max(sigma(u), sigma(v))) for u, v in host.edges}):
+        raise AssertionError("realized map merges edges")
     for i, s in enumerate(sets):
-        assert sigma.image_of_set(s) == sets[tau(i)], "realized map disagrees with tau on a set"
+        if sigma.image_of_set(s) != sets[tau(i)]:
+            raise AssertionError("realized map disagrees with tau on a set")
     return sigma
 
 
@@ -900,8 +911,31 @@ def _q_orientation(enc: _Encoding, tau: Perm, ti: int, node: PQNode, tj: int, no
             fwd_ok = False
         if pos2 != k - 1 - pos:
             rev_ok = False
-    assert fwd_ok or rev_ok, "no orientation consistent with tau at a Q-node"
+    if not (fwd_ok or rev_ok):
+        raise AssertionError("no orientation consistent with tau at a Q-node")
     return not fwd_ok
+
+
+def marked_union(ms: Sequence[MarkedIntervalGraph]) -> tuple[MarkedIntervalGraph, list[int]]:
+    """Disjoint union of marked hosts, with each part's vertex offset.
+
+    Family j of the union is family j of every part, concatenated in part
+    order; the parts' tails become one last family of singletons.
+    """
+    if len({len(m.families) for m in ms}) > 1:
+        raise ValueError("all parts must carry the same number of families")
+    if len({m.tail is None for m in ms}) > 1:
+        raise ValueError("either every part has a tail or none has")
+    offsets = list(accumulate((m.host.n for m in ms[:-1]), initial=0))
+    parts = list(zip(ms, offsets))
+    edges = [(u + off, v + off) for m, off in parts for u, v in m.host.edges]
+    families = [
+        tuple(frozenset(v + off for v in s) for m, off in parts for s in m.families[j])
+        for j in range(len(ms[0].families))
+    ]
+    if ms[0].tail is not None:
+        families.append(tuple(frozenset([m.tail + off]) for m, off in parts))
+    return MarkedIntervalGraph(Graph(offsets[-1] + ms[-1].host.n, edges), families), offsets
 
 
 def marked_isomorphism(
@@ -913,56 +947,34 @@ def marked_isomorphism(
     """
     if len(m1.families) != len(m2.families):
         raise ValueError("both sides must carry the same number of families")
-    if (m1.tail is None) != (m2.tail is None):
-        return None
-    if m1.host.n != m2.host.n:
+    if (m1.tail is None) != (m2.tail is None) or m1.host.n != m2.host.n:
         return None
     n1 = m1.host.n
-    host = m1.host.union_disjoint(m2.host)
-    families: list[tuple[frozenset[int], ...]] = []
-    for f1, f2 in zip(m1.families, m2.families):
-        families.append(tuple(list(f1) + [frozenset(v + n1 for v in s) for s in f2]))
-    if m1.tail is not None:
-        families.append((frozenset([m1.tail]), frozenset([m2.tail + n1])))
-    combined = MarkedIntervalGraph(host, families, tail=None)
-    enc = _marked_encoding(combined)
-    group = _encoding_group(enc)
-    left, right = _side_indices(enc, host, n1)
-    swap = find_block_swap(group, left, right)
-    if swap is None:
+    union, offsets = marked_union([m1, m2])
+    ctx = MarkedContext(union)
+    parts = ctx.set_parts(offsets)
+    left = [i for i, part in enumerate(parts) if part == 0]
+    right = [i for i, part in enumerate(parts) if part != 0]
+    found = ctx.realize({}, [(left, right), (right, left)])
+    if found is None:
         return None
-    sigma = _realize_vertex_map(enc, swap)
-    vertex_map = []
-    for v in range(n1):
-        img = sigma(v)
-        assert img >= n1, "swap element does not exchange the two hosts"
-        vertex_map.append(img - n1)
-    set_maps: list[list[int]] = []
-    for j, f1 in enumerate(m1.families):
-        fam_map = []
-        offset = len(f1)
-        for pos in range(len(f1)):
-            img = swap(enc.a_indices[j][pos])
-            local = enc.a_indices[j].index(img)
-            assert local >= offset, "marked set mapped within the same side"
-            fam_map.append(local - offset)
-        set_maps.append(fam_map)
+    swap, sigma = found
+    vertex_map = [sigma(v) - n1 for v in range(n1)]
+    if any(img < 0 for img in vertex_map):
+        raise AssertionError("swap element does not exchange the two hosts")
+    set_maps = []
+    for index, f1 in zip(ctx.enc.a_indices, m1.families):
+        set_maps.append([index.index(swap(i)) - len(f1) for i in index[: len(f1)]])
+        if any(pos < 0 for pos in set_maps[-1]):
+            raise AssertionError("marked set mapped within the same side")
     return vertex_map, set_maps
-
-
-def _side_indices(enc: _Encoding, host: Graph, n1: int) -> tuple[list[int], list[int]]:
-    comps = host.components()
-    left_comps = {c for c in range(len(comps)) if min(comps[c]) < n1}
-    left = [i for i, c in enumerate(enc.component_of_index) if c in left_comps]
-    right = [i for i in range(len(enc.family.sets)) if enc.component_of_index[i] not in left_comps]
-    return left, right
 
 
 class MarkedContext:
     """Cached encoding and family group of one marked host.
 
     Shares the expensive structure between the action-group computation and
-    later transporter queries (realizing prescribed actions as vertex maps).
+    transporter queries (realizing prescribed set images as vertex maps).
     """
 
     def __init__(self, m: MarkedIntervalGraph):
@@ -978,24 +990,30 @@ class MarkedContext:
 
     @property
     def group(self) -> PermGroup:
+        """Automorphisms of the encoded family, acting on encoded-set indices."""
         if self._group is None:
-            self._group = _encoding_group(self.enc)
+            bound = max(max_antichain_size(self.enc.family), 1)
+            self._group = family_autgroup(self.enc.family, bound)
         return self._group
-
-    def flat_index(self, family: int, pos: int) -> int:
-        return self.enc.a_indices[family][pos]
 
     def action_group(self) -> PermGroup:
         order = [i for fam in self.enc.a_indices for i in fam]
         return self.group.restriction(order)
 
-    def automorphism_with_action(self, action: dict[tuple[int, int], tuple[int, int]]) -> Optional[list[int]]:
-        """A host automorphism realizing (family, pos) -> (family, pos) set images."""
-        prescribed = {}
-        for (j, pos), (j2, pos2) in action.items():
-            prescribed[self.flat_index(j, pos)] = self.flat_index(j2, pos2)
-        element = find_element(self.group, prescribed)
+    def set_parts(self, offsets: Sequence[int]) -> list[int]:
+        """Per encoded set, the part of a marked union holding it (-1: an empty set).
+
+        `offsets` are the parts' vertex offsets, as `marked_union` returns them.
+        """
+        part_of_tree = [bisect_right(offsets, back[0]) - 1 for back in self.enc.backs]
+        return [part_of_tree[c] if c >= 0 else -1 for c in self.enc.component_of_index]
+
+    def realize(
+        self, point_images: dict[int, int], set_images: Sequence[tuple[Sequence[int], Sequence[int]]]
+    ) -> Optional[tuple[Perm, Perm]]:
+        """A group element with the prescribed images of encoded-set indices, and a
+        host automorphism acting on every encoded set as it does; None if none fits."""
+        element = find_element(self.group, point_images, set_images)
         if element is None:
             return None
-        sigma = _realize_vertex_map(self.enc, element)
-        return [sigma(v) for v in range(self.m.host.n)]
+        return element, _realize_vertex_map(self.enc, element)

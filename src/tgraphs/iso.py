@@ -16,7 +16,7 @@ from .chordal import is_chordal
 from .decompose import Decomposition, Fragment, canonical_decomposition
 from .errors import IndexBoundExceeded, NotTGraph
 from .graph import Graph
-from .interval import MarkedContext, MarkedIntervalGraph, marked_isomorphism
+from .interval import MarkedContext, MarkedIntervalGraph, marked_union
 from .perm import (
     MembershipPredicate,
     Perm,
@@ -41,9 +41,7 @@ class CFragment:
     attachments: tuple[frozenset[int], ...]
     marked: MarkedIntervalGraph = field(repr=False, default=None)
     label_to_host: dict = field(repr=False, default_factory=dict)
-    context: MarkedContext = field(repr=False, default=None)
-    class_rep: int = -1  # gid of this fragment's isomorphism-class representative
-    rep_iso: Optional[list[int]] = field(repr=False, default=None)  # rep host -> own host
+    shards: list[list["CTerminal"]] = field(repr=False, default_factory=list)  # per family, in marked order
 
 
 @dataclass
@@ -56,7 +54,6 @@ class CTerminal:
     position: int
     vertices: frozenset[int]
     family: int  # origin_level - 1, the family slot inside the host fragment
-    local_pos: int = -1  # position within the host's family
 
 
 @dataclass
@@ -75,6 +72,7 @@ class CombinedDecomposition:
     level_degrees: list[int]
     key_to_terminal: dict[tuple[int, int, int], int]
     level_groups: dict[int, PermGroup] = field(default_factory=dict)
+    buckets: dict[int, list["Bucket"]] = field(default_factory=dict)  # per level, set by level_group
 
     @property
     def degree(self) -> int:
@@ -141,15 +139,10 @@ def _fragment_marked(g: Graph, cf: CFragment, dec_frag: Fragment, offset: int, f
         for lab, i in ids.items():
             if isinstance(lab, int):
                 to_local[lab + offset if cf.side else lab] = i
-    families = []
-    for j in range(cf.level - 1):
-        fam = []
-        for t in fam_terms[j]:
-            t.local_pos = len(fam)
-            fam.append(frozenset(to_local[v] for v in t.vertices))
-        families.append(tuple(fam))
+    families = [[frozenset(to_local[v] for v in t.vertices) for t in fam] for fam in fam_terms]
     cf.marked = MarkedIntervalGraph(host, families, tail=tail)
     cf.label_to_host = to_local
+    cf.shards = fam_terms
 
 
 def combine(g1: Graph, dec1: Decomposition, g2: Graph, dec2: Decomposition) -> Optional[CombinedDecomposition]:
@@ -236,77 +229,50 @@ def _class_key(cf: CFragment) -> tuple:
     )
 
 
+@dataclass
+class Bucket:
+    """Fragments of one level sharing a class key, and the marked group of their union."""
+
+    frags: list[CFragment]
+    context: MarkedContext  # over marked_union of the fragments' marked hosts
+    offsets: list[int]  # each fragment's vertex offset in the union
+    parts: list[int]  # per encoded set of the union, the position of its fragment
+    shard_index: dict[int, int]  # terminal id -> its marked-set index in the union
+
+
 def level_group(cd: CombinedDecomposition, level: int) -> PermGroup:
-    """The level group: class symmetries paired with induced terminal maps,
-    plus each fragment's marked automorphism action."""
+    """The level group: per bucket, the marked automorphisms of the bucket's
+    union acting on its fragments and their terminal shards."""
     if level in cd.level_groups:
         return cd.level_groups[level]
-    frags = [cf for cf in cd.fragments if cf.level == level]
-    terms = [t for t in cd.terminals if t.level == level]
-    offset = min(
-        [cd.frag_point[cf.gid] for cf in frags] + [cd.term_point[t.tid] for t in terms],
-        default=0,
-    )
+    offset = sum(cd.level_degrees[: level - 1])  # the domain lists the levels in order
     degree = cd.level_degrees[level - 1]
-
-    def fpt(cf: CFragment) -> int:
-        return cd.frag_point[cf.gid] - offset
-
-    def tpt(t: CTerminal) -> int:
-        return cd.term_point[t.tid] - offset
-
-    local_terms: dict[int, list[list[CTerminal]]] = {}
-    for cf in frags:
-        fam_lists: list[list[CTerminal]] = [[] for _ in range(level - 1)]
-        for t in terms:
-            if t.host_gid == cf.gid:
-                fam_lists[t.family].append(t)
-        for fam in fam_lists:
-            fam.sort(key=lambda t: t.local_pos)
-        local_terms[cf.gid] = fam_lists
-
+    keyed: dict[tuple, list[CFragment]] = {}
+    for cf in cd.fragments:
+        if cf.level == level:
+            keyed.setdefault(_class_key(cf), []).append(cf)
+    cd.buckets[level] = []
     gens: list[Perm] = []
-    # within-level isomorphism classes: pair each fragment with the first
-    # representative it matches; unmatched fragments open new classes
-    buckets: dict[tuple, list[CFragment]] = {}
-    for cf in frags:
-        cf.context = MarkedContext(cf.marked)
-        buckets.setdefault(_class_key(cf), []).append(cf)
-    for bucket in buckets.values():
-        bucket.sort(key=lambda cf: cf.gid)
-        reps: list[CFragment] = []
-        for cf in bucket:
-            witness = None
-            rep_found = None
-            for rep in reps:
-                witness = marked_isomorphism(rep.marked, cf.marked)
-                if witness is not None:
-                    rep_found = rep
-                    break
-            if rep_found is None:
-                reps.append(cf)
-                cf.class_rep = cf.gid
-                cf.rep_iso = list(range(cf.marked.host.n))
-                continue
-            cf.class_rep = rep_found.gid
-            vmap, smaps = witness
-            cf.rep_iso = vmap
+    for bucket_frags in keyed.values():
+        union, offsets = marked_union([cf.marked for cf in bucket_frags])
+        context = MarkedContext(union)
+        if len(context.enc.trees) != len(bucket_frags):
+            raise AssertionError("a fragment's marked host is disconnected")
+        parts = context.set_parts(offsets)
+        shard_index = {}
+        for j, indices in enumerate(context.enc.a_indices[: level - 1]):
+            shards = [t for cf in bucket_frags for t in cf.shards[j]]
+            shard_index.update((t.tid, i) for t, i in zip(shards, indices))
+        cd.buckets[level].append(Bucket(bucket_frags, context, offsets, parts, shard_index))
+        # every fragment's sets lie in its one component, so any of them shows its image
+        probe = [parts.index(k) for k in range(len(bucket_frags))]
+        shard_at = {i: tid for tid, i in shard_index.items()}
+        for gen in context.group.generators:
             images = list(range(degree))
-            images[fpt(rep_found)], images[fpt(cf)] = fpt(cf), fpt(rep_found)
-            for j in range(level - 1):
-                for pos, t_rep in enumerate(local_terms[rep_found.gid][j]):
-                    t_other = local_terms[cf.gid][j][smaps[j][pos]]
-                    images[tpt(t_rep)] = tpt(t_other)
-                    images[tpt(t_other)] = tpt(t_rep)
-            gens.append(Perm(images))
-    # (c): marked automorphism action per fragment
-    for cf in frags:
-        action = cf.context.action_group()
-        flat_terms = [t for fam in local_terms[cf.gid] for t in fam]
-        for gen in action.generators:
-            images = list(range(degree))
-            for i, t in enumerate(flat_terms):
-                images[tpt(t)] = tpt(flat_terms[gen(i)])
+            for cf, i in zip(bucket_frags, probe):
+                images[cd.frag_point[cf.gid] - offset] = cd.frag_point[bucket_frags[parts[gen(i)]].gid] - offset
+            for tid, i in shard_index.items():
+                images[cd.term_point[tid] - offset] = cd.term_point[shard_at[gen(i)]] - offset
             gens.append(Perm(images))
     group = PermGroup(degree, gens)
     cd.level_groups[level] = group
@@ -385,74 +351,50 @@ def decomposition_autgroup(cd: CombinedDecomposition) -> PermGroup:
     return tower_of_groups(gamma0, preds)
 
 
-def _induced_set_action(src: CFragment, dst: CFragment, vmap: list[int]) -> list[list[int]]:
-    """Per family, a canonical index matching induced by a src->dst vertex map."""
-    out = []
-    for f_src, f_dst in zip(src.marked.families, dst.marked.families):
-        used = [False] * len(f_dst)
-        matching = []
-        for s in f_src:
-            img = frozenset(vmap[v] for v in s)
-            for k, s2 in enumerate(f_dst):
-                if not used[k] and s2 == img:
-                    used[k] = True
-                    matching.append(k)
-                    break
-            else:
-                raise AssertionError("witness map does not carry the families")
-        out.append(matching)
-    return out
-
-
 def lift_to_vertices(cd: CombinedDecomposition, p: Perm) -> Perm:
     """A graph automorphism of the union acting on fragments and shards as p does.
 
-    Per fragment, the witness isomorphism through the class representative is
-    corrected by a marked automorphism so the shard action matches p exactly.
-    Always verified: edge preservation plus agreement with p on the domain.
+    Per bucket, one element of the union's marked group takes each fragment's
+    sets onto its image's and each shard onto its image; its host
+    automorphism gives the vertex images. Always verified: edge preservation
+    plus agreement with p on the domain.
     """
     for k in range(1, cd.depth + 1):
-        level_group(cd, k)  # ensure class data and contexts exist
+        level_group(cd, k)  # ensure the buckets exist
     frag_of_point = {pt: ident for pt, (kind, ident) in enumerate(cd.point_kind) if kind == "frag"}
     term_of_point = {pt: ident for pt, (kind, ident) in enumerate(cd.point_kind) if kind == "term"}
     images = [-1] * cd.h.n
-    host_terms: dict[int, list[CTerminal]] = {}
-    for t in cd.terminals:
-        host_terms.setdefault(t.host_gid, []).append(t)
-    for cf in cd.fragments:
-        target = cd.fragments[frag_of_point[p(cd.frag_point[cf.gid])]]
-        if cf.class_rep != target.class_rep:
-            raise AssertionError("p maps a fragment outside its class")
-        # composite witness through the class representative
-        inv_rep = [0] * len(cf.rep_iso)
-        for r_local, x_local in enumerate(cf.rep_iso):
-            inv_rep[x_local] = r_local
-        kappa = [target.rep_iso[inv_rep[v]] for v in range(cf.marked.host.n)]
-        tau_kappa = _induced_set_action(cf, target, kappa)
-        needed: dict[tuple[int, int], int] = {}
-        for t in host_terms.get(cf.gid, ()):
-            img_tid = term_of_point[p(cd.term_point[t.tid])]
-            img = cd.terminals[img_tid]
-            if img.host_gid != target.gid or img.family != t.family:
-                raise AssertionError("terminal image leaves the mapped host fragment")
-            needed[(t.family, t.local_pos)] = img.local_pos
-        alpha_act: dict[tuple[int, int], tuple[int, int]] = {}
-        for j, matching in enumerate(tau_kappa):
-            inv_match = {k: pos for pos, k in enumerate(matching)}
-            for pos in range(len(matching)):
-                want = needed.get((j, pos))
-                if want is not None:
-                    alpha_act[(j, pos)] = (j, inv_match[want])
-        alpha = cf.context.automorphism_with_action(alpha_act)
-        if alpha is None:
-            raise AssertionError("no completion isomorphism realizes the prescribed shard action")
-        # translate fragment-part vertices back to union coordinates
-        target_inv = {i: v for v, i in target.label_to_host.items()}
-        for v in cf.vertices:
-            img_local = kappa[alpha[cf.label_to_host[v]]]
-            if img_local not in target_inv:
-                raise AssertionError("fragment vertex mapped outside the target fragment")
-            images[v] = target_inv[img_local]
+    for bucket in (b for buckets in cd.buckets.values() for b in buckets):
+        position = {cf.gid: k for k, cf in enumerate(bucket.frags)}
+        members: list[list[int]] = [[] for _ in bucket.frags]
+        for i, k in enumerate(bucket.parts):
+            if k >= 0:
+                members[k].append(i)
+        targets = []
+        for cf in bucket.frags:
+            target = position.get(frag_of_point[p(cd.frag_point[cf.gid])])
+            if target is None:
+                raise AssertionError("p maps a fragment outside its bucket")
+            targets.append(target)
+        point_images = {}
+        for tid, i in bucket.shard_index.items():
+            img = bucket.shard_index.get(term_of_point[p(cd.term_point[tid])])
+            if img is None:
+                raise AssertionError("p maps a shard outside its bucket")
+            point_images[i] = img
+        set_images = [(members[k], members[t]) for k, t in enumerate(targets)]
+        found = bucket.context.realize(point_images, set_images)
+        if found is None:
+            raise AssertionError("no marked automorphism realizes the prescribed shard action")
+        _element, sigma = found
+        for k, cf in enumerate(bucket.frags):
+            target, off = bucket.frags[targets[k]], bucket.offsets[targets[k]]
+            target_inv = {i + off: v for v, i in target.label_to_host.items()}
+            for v in cf.vertices:
+                img = sigma(cf.label_to_host[v] + bucket.offsets[k])
+                if img not in target_inv:
+                    raise AssertionError("fragment vertex mapped outside the target fragment")
+                images[v] = target_inv[img]
     if sorted(images) != list(range(cd.h.n)):
         raise AssertionError("lift is not a permutation")
     sigma = Perm(images)

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
 
+import tgraphs
 from tgraphs.chordal import is_chordal, maximal_cliques
 from tgraphs.graph import Graph, complete_graph, path_graph, star_graph
 from tgraphs.harness import random_t_graph
@@ -359,10 +363,33 @@ class TestMarkedIsomorphism:
             actions = [{slot: slot for slot in slots}]
             # action_group() numbers the marked sets family by family, as slots does
             actions += [{slot: slots[gen(t)] for t, slot in enumerate(slots)} for gen in ctx.action_group().generators]
+            index = ctx.enc.a_indices
             for action in actions:
-                vmap = ctx.automorphism_with_action(action)
-                assert vmap is not None
+                found = ctx.realize({index[j][pos]: index[j2][pos2] for (j, pos), (j2, pos2) in action.items()}, [])
+                assert found is not None
+                vmap = found[1].images
                 for u, v in m.host.edges:
                     assert m.host.has_edge(vmap[u], vmap[v])
                 for (j, pos), (j2, pos2) in action.items():
                     assert frozenset(vmap[v] for v in m.families[j][pos]) == m.families[j2][pos2]
+
+
+class TestRealizeChecks:
+    # swapping the marked sets {1} and {3} of P5 across families is no automorphism
+    SCRIPT = """
+from tgraphs.graph import path_graph
+from tgraphs.interval import MarkedContext, MarkedIntervalGraph, _realize_vertex_map
+from tgraphs.perm import Perm
+enc = MarkedContext(MarkedIntervalGraph(path_graph(5), [({1},), ({3},)])).enc
+i, j = enc.a_indices[0][0], enc.a_indices[1][0]
+images = list(range(len(enc.family.sets)))
+images[i], images[j] = j, i
+_realize_vertex_map(enc, Perm(images))
+"""
+
+    def test_invalid_tau_raises_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tgraphs.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-O", "-c", self.SCRIPT], capture_output=True, text=True, env=env)
+        assert run.returncode != 0
+        assert "AssertionError: cell sizes disagree under tau" in run.stderr, run.stderr

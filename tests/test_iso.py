@@ -29,6 +29,17 @@ def subdivided_claw():
     return Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
 
 
+def spider(*arms):
+    """A centre 0 with one path of each given length hanging off it."""
+    edges, nxt = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Graph(nxt, edges)
+
+
 def make_cd(g1, g2, d):
     return combine(g1, canonical_decomposition(g1, d), g2, canonical_decomposition(g2, d))
 
@@ -74,6 +85,26 @@ class TestLevelGroup:
         # two residual cores carrying 3 singleton shards each; cores swap,
         # and each core's shards admit the star automorphisms (3! each)
         assert lam2.order() == 2 * 6 * 6
+
+    def test_one_marked_group_per_bucket(self, monkeypatch):
+        import tgraphs.interval as interval
+
+        calls = []
+        original = interval.family_autgroup
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(interval, "family_autgroup", counting)
+        cd = make_cd(subdivided_claw(), subdivided_claw(), 3)
+        orders = []
+        for level in (1, 2):
+            calls.clear()
+            orders.append(level_group(cd, level).order())
+            # each level holds one bucket: six tips, then two cores
+            assert len(calls) == 1
+        assert orders == [720, 72]
 
 
 class TestDecompositionAutgroup:
@@ -132,10 +163,12 @@ class TestLift:
         g, _ = random_t_graph(3, 7, 123)
         if not g.is_connected():
             pytest.skip("connected instance needed")
-        cd = make_cd(g, g, 3)
-        group = decomposition_autgroup(cd)
-        for gen in group.generators:
-            lift_to_vertices(cd, gen)  # verifies internally
+        # the subdivided claw and the 3x3 spider put six isomorphic tips in one bucket
+        for h in (g, subdivided_claw(), spider(3, 3, 3)):
+            cd = make_cd(h, h, 3)
+            group = decomposition_autgroup(cd)
+            for gen in group.generators:
+                lift_to_vertices(cd, gen)  # verifies internally
 
 
 class TestIsIsomorphic:
