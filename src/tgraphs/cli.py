@@ -78,7 +78,8 @@ def cmd_gen(args) -> int:
         fh.write(format_graph_text(g))
     with open(rep_path, "w", encoding="utf-8") as fh:
         json.dump(rep.to_json_dict(), fh)
-    assert verify_t_representation(g, rep)
+    if not verify_t_representation(g, rep):
+        raise AssertionError("generated representation does not verify")
     print(json.dumps({"graph": graph_path, "representation": rep_path, "n": g.n, "m": g.m}))
     return 0
 

@@ -51,7 +51,7 @@ class IndexBoundExceeded(TGraphsError):
 
 
 class NotClosed(TGraphsError):
-    """Debug sampling detected a membership predicate that is not a subgroup."""
+    """A membership predicate rejects the identity, so it defines no subgroup."""
 
 
 class BadSeparator(TGraphsError):

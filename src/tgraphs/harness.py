@@ -245,7 +245,8 @@ def random_t_graph(d: int, n: int, seed: int) -> tuple[Graph, TRepresentation]:
     ]
     graph = Graph(n, g_edges)
     rep = TRepresentation(nodes, tuple(host.edges), tuple(models))
-    assert verify_t_representation(graph, rep)
+    if not verify_t_representation(graph, rep):
+        raise AssertionError("generated representation does not verify")
     return graph, rep
 
 

@@ -445,8 +445,8 @@ def reduce_clean(tree: PQTree, marked: frozenset[int], antichain_cap: Optional[i
     """Discard maximal clean subtrees, annotating their parents with codes.
 
     A subtree is clean when no vertex assigned inside it is marked. The number
-    of non-clean subtrees per depth is asserted against the antichain cap when
-    one is supplied.
+    of non-clean subtrees per depth is checked against the antichain cap when
+    one is supplied (IndexBoundExceeded when it is passed).
     """
     node_clean: dict[int, bool] = {}
     subtree_clean: dict[int, bool] = {}
@@ -476,9 +476,12 @@ def reduce_clean(tree: PQTree, marked: frozenset[int], antichain_cap: Optional[i
             if not subtree_clean[node.nid]:
                 per_depth[node.depth] = per_depth.get(node.depth, 0) + 1
         for depth, count in per_depth.items():
-            assert count <= max(antichain_cap, 1), (
-                f"non-clean subtrees at depth {depth}: {count} > {antichain_cap}"
-            )
+            if count > max(antichain_cap, 1):
+                raise IndexBoundExceeded(
+                    f"non-clean subtrees at depth {depth}: {count} > {antichain_cap}",
+                    bound=antichain_cap,
+                    stage="clean-reduction",
+                )
     annotations: dict[int, tuple] = {}
     for node in retained:
         drops = discarded.get(node.nid, ())
@@ -952,9 +955,10 @@ def marked_isomorphism(
     n1 = m1.host.n
     union, offsets = marked_union([m1, m2])
     ctx = MarkedContext(union)
-    parts = ctx.set_parts(offsets)
-    left = [i for i, part in enumerate(parts) if part == 0]
-    right = [i for i, part in enumerate(parts) if part != 0]
+    # an empty marked set lies in no part; its index tells its side
+    left = {i for i, part in enumerate(ctx.set_parts(offsets)) if part == 0}
+    left.update(i for index, f1 in zip(ctx.enc.a_indices, m1.families) for i in index[: len(f1)])
+    right = [i for i in range(len(ctx.enc.family.sets)) if i not in left]
     found = ctx.realize({}, [(left, right), (right, left)])
     if found is None:
         return None

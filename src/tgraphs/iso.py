@@ -9,6 +9,7 @@ isomorphisms and verified edge-by-edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import factorial
 from typing import Optional
 
@@ -21,8 +22,8 @@ from .perm import (
     MembershipPredicate,
     Perm,
     PermGroup,
-    direct_product,
     find_block_swap,
+    find_element,
     tower_of_groups,
 )
 from .setfamily import SetFamily, max_antichain_size
@@ -291,64 +292,44 @@ def _tower_bound(cd: CombinedDecomposition) -> int:
 
 
 def decomposition_autgroup(cd: CombinedDecomposition) -> PermGroup:
-    """Automorphism group of the combined decomposition.
+    """Automorphism group of the combined decomposition, built from the deepest level up.
 
-    Starts from the product of the level groups (within-level compatibility)
-    and intersects with every cross-level attachment correspondence slice.
+    K acts on levels i+1..D and meets every cross-level constraint among them.
+    Stage a2-{i} keeps the k in K that carry each level-i origin fragment's
+    shards onto one origin fragment's shards (position by position, hosts as k
+    moves them), bijectively, and whose origin map the level-i group realizes.
+    The next K is the fibre product: (a_k, k) for each kept generator k, with
+    a_k in the level group inducing k's origin map, plus the level group's
+    pointwise stabiliser of the origin fragments.
     """
-    groups = [level_group(cd, k) for k in range(1, cd.depth + 1)]
-    gamma0 = direct_product(groups)
+    starts = list(accumulate(cd.level_degrees, initial=0))  # level i's points begin at starts[i - 1]
     bound = _tower_bound(cd)
-    frag_of_point = {cd.frag_point[cf.gid]: cf.gid for cf in cd.fragments}
-    key_point = {
-        key: cd.term_point[tid] for key, tid in cd.key_to_terminal.items()
-    }
-    preds = []
-    for i in range(1, cd.depth + 1):
-        for j in range(i + 1, cd.depth + 1):
-            sizes = sorted(
-                {len(t.vertices) for t in cd.terminals if t.origin_level == i and t.level == j}
-            )
-            for r in sizes:
-                relevant = tuple(
-                    (
-                        cd.frag_point[t.origin_gid],
-                        t.position,
-                        cd.frag_point[t.host_gid],
-                        cd.term_point[t.tid],
-                    )
-                    for t in cd.terminals
-                    if t.origin_level == i and t.level == j and len(t.vertices) == r
-                )
-                def test(p: Perm, relevant=relevant) -> bool:
-                    for o_pt, pos, h_pt, t_pt in relevant:
-                        o_img = frag_of_point.get(p(o_pt))
-                        h_img = frag_of_point.get(p(h_pt))
-                        if o_img is None or h_img is None:
-                            return False
-                        target = key_point.get((o_img, pos, h_img))
-                        if target is None or p(t_pt) != target:
-                            return False
-                    return True
+    group = level_group(cd, cd.depth)
+    for i in range(cd.depth - 1, 0, -1):
+        lo, hi = starts[i - 1], starts[i]  # level i's points, then K's from hi on
+        shard = {  # K's point of each level-i shard -> (position, host point in K, origin point in level i)
+            cd.term_point[t.tid] - hi: (t.position, cd.frag_point[t.host_gid] - hi, cd.frag_point[t.origin_gid] - lo)
+            for t in cd.terminals
+            if t.origin_level == i
+        }
+        origins = sorted({o for _pos, _host, o in shard.values()})
+        lam = PermGroup(cd.level_degrees[i - 1], level_group(cd, i).generators, base=origins)
 
-                def signature(p: Perm, relevant=relevant) -> tuple:
-                    # multiset of transported slice tuples: a right-coset invariant
-                    return tuple(
-                        sorted(
-                            (p(o_pt), pos, p(h_pt), p(t_pt))
-                            for o_pt, pos, h_pt, t_pt in relevant
-                        )
-                    )
+        def realize(k: Perm, shard=shard, lam=lam) -> Optional[Perm]:
+            """A level-group element inducing k's origin map; None if k has no such map or none fits."""
+            images = {}
+            for pt, (pos, host, o) in shard.items():
+                image = shard.get(k(pt))
+                if image is None or image[:2] != (pos, k(host)) or images.setdefault(o, image[2]) != image[2]:
+                    return None
+            return find_element(lam, images)  # none fits a map that is not injective
 
-                preds.append(
-                    MembershipPredicate(
-                        test,
-                        bound,
-                        name=f"a2-{i}-{j}-{r}",
-                        signature=signature,
-                    )
-                )
-    return tower_of_groups(gamma0, preds)
+        kept = tower_of_groups(group, [MembershipPredicate(lambda k, f=realize: f(k) is not None, bound, f"a2-{i}")])
+        pairs = [(realize(k), k) for k in kept.generators]
+        pairs += [(s, Perm.identity(kept.degree)) for s in lam.stabilizer(origins).generators]
+        gens = [Perm(a.images + tuple(x + lam.degree for x in k.images)) for a, k in pairs]
+        group = PermGroup(lam.degree + kept.degree, gens)
+    return group
 
 
 def lift_to_vertices(cd: CombinedDecomposition, p: Perm) -> Perm:

@@ -128,7 +128,8 @@ class PermGroup:
     Immutable once constructed; derived groups are new values.
     """
 
-    def __init__(self, degree: int, generators: Iterable[Perm] = (), base_hint: Sequence[int] = ()):
+    def __init__(self, degree: int, generators: Iterable[Perm] = (), base: Sequence[int] = ()):
+        """`base` lists points to lead the base in that order, moved or not."""
         self.degree = degree
         gens = []
         seen = set()
@@ -140,19 +141,12 @@ class PermGroup:
             seen.add(g.images)
             gens.append(g)
         self.generators: tuple[Perm, ...] = tuple(gens)
-        self._base_hint = list(base_hint)
-        self._levels: list[_Level] = []
+        self._levels: list[_Level] = [_Level(b, degree) for b in dict.fromkeys(base)]
         self._sifted: set[tuple[int, ...]] = set()
         for g in self.generators:
             self._add_strong_gen(g)
 
     # -- construction ---------------------------------------------------
-
-    def _pick_base_point(self, g: Perm) -> int:
-        for b in self._base_hint:
-            if g(b) != b:
-                return b
-        return min(g.moved_points())
 
     def _strip(self, g: Perm) -> tuple[Perm, int]:
         h = g
@@ -173,7 +167,7 @@ class PermGroup:
             if h.is_identity():
                 continue
             if l == len(self._levels):
-                self._levels.append(_Level(self._pick_base_point(h), self.degree))
+                self._levels.append(_Level(min(h.moved_points()), self.degree))
             for i in range(l + 1):
                 self._levels[i].gens.append(h)
             for i in range(l, -1, -1):
@@ -242,6 +236,22 @@ class PermGroup:
                     yield h * t
 
         return rec(0)
+
+    def _with_base_prefix(self, points: Sequence[int]) -> "PermGroup":
+        """This group, or the same group on a chain whose base starts with points."""
+        if set(self.base[: len(points)]) == set(points):
+            return self
+        return PermGroup(self.degree, self.generators, base=points)
+
+    def stabilizer(self, points: Iterable[int]) -> "PermGroup":
+        """Pointwise stabiliser of points, sharing the levels of a chain whose base starts with them."""
+        points = list(dict.fromkeys(points))
+        chain = self._with_base_prefix(points)
+        sub = PermGroup(self.degree)
+        sub._levels = chain._levels[len(points) :]
+        if sub._levels:
+            sub.generators = tuple({g.images: g for g in sub._levels[0].gens}.values())
+        return sub
 
     def restriction(self, points: Sequence[int]) -> "PermGroup":
         """Action restricted to an invariant point subset, renumbered 0..len-1."""
@@ -464,8 +474,9 @@ def find_element(
 ) -> Optional[Perm]:
     """An element with the prescribed point images mapping each set onto its target.
 
-    Backtracks over the stabilizer chain, rebuilding the group with the
-    constrained points first so pruning fires early. Exact (no sampling).
+    Backtracks over a stabilizer chain whose base starts with the constrained
+    points, so pruning fires early; the group's own chain serves when its base
+    already does. Exact (no sampling).
     """
     point_images = dict(point_images or {})
     pairs = [(frozenset(a), frozenset(b)) for a, b in set_images]
@@ -477,8 +488,8 @@ def find_element(
         constrained |= a
     if not constrained:
         return Perm.identity(group.degree)
-    search_group = PermGroup(group.degree, group.generators, base_hint=sorted(constrained))
-    base = search_group.base
+    group = group._with_base_prefix(sorted(constrained))
+    base = group.base
 
     def want(p: int, img: int) -> bool:
         target = point_images.get(p)
@@ -495,7 +506,7 @@ def find_element(
     def accept_full(r: Perm) -> bool:
         return all(want(p, r(p)) for p in constrained)
 
-    return search_group.search(accept_partial, accept_full)
+    return group.search(accept_partial, accept_full)
 
 
 def find_block_swap(group: PermGroup, block_a: Iterable[int], block_b: Iterable[int]) -> Optional[Perm]:

@@ -355,6 +355,12 @@ class TestMarkedIsomorphism:
                 image = frozenset(vmap[v] for v in s)
                 assert image == m2.families[j][smaps[j][pos]]
 
+    def test_empty_marked_set(self):
+        m = MarkedIntervalGraph(path_graph(3), [(frozenset(), frozenset({0}))])
+        assert marked_isomorphism(m, m) == ([0, 1, 2], [[0, 1]])
+        flipped = MarkedIntervalGraph(path_graph(3), [(frozenset({2}), frozenset())])
+        assert marked_isomorphism(m, flipped) == ([2, 1, 0], [[1, 0]])
+
     def test_transport_identity(self):
         # seed 7 has a trivial action group; seeds 6 and 4 add non-identity actions
         for m in (random_marked(6, 7), random_marked(6, 6), random_marked(6, 4)):
@@ -393,3 +399,16 @@ _realize_vertex_map(enc, Perm(images))
         run = subprocess.run([sys.executable, "-O", "-c", self.SCRIPT], capture_output=True, text=True, env=env)
         assert run.returncode != 0
         assert "AssertionError: cell sizes disagree under tau" in run.stderr, run.stderr
+
+    def test_clean_cap_raises_under_python_O(self):
+        # two marked leaves of the claw's P-node: two non-clean subtrees at depth 1
+        script = """
+from tgraphs.graph import star_graph
+from tgraphs.interval import build_pq_tree, reduce_clean
+reduce_clean(build_pq_tree(star_graph(3)), frozenset({1, 2}), antichain_cap=1)
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tgraphs.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+        assert run.returncode != 0
+        assert "IndexBoundExceeded: non-clean subtrees at depth 1: 2 > 1" in run.stderr, run.stderr

@@ -40,6 +40,9 @@ def spider(*arms):
     return Graph(nxt, edges)
 
 
+SMALL_SPIDERS = [(1, 1, 1), (1, 2, 2), (2, 2, 3), (1, 1, 1, 1), (1, 2, 2, 2)]
+
+
 def make_cd(g1, g2, d):
     return combine(g1, canonical_decomposition(g1, d), g2, canonical_decomposition(g2, d))
 
@@ -118,11 +121,18 @@ class TestDecompositionAutgroup:
         assert group.order() == h_aut.order() == 2
 
     def test_projection_equality_small(self):
-        for seed in range(8):
-            g, _ = random_t_graph(3, 4, 50 + seed)
-            cd = make_cd(g, g, 3)
+        inputs = [(random_t_graph(3, 4, 50 + seed)[0], 3) for seed in range(8)]
+        inputs += [(spider(*arms), max(3, len(arms))) for arms in SMALL_SPIDERS]
+        # seed 8240 is a depth-2 graph whose a2-1 stage cuts (index 9)
+        inputs += [(subdivided_claw(), 3), (random_t_graph(3, 7, 8240)[0], 3)]
+        # two cherries and a fork of two 2-arms around a centre: half of its
+        # group comes from a level group's pointwise stabiliser of the origins
+        forked = Graph(12, [(0, 7), (1, 6), (2, 4), (2, 5), (2, 11), (3, 11), (4, 9), (4, 10), (5, 6), (5, 7), (8, 11)])
+        inputs.append((forked, 6))
+        for g, d in inputs:
+            cd = make_cd(g, g, d)
             group = decomposition_autgroup(cd)
-            h_aut = brute_force_autgroup(cd.h)
+            h_aut = brute_force_autgroup(cd.h, guard=24)
             projected = PermGroup(
                 cd.degree, [project_automorphism(cd, s) for s in h_aut.generators]
             )
@@ -240,6 +250,15 @@ class TestIsIsomorphic:
         if verdict.kind == ISOMORPHIC:
             for u, v in g1.edges:
                 assert g2.has_edge(verdict.witness[u], verdict.witness[v])
+
+    @pytest.mark.parametrize("arms", [(2, 2, 2, 2, 2), (3, 3, 3, 3)], ids=["5x2", "4x3"])
+    def test_equal_arm_spider(self, arms):
+        g = spider(*arms)
+        h, _ = random_relabel(g, 5)
+        verdict = is_isomorphic(g, h, len(arms))
+        assert verdict.kind == ISOMORPHIC
+        for u, v in g.edges:
+            assert h.has_edge(verdict.witness[u], verdict.witness[v])
 
     def test_verdict_json(self):
         verdict = is_isomorphic(path_graph(3), path_graph(3), 2)

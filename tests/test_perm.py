@@ -321,6 +321,49 @@ class TestFindWithImages:
         assert find_element(group, {0: 1, 1: 0}) is None
 
 
+class TestStabilizer:
+    FIXTURES = {
+        "s4": lambda: s_n(4),
+        "s5": lambda: s_n(5),
+        "blocks": lambda: build_group(5, [Perm([1, 0, 2, 3, 4]), Perm([2, 3, 0, 1, 4])]),
+    }
+
+    @pytest.mark.parametrize("points", [[0], [2, 0], [1, 3], [3, 0, 2]])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_matches_exhaustive_filter(self, name, points):
+        group = self.FIXTURES[name]()
+        want = [p for p in group.elements() if all(p(x) == x for x in points)]
+        # from a chain with another base, and read off one whose base starts with the points
+        for source in (group, PermGroup(group.degree, group.generators, base=points)):
+            stab = source.stabilizer(points)
+            assert stab.order() == len(want)
+            assert all(stab.contains(p) for p in want)
+            assert all(g(x) == x for g in stab.generators for x in points)
+
+    @pytest.mark.parametrize("points", [[3, 1], [3, 0], [2, 2, 0]])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_base_prefix(self, name, points):
+        group = self.FIXTURES[name]()
+        chain = PermGroup(group.degree, group.generators, base=points)
+        prefix = list(dict.fromkeys(points))
+        assert list(chain.base[: len(prefix)]) == prefix
+        assert chain.order() == group.order()
+        assert sorted(p.images for p in chain.elements()) == sorted(p.images for p in group.elements())
+
+    def test_base_prefix_keeps_fixed_points(self):
+        group = self.FIXTURES["blocks"]()  # fixes 4
+        chain = PermGroup(5, group.generators, base=[4, 0])
+        assert chain.base[:2] == (4, 0)
+        assert chain.order() == group.order() == 8
+        assert chain.stabilizer([4]).order() == 8
+        assert chain.stabilizer([4, 0]).order() == 2
+
+    def test_find_element_on_prefixed_chain(self):
+        chain = PermGroup(5, s_n(5).generators, base=[1, 0])
+        p = find_element(chain, {0: 3, 1: 2})
+        assert p is not None and p(0) == 3 and p(1) == 2
+
+
 class TestSerialization:
     def test_group_json_roundtrip(self):
         g = s_n(4)
