@@ -133,8 +133,29 @@ def cmd_selftest(args) -> int:
     return 0 if passed == len(results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line with the input-error status."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: input error: {message}\n")
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {text!r}")
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tgraphs",
         description="Isomorphism of chordal graphs of bounded leafage via canonical decomposition",
     )
@@ -149,12 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="emit the canonical decomposition as JSON")
     p_dec.add_argument("graph")
-    p_dec.add_argument("--d", type=int, required=True)
+    p_dec.add_argument("--d", type=_at_least(2), required=True)
     p_dec.set_defaults(func=cmd_decompose)
 
     p_gen = sub.add_parser("gen", help="generate a certified random T-graph")
-    p_gen.add_argument("--d", type=int, required=True)
-    p_gen.add_argument("--n", type=int, required=True)
+    p_gen.add_argument("--d", type=_at_least(2), required=True)
+    p_gen.add_argument("--n", type=_at_least(1), required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)

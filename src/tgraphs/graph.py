@@ -133,7 +133,7 @@ def separates(g: Graph, z: Iterable[int], a: Iterable[int], b: Iterable[int]) ->
 def parse_graph_text(text: str) -> Graph:
     """Parse the shared text format: 'n m' header, then m lines 'u v'.
 
-    Blank lines and '#' comments are ignored.
+    Blank lines and '#' comments are ignored; an edge may appear only once.
     """
     rows: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -153,9 +153,13 @@ def parse_graph_text(text: str) -> Graph:
     edges = rows[1:]
     if len(edges) != m:
         raise ValueError(f"header declares {m} edges, found {len(edges)}")
+    seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (0 <= u < v < n):
             raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < n={n}")
+        if (u, v) in seen:
+            raise ValueError(f"edge ({u},{v}) repeated")
+        seen.add((u, v))
     return Graph(n, [(u, v) for u, v in edges])
 
 

@@ -309,18 +309,11 @@ def build_group(m: int, gens: Iterable[Perm]) -> PermGroup:
 
 @dataclass
 class MembershipPredicate:
-    """Decidable subgroup membership test with a declared index bound.
-
-    An optional coset signature accelerates subgroup computation. It must be
-    a right-coset invariant: x and y in the same coset of the subgroup imply
-    sig(x) == sig(y). Coarser-than-coset signatures stay correct (they only
-    lengthen the within-bucket scan); sufficiency is not assumed.
-    """
+    """Decidable subgroup membership test with a declared index bound."""
 
     test: Callable[[Perm], bool]
     index_bound: int
     name: str = ""
-    signature: Optional[Callable[[Perm], "object"]] = None
 
     def __call__(self, p: Perm) -> bool:
         return self.test(p)
@@ -329,10 +322,10 @@ class MembershipPredicate:
 def fhl_subgroup(group: PermGroup, pred: MembershipPredicate) -> PermGroup:
     """Generators of {p in group : pred(p)} via coset-representative discovery.
 
-    Walks the coset graph of the subgroup, using pred (or its coset signature)
-    to decide which coset a product falls in; Schreier generators of the
-    subgroup are collected along the way. Aborts with IndexBoundExceeded when
-    more than pred.index_bound cosets appear.
+    Walks the coset graph of the subgroup: a product x lies in the coset of
+    the first representative r with pred(x * r^-1); Schreier generators of
+    the subgroup are collected along the way. Aborts with IndexBoundExceeded
+    when more than pred.index_bound cosets appear.
     """
     from collections import deque
 
@@ -340,19 +333,11 @@ def fhl_subgroup(group: PermGroup, pred: MembershipPredicate) -> PermGroup:
     reps: list[Perm] = [ident]
     inv_reps: list[Perm] = [ident]
     hgens: dict[tuple[int, ...], Perm] = {}
-    buckets: dict[object, list[int]] = {}
 
-    def bucket_of(x: Perm) -> list[int]:
-        if pred.signature is None:
-            return buckets.setdefault(None, [])
-        return buckets.setdefault(pred.signature(x), [])
-
-    bucket_of(ident).append(0)
-
-    def translate(x: Perm, bucket: list[int]) -> bool:
+    def translate(x: Perm) -> bool:
         """Fold x into a known coset, collecting the subgroup translation."""
-        for idx in bucket:
-            h = x * inv_reps[idx]
+        for inv in inv_reps:
+            h = x * inv
             if pred(h):
                 if not h.is_identity():
                     hgens.setdefault(h.images, h)
@@ -364,8 +349,7 @@ def fhl_subgroup(group: PermGroup, pred: MembershipPredicate) -> PermGroup:
         r = queue.popleft()
         for s in group.generators:
             x = r * s
-            bucket = bucket_of(x)
-            if translate(x, bucket):
+            if translate(x):
                 continue
             if len(reps) >= pred.index_bound:
                 raise IndexBoundExceeded(
@@ -373,7 +357,6 @@ def fhl_subgroup(group: PermGroup, pred: MembershipPredicate) -> PermGroup:
                     bound=pred.index_bound,
                     stage=pred.name,
                 )
-            bucket.append(len(reps))
             reps.append(x)
             inv_reps.append(x.inverse())
             queue.append(x)

@@ -1,17 +1,18 @@
 """Set families over finite ground sets: Venn signatures and automorphism groups.
 
-Families are multisets: duplicate member sets keep distinct indices.
+Families are multisets: duplicate member sets keep distinct indices. The
+automorphism group is found by individualisation-refinement on intersection
+sizes, each leaf checked against the cardinality Venn diagram.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import factorial
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import IndexBoundExceeded
-from .perm import MembershipPredicate, Perm, PermGroup, tower_of_groups
+from .perm import Perm, PermGroup
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,19 @@ class SetFamily:
             {
                 "ground": self.ground,
                 "sets": [sorted(s) for s in self.sets],
-                "annotations": [a if a is None else list(a) if isinstance(a, tuple) else a for a in self.annotations],
+                "annotations": list(self.annotations),
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "SetFamily":
+        """Inverse of to_json; JSON arrays in annotations come back as tuples."""
         data = json.loads(text)
-        return cls(data["ground"], data["sets"], data.get("annotations"))
+        return cls(data["ground"], data["sets"], _tuples(data.get("annotations")))
+
+
+def _tuples(x: Any) -> Any:
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
 
 
 def cell_signature(family: SetFamily) -> dict[frozenset[int], int]:
@@ -148,87 +154,64 @@ def max_antichain_size(family: SetFamily) -> int:
     return m - matched
 
 
-def _bundled_seed(m: int, class_list: list[list[int]], color: dict[int, Any], inter) -> PermGroup:
-    """Symmetric product over rigid index bundles.
+def _intersections(family: SetFamily) -> list[tuple[tuple[int, int], ...]]:
+    """Per set i, the pairs (j, |S_i & S_j|) over the nonempty intersections."""
+    holders: list[list[int]] = [[] for _ in range(family.ground)]
+    for i, s in enumerate(family.sets):
+        for z in s:
+            holders[z].append(i)
+    return [
+        tuple((j, len(s & family.sets[j])) for j in set().union(*(holders[z] for z in s)))
+        for s in family.sets
+    ]
 
-    Two indices of different classes whose intersection value is unique in
-    both its row and its column (within the class pair) are carried onto each
-    other's partners by every automorphism, so they move as one bundle. Only
-    bundles with at most one member per class are kept (the inter-bundle
-    alignment is then forced by the classes), which keeps the seed a
-    supergroup of the automorphism group while removing the factorial cost of
-    coupling the classes later.
+
+def _refine(colour: list, rows: list[tuple[tuple[int, int], ...]]) -> list[int]:
+    """Coarsest stable refinement, as canonical ranks of sorted keys.
+
+    A set's key is its colour and the sorted (colour of j, |S_i & S_j|) over
+    its nonempty intersections; the empty ones follow from the cell sizes.
+    Input colours may be any sortable values; ranks respect their order.
     """
-    parent = list(range(m))
+    cells = len(set(colour))
+    while True:
+        keys = [(colour[i], tuple(sorted((colour[j], c) for j, c in row))) for i, row in enumerate(rows)]
+        palette = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        colour = [palette[key] for key in keys]
+        if len(palette) == cells:
+            return colour
+        cells = len(palette)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for ci in range(len(class_list)):
-        for cj in range(ci + 1, len(class_list)):
-            p_cls, q_cls = class_list[ci], class_list[cj]
-            for a in p_cls:
-                for b in q_cls:
-                    v = inter[a][b]
-                    row = sum(1 for b2 in q_cls if inter[a][b2] == v)
-                    col = sum(1 for a2 in p_cls if inter[a2][b] == v)
-                    if row == 1 and col == 1:
-                        ra, rb = find(a), find(b)
-                        if ra != rb:
-                            parent[ra] = rb
-    bundles: dict[int, list[int]] = {}
-    for i in range(m):
-        bundles.setdefault(find(i), []).append(i)
-    kept: list[dict[Any, int]] = []
-    singles: list[int] = []
-    for members in bundles.values():
-        by_class = {}
-        rigid = True
-        for i in members:
-            if color[i] in by_class:
-                rigid = False
-                break
-            by_class[color[i]] = i
-        if rigid and len(members) > 1:
-            kept.append(by_class)
-        else:
-            singles.extend(members)
-    gens: list[Perm] = []
-    by_key: dict[tuple, list[dict[Any, int]]] = {}
-    for bundle in kept:
-        by_key.setdefault(tuple(sorted(map(repr, bundle))), []).append(bundle)
-    for group in by_key.values():
-        group.sort(key=lambda b: sorted(b.values()))
-        for other in group[1:]:
-            images = list(range(m))
-            for key, i in group[0].items():
-                j = other[key]
-                images[i], images[j] = j, i
-            gens.append(Perm(images))
-    remaining: dict[Any, list[int]] = {}
-    for i in singles:
-        remaining.setdefault(color[i], []).append(i)
-    for members in remaining.values():
-        members.sort()
-        if len(members) >= 2:
-            gens.append(Perm.from_cycles(m, [members[:2]]))
-        if len(members) >= 3:
-            gens.append(Perm.from_cycles(m, [members]))
-    return PermGroup(m, gens)
+def _individualise(colour: list[int], v: int) -> list[int]:
+    """v alone in colour 2c, the rest of its cell 2c+1, every other cell c' at 2c'."""
+    c = colour[v]
+    out = [2 * x + (x == c) for x in colour]
+    out[v] = 2 * c
+    return out
+
+
+def _target_cell(colour: list[int]) -> list[int]:
+    """Members of the first smallest non-singleton cell."""
+    cells: dict[int, list[int]] = {}
+    for i, c in enumerate(colour):
+        cells.setdefault(c, []).append(i)
+    return min((cell for cell in cells.values() if len(cell) > 1), key=lambda cell: (len(cell), colour[cell[0]]))
 
 
 def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
     """Automorphism group of the family on member-set indices.
 
-    Tower schedule: a seed of symmetric products over the classes of an
-    iterated annotation/cardinality/intersection refinement, with rigid
-    bundles moving as one; pairwise intersection profiles per class pair;
-    then the exact cardinality Venn diagram. Stages that every generator of
-    the current group already satisfies are skipped. Only
-    annotation-preserving permutations are admitted.
+    Individualisation-refinement (McKay-Piperno, Practical graph isomorphism
+    II, 2014): colour the sets by annotation and size and refine on
+    intersection sizes; individualise a member of the first smallest
+    non-singleton cell and refine again, down to a discrete first leaf. Then,
+    from the bottom of that first path up, search the subtree of each member
+    of the node's target cell that lies outside the orbits of the generators
+    found so far, pruning nodes whose cell sizes differ from the first path's
+    at that depth. A leaf gives the permutation matching equal colours; it is
+    kept if it preserves the cardinality Venn diagram. Colours refine the
+    annotations, so only annotation-preserving permutations are admitted.
     """
     m = len(family.sets)
     if m == 0:
@@ -240,72 +223,47 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
             bound=antichain_bound,
             stage="antichain-promise",
         )
-    stage_bound = max(factorial(antichain_bound) * 2**antichain_bound, factorial(antichain_bound) ** 2, 64)
+    rows = _intersections(family)
+    path = [_refine([(repr(a), len(s)) for a, s in zip(family.annotations, family.sets)], rows)]
+    cells: list[list[int]] = []
+    while len(set(path[-1])) < m:
+        cells.append(_target_cell(path[-1]))
+        path.append(_refine(_individualise(path[-1], cells[-1][0]), rows))
+    shapes = [sorted(colour) for colour in path]
+    first_leaf = path[-1]
 
-    inter = [[len(family.sets[i] & family.sets[j]) for j in range(m)] for i in range(m)]
-    # iterated profile refinement: sound (any automorphism preserves it) and
-    # it collapses most pairwise stages to no-ops
-    color = {i: (repr(family.annotations[i]), len(family.sets[i])) for i in range(m)}
-    while True:
-        profile = {
-            i: (color[i], tuple(sorted((color[j], inter[i][j]) for j in range(m) if j != i)))
-            for i in range(m)
-        }
-        palette = {key: rank for rank, key in enumerate(sorted(set(profile.values()), key=repr))}
-        new_color = {i: palette[profile[i]] for i in range(m)}
-        if len(set(new_color.values())) == len(set(color.values())):
-            break
-        color = new_color
-    classes: dict[Any, list[int]] = {}
-    for i in range(m):
-        classes.setdefault(color[i], []).append(i)
-    class_list = [classes[key] for key in sorted(classes, key=repr)]
-    g0 = _bundled_seed(m, class_list, color, inter)
+    def search(colour: list[int], depth: int) -> Optional[Perm]:
+        """An automorphism taking the first leaf to a leaf below this node, or None."""
+        if sorted(colour) != shapes[depth]:
+            return None
+        if depth == len(path) - 1:
+            at = sorted(range(m), key=colour.__getitem__)  # the set of each colour
+            p = Perm([at[c] for c in first_leaf])
+            return p if is_family_automorphism(family, p) else None
+        for v in _target_cell(colour):
+            p = search(_refine(_individualise(colour, v), rows), depth + 1)
+            if p is not None:
+                return p
+        return None
 
-    preds: list[MembershipPredicate] = []
+    parent = list(range(m))  # orbits of the generators found so far, as a union-find forest
 
-    def pairwise_pred(idx_a: tuple[int, ...], idx_b: tuple[int, ...]) -> Optional[MembershipPredicate]:
-        pairs = [(a, b) for a in idx_a for b in idx_b if a != b]
-        if len({inter[a][b] for a, b in pairs}) <= 1:
-            return None  # uniform between the classes: implied by class preservation
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-        def test(p: Perm, pairs=pairs) -> bool:
-            return all(inter[a][b] == inter[p(a)][p(b)] for a, b in pairs)
-
-        def signature(p: Perm, pairs=pairs) -> tuple:
-            inv = p.inverse()
-            return tuple(inter[inv(a)][inv(b)] for a, b in pairs)
-
-        return MembershipPredicate(
-            test, stage_bound, name=f"pairwise{idx_a[:1]}x{idx_b[:1]}", signature=signature
-        )
-
-    for ci in range(len(class_list)):
-        for cj in range(ci, len(class_list)):
-            a, b = tuple(class_list[ci]), tuple(class_list[cj])
-            if len(a) == 1 and len(b) == 1:
+    gens: list[Perm] = []
+    for depth in reversed(range(len(cells))):
+        tried = [cells[depth][0]]
+        for w in cells[depth][1:]:
+            if find(w) in {find(t) for t in tried}:
                 continue
-            pred = pairwise_pred(a, b)
-            if pred is not None:
-                preds.append(pred)
-
-    sig_source = cell_signature(family)
-    realized = sorted(sig_source, key=lambda pat: sorted(pat))
-
-    def exact_signature(p: Perm) -> tuple:
-        return tuple(
-            sorted(
-                (tuple(sorted(p(i) for i in pat)), sig_source[pat])
-                for pat in realized
-            )
-        )
-
-    preds.append(
-        MembershipPredicate(
-            lambda p: is_family_automorphism(family, p),
-            stage_bound,
-            name="exact-venn",
-            signature=exact_signature,
-        )
-    )
-    return tower_of_groups(g0, preds)
+            tried.append(w)
+            p = search(_refine(_individualise(path[depth], w), rows), depth + 1)
+            if p is not None:
+                gens.append(p)
+                for i, j in enumerate(p.images):
+                    parent[find(i)] = find(j)
+    return PermGroup(m, gens)

@@ -54,6 +54,26 @@ class TestIso:
         assert main(["iso", str(bad), p1, "--d-max", "2"]) == 3
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["iso", "g1.graph"],
+            ["iso", "g1.graph", "g2.graph", "--d-max", "x"],
+            ["gen", "--d", "1", "--n", "5", "--out", "unused"],
+            ["gen", "--d", "3", "--n", "0", "--out", "unused"],
+            ["decompose", "g.graph", "--d", "1"],
+        ],
+        ids=["missing-operand", "d-max-not-integer", "gen-d-1", "gen-n-0", "decompose-d-1"],
+    )
+    def test_status_3_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "input error" in err
+
+
 class TestDecompose:
     def test_interval_single_level(self, tmp_path, capsys):
         p = write_graph(tmp_path, "p6.graph", path_graph(6))

@@ -52,6 +52,10 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_graph_text("3 1\n1 0\n")
 
+    def test_repeated_edge_rejected(self):
+        with pytest.raises(ValueError, match="repeated"):
+            parse_graph_text("3 2\n0 1\n0 1\n")
+
     @given(small_graphs)
     def test_roundtrip(self, g):
         assert parse_graph_text(format_graph_text(g)) == g

@@ -251,7 +251,7 @@ class TestIsIsomorphic:
             for u, v in g1.edges:
                 assert g2.has_edge(verdict.witness[u], verdict.witness[v])
 
-    @pytest.mark.parametrize("arms", [(2, 2, 2, 2, 2), (3, 3, 3, 3)], ids=["5x2", "4x3"])
+    @pytest.mark.parametrize("arms", [(2, 2, 2, 2, 2), (3, 3, 3, 3), (40, 40)], ids=["5x2", "4x3", "2x40"])
     def test_equal_arm_spider(self, arms):
         g = spider(*arms)
         h, _ = random_relabel(g, 5)

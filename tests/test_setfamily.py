@@ -30,13 +30,13 @@ def brute_is_automorphism(family, p):
     return False
 
 
-def random_family(rng, max_sets=4, max_ground=6):
+def random_family(rng, max_sets=4, max_ground=6, annotated=False):
     ground = rng.randint(1, max_ground)
     m = rng.randint(1, max_sets)
     sets = []
     for _ in range(m):
         sets.append([z for z in range(ground) if rng.random() < 0.5])
-    return SetFamily(ground, sets)
+    return SetFamily(ground, sets, [rng.randint(0, 1) for _ in range(m)] if annotated else None)
 
 
 class TestCellSignature:
@@ -154,22 +154,44 @@ class TestFamilyAutgroup:
         fam2 = SetFamily(2, [[0], [1]], annotations=["a", "a"])
         assert family_autgroup(fam2, 2).order() == 2
 
+    def test_klein_four_regular_action(self):
+        # each pair of the four sets shares a private block of 1, 2 or 3 points;
+        # the group is the Klein four-group, regular on the sets, so the search
+        # needs two generators at the root
+        weights = {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3, (1, 2): 3}
+        sets = [[], [], [], []]
+        ground = 0
+        for (p, q), w in weights.items():
+            for z in range(ground, ground + w):
+                sets[p].append(z)
+                sets[q].append(z)
+            ground += w
+        group = family_autgroup(SetFamily(ground, sets), 4)
+        assert group.order() == 4
+        for images in ([1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]):
+            assert group.contains(Perm(images))
+
     def test_antichain_promise_violated(self):
         fam = SetFamily(6, [[0, 1], [2, 3], [4, 5]])
         with pytest.raises(IndexBoundExceeded):
             family_autgroup(fam, 2)
 
-    # seeds past 29 draw families whose largest antichain has 3, 4 or 5 sets
-    @pytest.mark.parametrize("seed", [*range(30), 38, 40, 83, 74, 163, 253, 118, 219, 233, 961])
+    # seeds 30 to 999 draw families whose largest antichain has 3, 4 or 5 sets;
+    # seeds from 2000 draw families annotated with 0 or 1 (2032 to 2097: the
+    # annotations cut the group)
+    @pytest.mark.parametrize(
+        "seed", [*range(30), 38, 40, 83, 74, 163, 253, 118, 219, 233, 961, *range(2000, 2020), 2032, 2044, 2083, 2097]
+    )
     def test_matches_exhaustive_filter(self, seed):
         rng = random.Random(seed)
-        fam = random_family(rng, max_sets=6, max_ground=6)
+        fam = random_family(rng, max_sets=6, max_ground=6, annotated=seed >= 2000)
         bound = max_antichain_size(fam)
         group = family_autgroup(fam, max(bound, 1))
+        ann = fam.annotations
         want = [
             Perm(images)
             for images in permutations(range(len(fam.sets)))
-            if is_family_automorphism(fam, Perm(images))
+            if is_family_automorphism(fam, Perm(images)) and all(ann[i] == ann[j] for i, j in enumerate(images))
         ]
         assert group.order() == len(want)
         for p in want:
@@ -193,3 +215,8 @@ class TestSerialization:
         assert back.ground == 4
         assert back.sets == fam.sets
         assert back.annotations == ("x", "y")
+        # tuple annotations, as the marked encodings use them, come back as tuples
+        fam = SetFamily(3, [[0], [1, 2], []], annotations=[("A", 0), ("B", (1, ("c",))), None])
+        back = SetFamily.from_json(fam.to_json())
+        assert back.annotations == (("A", 0), ("B", (1, ("c",))), None)
+        assert back == fam
