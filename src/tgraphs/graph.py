@@ -54,7 +54,7 @@ class Graph:
         """Induced subgraph and the old->new vertex map."""
         vs = sorted(set(vs))
         idx = {v: i for i, v in enumerate(vs)}
-        edges = [(idx[u], idx[v]) for u, v in self._edges if u in idx and v in idx]
+        edges = [(idx[u], idx[v]) for u in vs for v in self.adj[u] if u < v and v in idx]
         return Graph(len(vs), edges), idx
 
     def components(self) -> list[frozenset[int]]:

@@ -16,6 +16,46 @@ from .perm import Perm, PermGroup
 BRUTE_GUARD = 12
 
 
+def _isomorphisms(g1: Graph, g2: Graph) -> Iterator[Perm]:
+    """Every isomorphism g1 -> g2 of equal-order graphs, by exhaustive backtracking.
+
+    Depth i places g1's i-th vertex in descending degree (most constrained
+    first) on the next unused, equal-degree g2 vertex consistent with the
+    vertices placed above it; `tried[i]` is the next candidate at depth i.
+    """
+    n = g1.n
+    order = sorted(g1.vertices(), key=lambda v: -g1.degree(v))
+    images = [-1] * n
+    used = [False] * n
+    tried = [0] * n
+    i = 0
+    if n == 0:
+        yield Perm(())
+    while 0 <= i < n:
+        u = order[i]
+        if tried[i]:  # undo the placement this depth made last
+            used[images[u]] = False
+        for w in range(tried[i], n):
+            if used[w] or g1.degree(u) != g2.degree(w):
+                continue
+            for v in order[:i]:
+                if g1.has_edge(u, v) != g2.has_edge(w, images[v]):
+                    break
+            else:
+                break
+        else:
+            tried[i] = 0
+            i -= 1
+            continue
+        tried[i] = w + 1
+        images[u] = w
+        used[w] = True
+        if i == n - 1:
+            yield Perm(images)
+        else:
+            i += 1
+
+
 def brute_force_isomorphism(g1: Graph, g2: Graph, guard: int = BRUTE_GUARD) -> Optional[Perm]:
     """Exhaustive backtracking isomorphism; None means none exists."""
     if g1.n > guard or g2.n > guard:
@@ -24,65 +64,14 @@ def brute_force_isomorphism(g1: Graph, g2: Graph, guard: int = BRUTE_GUARD) -> O
         return None
     if sorted(map(g1.degree, g1.vertices())) != sorted(map(g2.degree, g2.vertices())):
         return None
-    n = g1.n
-    # most-constrained-first: descending degree
-    order = sorted(g1.vertices(), key=lambda v: -g1.degree(v))
-    images: dict[int, int] = {}
-    used = [False] * n
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        u = order[i]
-        for w in range(n):
-            if used[w] or g1.degree(u) != g2.degree(w):
-                continue
-            ok = True
-            for v, x in images.items():
-                if g1.has_edge(u, v) != g2.has_edge(w, x):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            images[u] = w
-            used[w] = True
-            if backtrack(i + 1):
-                return True
-            del images[u]
-            used[w] = False
-        return False
-
-    if not backtrack(0):
-        return None
-    return Perm([images[v] for v in range(n)])
+    return next(_isomorphisms(g1, g2), None)
 
 
 def iter_automorphisms(g: Graph, guard: int = BRUTE_GUARD) -> Iterator[Perm]:
     """All automorphisms of g, by exhaustive backtracking."""
     if g.n > guard:
         raise TooLarge(f"brute force guarded at n <= {guard}")
-    n = g.n
-    order = sorted(g.vertices(), key=lambda v: -g.degree(v))
-    images: dict[int, int] = {}
-    used = [False] * n
-
-    def backtrack(i: int) -> Iterator[Perm]:
-        if i == n:
-            yield Perm([images[v] for v in range(n)])
-            return
-        u = order[i]
-        for w in range(n):
-            if used[w] or g.degree(u) != g.degree(w):
-                continue
-            if any(g.has_edge(u, v) != g.has_edge(w, x) for v, x in images.items()):
-                continue
-            images[u] = w
-            used[w] = True
-            yield from backtrack(i + 1)
-            del images[u]
-            used[w] = False
-
-    yield from backtrack(0)
+    yield from _isomorphisms(g, g)
 
 
 def brute_force_autgroup(g: Graph, guard: int = BRUTE_GUARD) -> PermGroup:

@@ -996,8 +996,8 @@ class MarkedContext:
     def group(self) -> PermGroup:
         """Automorphisms of the encoded family, acting on encoded-set indices."""
         if self._group is None:
-            bound = max(max_antichain_size(self.enc.family), 1)
-            self._group = family_autgroup(self.enc.family, bound)
+            # no antichain outgrows the family, and the context declares no promise of its own
+            self._group = family_autgroup(self.enc.family, len(self.enc.family.sets))
         return self._group
 
     def action_group(self) -> PermGroup:

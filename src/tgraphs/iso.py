@@ -476,16 +476,7 @@ def is_isomorphic(g1: Graph, g2: Graph, d: int) -> Verdict:
             )
         if g1.n != g2.n or g1.m != g2.m:
             return Verdict(NOT_ISOMORPHIC, d)
-        if g1.n == 0:
-            return Verdict(ISOMORPHIC, d, witness=())
-        comps1 = g1.components()
-        comps2 = g2.components()
-        if len(comps1) == 1 and len(comps2) == 1:
-            witness = _connected_isomorphism(g1, g2, d)
-            if witness is None:
-                return Verdict(NOT_ISOMORPHIC, d)
-            return Verdict(ISOMORPHIC, d, witness=witness)
-        return _component_matching(g1, comps1, g2, comps2, d)
+        return _component_matching(g1, g2, d)
     except NotTGraph as e:
         return Verdict(NOT_T_GRAPH, d, evidence=e.evidence())
     except IndexBoundExceeded as e:
@@ -496,46 +487,33 @@ def is_isomorphic(g1: Graph, g2: Graph, d: int) -> Verdict:
         )
 
 
-def _component_matching(g1, comps1, g2, comps2, d) -> Verdict:
-    """Match connected components pairwise; multisets must align exactly."""
-    subs1 = [g1.subgraph(c) for c in comps1]
-    subs2 = [g2.subgraph(c) for c in comps2]
-    if len(subs1) != len(subs2):
+def _component_matching(g1: Graph, g2: Graph, d: int) -> Verdict:
+    """Pair components greedily: each of g1's takes the first free g2 component
+    with its (n, m, degree sequence) key that is isomorphic to it.
+
+    Isomorphism is an equivalence relation, so the compatible pairs form
+    disjoint complete bipartite blocks and a greedy match is complete. A
+    connected input is the one-component case, the empty graph the
+    zero-component case.
+    """
+    key = lambda sub: (sub.n, sub.m, tuple(sorted(map(sub.degree, sub.vertices()))))
+    subs1 = [g1.subgraph(c) for c in g1.components()]
+    subs2 = [g2.subgraph(c) for c in g2.components()]
+    keys1 = [key(sub) for sub, _ in subs1]
+    keys2 = [key(sub) for sub, _ in subs2]
+    if sorted(keys1) != sorted(keys2):
         return Verdict(NOT_ISOMORPHIC, d)
-    key = lambda sub: (sub[0].n, sub[0].m, tuple(sorted(sub[0].degree(v) for v in sub[0].vertices())))
-    if sorted(map(key, subs1)) != sorted(map(key, subs2)):
-        return Verdict(NOT_ISOMORPHIC, d)
-    witness_cache: dict[tuple[int, int], Optional[tuple[int, ...]]] = {}
-
-    def compatible(i: int, j: int) -> Optional[tuple[int, ...]]:
-        if (i, j) not in witness_cache:
-            if key(subs1[i]) != key(subs2[j]):
-                witness_cache[(i, j)] = None
-            else:
-                witness_cache[(i, j)] = _connected_isomorphism(subs1[i][0], subs2[j][0], d)
-        return witness_cache[(i, j)]
-
-    match_of: list[int] = [-1] * len(subs2)
-
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in range(len(subs2)):
-            if seen[j] or compatible(i, j) is None:
-                continue
-            seen[j] = True
-            if match_of[j] == -1 or augment(match_of[j], seen):
-                match_of[j] = i
-                return True
-        return False
-
-    for i in range(len(subs1)):
-        if not augment(i, [False] * len(subs2)):
-            return Verdict(NOT_ISOMORPHIC, d)
+    free = list(range(len(subs2)))
     images = [-1] * g1.n
-    for j, i in enumerate(match_of):
-        sub1, idx1 = subs1[i]
-        sub2, idx2 = subs2[j]
+    for (sub1, idx1), key1 in zip(subs1, keys1):
+        for j in free:
+            sub2, idx2 = subs2[j]
+            if keys2[j] == key1 and (wit := _connected_isomorphism(sub1, sub2, d)) is not None:
+                break
+        else:
+            return Verdict(NOT_ISOMORPHIC, d)
+        free.remove(j)
         back2 = {local: v for v, local in idx2.items()}
-        wit = compatible(i, j)
         for v, local in idx1.items():
             images[v] = back2[wit[local]]
     witness = tuple(images)

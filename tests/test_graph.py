@@ -79,6 +79,13 @@ class TestComponents:
         assert sub.n == 3
         assert sub.edges == ((0, 1), (1, 2))
         assert idx == {1: 0, 3: 1, 4: 2}
+        split, idx = g.subgraph([3, 0, 1, 0])  # disconnected: 0 is isolated, and edge 3-4 goes with 4
+        assert split.n == 3
+        assert split.edges == ((1, 2),)
+        assert idx == {0: 0, 1: 1, 3: 2}
+        far, idx = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]).subgraph([0, 1, 4, 5])
+        assert far.edges == ((0, 1), (2, 3))
+        assert idx == {0: 0, 1: 1, 4: 2, 5: 3}
 
 
 class TestSeparates:

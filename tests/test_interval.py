@@ -379,6 +379,20 @@ class TestMarkedIsomorphism:
                 for (j, pos), (j2, pos2) in action.items():
                     assert frozenset(vmap[v] for v in m.families[j][pos]) == m.families[j2][pos2]
 
+    def test_group_computes_antichain_once(self, monkeypatch):
+        calls = []
+
+        def counting(family):
+            calls.append(len(family))
+            return max_antichain_size(family)
+
+        monkeypatch.setattr(tgraphs.setfamily, "max_antichain_size", counting)
+        monkeypatch.setattr(tgraphs.interval, "max_antichain_size", counting)
+        for seed in (4, 6, 7):
+            calls.clear()
+            MarkedContext(random_marked(6, seed)).group
+            assert len(calls) == 1
+
 
 class TestRealizeChecks:
     # swapping the marked sets {1} and {3} of P5 across families is no automorphism

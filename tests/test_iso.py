@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import tgraphs.iso as iso
 from tgraphs.decompose import canonical_decomposition
 from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from tgraphs.harness import (
@@ -225,6 +226,42 @@ class TestIsIsomorphic:
         g1 = path_graph(3).union_disjoint(path_graph(3))
         g2 = path_graph(6)
         assert is_isomorphic(g1, g2, 2).kind == NOT_ISOMORPHIC
+
+    def test_component_matching_runs_one_decision_per_component(self, monkeypatch):
+        calls = []
+        original = iso._connected_isomorphism
+
+        def counting(g1, g2, d):
+            calls.append(g1.n)
+            return original(g1, g2, d)
+
+        monkeypatch.setattr(iso, "_connected_isomorphism", counting)
+        g = Graph(0)
+        for _ in range(12):
+            g = g.union_disjoint(path_graph(3))
+        h, _ = random_relabel(g, 12)
+        assert is_isomorphic(g, h, 2).kind == ISOMORPHIC
+        assert len(calls) == 12
+
+    def test_components_with_equal_keys_not_isomorphic(self):
+        a, b = spider(2, 2, 3), spider(1, 3, 3)
+        assert (a.n, a.m, sorted(map(a.degree, a.vertices()))) == (b.n, b.m, sorted(map(b.degree, b.vertices())))
+        g1 = a.union_disjoint(b).union_disjoint(a)
+        g2, _ = random_relabel(b.union_disjoint(a).union_disjoint(a), 5)
+        verdict = is_isomorphic(g1, g2, 3)
+        assert verdict.kind == ISOMORPHIC
+        for u, v in g1.edges:
+            assert g2.has_edge(verdict.witness[u], verdict.witness[v])
+        assert is_isomorphic(a.union_disjoint(a), a.union_disjoint(b), 3).kind == NOT_ISOMORPHIC
+
+    def test_many_disjoint_copies(self):
+        g = Graph(0)
+        for _ in range(160):
+            g = g.union_disjoint(path_graph(3))
+        h, _ = random_relabel(g, 160)
+        verdict = is_isomorphic(g, h, 2)
+        assert verdict.kind == ISOMORPHIC
+        assert all(h.has_edge(verdict.witness[u], verdict.witness[v]) for u, v in g.edges)
 
     def test_decide_up_to(self):
         g = subdivided_claw()
