@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Optional
 
 from .errors import Disconnected, NotChordal
@@ -55,21 +56,42 @@ class Separator:
 
 
 def maximum_cardinality_search(g: Graph) -> list[int]:
-    """MCS visit order v_1..v_n; its reverse is a PEO iff g is chordal."""
+    """MCS visit order v_1..v_n; its reverse is a PEO iff g is chordal.
+
+    Each step visits an unvisited vertex of largest weight, the smallest on a
+    tie. The unvisited vertices sit in one bucket per weight below a pointer
+    to the top nonempty bucket (Tarjan and Yannakakis, SIAM J. Comput. 1984).
+    Each bucket is a min-heap, so the tie-break costs O(log n); a vertex
+    enters the heap of each weight it reaches once, and an entry whose vertex
+    was visited or gained weight since is dropped when it reaches the top.
+    """
     n = g.n
     weight = [0] * n
     visited = [False] * n
+    buckets: list[list[int]] = [list(range(n))]  # a sorted list is a heap
+    top = 0
     order = []
     for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not visited[v] and (best == -1 or weight[v] > weight[best]):
-                best = v
+        bucket = buckets[top]
+        while not bucket or visited[bucket[0]] or weight[bucket[0]] != top:
+            if bucket:
+                heappop(bucket)
+            else:
+                top -= 1
+                bucket = buckets[top]
+        best = heappop(bucket)
         visited[best] = True
         order.append(best)
         for w in g.adj[best]:
             if not visited[w]:
                 weight[w] += 1
+                k = weight[w]
+                if k == len(buckets):
+                    buckets.append([w])
+                else:
+                    heappush(buckets[k], w)
+                if k > top:
+                    top = k
     return order
 
 

@@ -7,7 +7,7 @@ it yields the level decomposition the isomorphism engine works on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Hashable, Iterable, Optional, Sequence
 
 from .chordal import is_chordal, leaf_cliques, minimal_separators, simplicial_vertices
@@ -30,9 +30,6 @@ class Completion:
     contracted: int
     frag_ids: frozenset[int]
     sep_ids: frozenset[int]
-
-    def id_of(self) -> dict[Hashable, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
 
 @dataclass(frozen=True)
@@ -407,31 +404,21 @@ class Decomposition:
         }
 
 
-def _is_interval_graph(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    for comp in g.components():
-        sub, _ = g.subgraph(comp)
-        if build_pq_tree(sub) is None:
-            return False
-    return True
-
-
 def canonical_decomposition(g: Graph, d: int) -> Decomposition:
     """Level decomposition: repeated extraction until the residue is interval.
 
-    The interval residue's connected components become the final level.
-    Disconnected inputs are decomposed per component and merged by level
-    index.
+    The interval residue, connected like every residue, is the final level's
+    one fragment. Disconnected inputs are decomposed per component and merged
+    by level index.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    if is_chordal(g) is None:
-        raise NotChordal("decomposition requires a chordal graph")
     if g.n == 0:
         return Decomposition(g, (), ())
-    if not g.is_connected():
+    if not g.is_connected():  # each component's decomposition checks its chordality
         return _merge_component_decompositions(g, d)
+    if is_chordal(g) is None:
+        raise NotChordal("decomposition requires a chordal graph")
 
     levels: list[list[Fragment]] = []
     terminal_sets: list[TerminalSet] = []
@@ -443,18 +430,11 @@ def canonical_decomposition(g: Graph, d: int) -> Decomposition:
         back = {i: v for v, i in idx.items()}
         if not sub.is_connected():
             raise NotTGraph("residue disconnected during decomposition", level=level + 1)
-        interval = _is_interval_graph(sub)
         level += 1
-        if interval:
-            fragments = [
-                Fragment(level, i, comp, "residual", (), None)
-                for i, comp in enumerate(
-                    sorted((frozenset(back[x] for x in c) for c in sub.components()), key=sorted)
-                )
-            ]
+        if build_pq_tree(sub) is not None:
+            fragments = [Fragment(level, 0, frozenset(residue), "residual", (), None)]
             levels.append(fragments)
             _distribute_shards(active, fragments, terminal_sets)
-            residue = []
             break
         extracted = _extract(sub, tuple(back[i] for i in range(sub.n)), d, 0, g.n + 2)
         extracted.sort(key=lambda fr: sorted(fr.vertices))
@@ -514,6 +494,10 @@ def _merge_component_decompositions(g: Graph, d: int) -> Decomposition:
             for f in lv:
                 target = levels.setdefault(f.level, [])
                 frag_renumber[(f.level, f.index)] = len(target)
+                relabelled = f.completion
+                if relabelled is not None:  # back is monotone, so the labels keep their order
+                    labels = tuple(back[x] if isinstance(x, int) else x for x in relabelled.labels)
+                    relabelled = replace(relabelled, labels=labels)
                 target.append(
                     Fragment(
                         f.level,
@@ -521,7 +505,7 @@ def _merge_component_decompositions(g: Graph, d: int) -> Decomposition:
                         frozenset(back[v] for v in f.vertices),
                         f.provenance,
                         tuple(frozenset(back[v] for v in a) for a in f.attachments),
-                        f.completion,
+                        relabelled,
                     )
                 )
         for t in dec.terminal_sets:

@@ -391,7 +391,7 @@ class MarkedIntervalGraph:
         object.__setattr__(self, "families", fams)
         object.__setattr__(self, "tail", tail)
 
-    def marked_union(self) -> frozenset[int]:
+    def marked_vertices(self) -> frozenset[int]:
         out: set[int] = set()
         for fam in self.families:
             for s in fam:
@@ -531,7 +531,7 @@ def _component_trees(host: Graph) -> list[tuple[PQTree, list[int]]]:
 
 def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
     host = m.host
-    marked_union = m.marked_union()
+    marked = m.marked_vertices()
     sets: list[frozenset[int]] = []
     annotations: list[tuple] = []
     comp_of: list[int] = []
@@ -566,7 +566,7 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
     for ti, (tree, back) in enumerate(tree_comps):
         trees.append(tree)
         local_marked = frozenset(
-            i for i, hv in enumerate(back) if hv in marked_union
+            i for i, hv in enumerate(back) if hv in marked
         )
         red = reduce_clean(tree, local_marked)
         reductions.append(red)

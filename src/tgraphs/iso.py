@@ -14,7 +14,7 @@ from math import factorial
 from typing import Optional
 
 from .chordal import is_chordal
-from .decompose import Decomposition, Fragment, canonical_decomposition
+from .decompose import Completion, canonical_decomposition
 from .errors import IndexBoundExceeded, NotTGraph
 from .graph import Graph
 from .interval import MarkedContext, MarkedIntervalGraph, marked_union
@@ -36,10 +36,10 @@ class CFragment:
     gid: int  # global fragment id
     level: int
     side: int  # 0 = first graph, 1 = second
-    orig_index: int  # index within its own decomposition level
     vertices: frozenset[int]
     provenance: str
     attachments: tuple[frozenset[int], ...]
+    completion: Optional[Completion] = field(repr=False)
     marked: MarkedIntervalGraph = field(repr=False, default=None)
     label_to_host: dict = field(repr=False, default_factory=dict)
     shards: list[list["CTerminal"]] = field(repr=False, default_factory=list)  # per family, in marked order
@@ -51,16 +51,15 @@ class CTerminal:
     host_gid: int
     origin_gid: int
     level: int  # host level
-    origin_level: int
+    origin_level: int  # its family slot inside the host fragment is origin_level - 1
     position: int
     vertices: frozenset[int]
-    family: int  # origin_level - 1, the family slot inside the host fragment
 
 
 @dataclass
 class CombinedDecomposition:
-    """Disjoint union of two decompositions, with a group domain over fragment
-    and terminal-set indices (per level: fragments first, then terminals)."""
+    """The decomposition of the disjoint union G1 ⊎ G2, with a group domain over
+    fragment and terminal-set indices (per level: fragments first, then terminals)."""
 
     h: Graph
     n1: int
@@ -91,94 +90,50 @@ class CombinedDecomposition:
         return out
 
 
-def _shift_decomposition(dec: Decomposition, offset: int) -> Decomposition:
-    from .decompose import Fragment as F, TerminalSet as T
-
-    levels = tuple(
-        tuple(
-            F(
-                f.level,
-                f.index,
-                frozenset(v + offset for v in f.vertices),
-                f.provenance,
-                tuple(frozenset(v + offset for v in a) for a in f.attachments),
-                f.completion,
-            )
-            for f in level
-        )
-        for level in dec.levels
-    )
-    terms = tuple(
-        T(
-            t.host_level,
-            t.host_fragment,
-            t.origin_level,
-            t.origin_fragment,
-            t.position,
-            frozenset(v + offset for v in t.vertices),
-        )
-        for t in dec.terminal_sets
-    )
-    return Decomposition(dec.graph, levels, terms)
-
-
-def _fragment_marked(g: Graph, cf: CFragment, dec_frag: Fragment, offset: int, fam_terms: list[list[CTerminal]]):
+def _fragment_marked(h: Graph, cf: CFragment, fam_terms: list[list[CTerminal]]):
     """Build the fragment's marked interval host and the label translation."""
-    if dec_frag.completion is None:
-        vs = sorted(cf.vertices)
-        local = {v: i for i, v in enumerate(vs)}
-        host, _ = g.subgraph([v - offset if cf.side else v for v in vs])
-        # subgraph() numbers by sorted original ids, matching `local` order
+    if cf.completion is None:
+        host, to_local = h.subgraph(cf.vertices)  # numbered by sorted vertex id
         tail = None
-        to_local = {v: local[v] for v in vs}
     else:
-        comp = dec_frag.completion
-        ids = comp.id_of()
-        host = comp.graph
-        tail = comp.tail
-        to_local = {}
-        for lab, i in ids.items():
-            if isinstance(lab, int):
-                to_local[lab + offset if cf.side else lab] = i
+        host, tail = cf.completion.graph, cf.completion.tail
+        to_local = {lab: i for i, lab in enumerate(cf.completion.labels) if isinstance(lab, int)}
     families = [[frozenset(to_local[v] for v in t.vertices) for t in fam] for fam in fam_terms]
     cf.marked = MarkedIntervalGraph(host, families, tail=tail)
     cf.label_to_host = to_local
     cf.shards = fam_terms
 
 
-def combine(g1: Graph, dec1: Decomposition, g2: Graph, dec2: Decomposition) -> Optional[CombinedDecomposition]:
-    """Merge two decompositions over the disjoint union; None when depths differ."""
-    if dec1.depth != dec2.depth:
-        return None
+def combine(g1: Graph, g2: Graph, d: int) -> Optional[CombinedDecomposition]:
+    """The canonical decomposition of G1 ⊎ G2, G2's vertices shifted by g1.n;
+    None when the two sides' depths differ."""
     n1 = g1.n
     h = g1.union_disjoint(g2)
-    dec2s = _shift_decomposition(dec2, n1)
+    dec = canonical_decomposition(h, d)
     fragments: list[CFragment] = []
-    frag_gid: dict[tuple[int, int, int], int] = {}
-    for side, dec in ((0, dec1), (1, dec2s)):
-        for level in dec.levels:
-            for f in level:
-                gid = len(fragments)
-                frag_gid[(side, f.level, f.index)] = gid
-                fragments.append(
-                    CFragment(gid, f.level, side, f.index, f.vertices, f.provenance, f.attachments)
-                )
-    terminals: list[CTerminal] = []
-    for side, dec in ((0, dec1), (1, dec2s)):
-        for t in dec.terminal_sets:
-            tid = len(terminals)
-            terminals.append(
-                CTerminal(
-                    tid,
-                    frag_gid[(side, t.host_level, t.host_fragment)],
-                    frag_gid[(side, t.origin_level, t.origin_fragment)],
-                    t.host_level,
-                    t.origin_level,
-                    t.position,
-                    t.vertices,
-                    t.origin_level - 1,
-                )
+    frag_gid: dict[tuple[int, int], int] = {}
+    for level in dec.levels:
+        for f in level:
+            frag_gid[(f.level, f.index)] = len(fragments)
+            side = int(min(f.vertices) >= n1)
+            fragments.append(
+                CFragment(len(fragments), f.level, side, f.vertices, f.provenance, f.attachments, f.completion)
             )
+    depths = [max((cf.level for cf in fragments if cf.side == side), default=0) for side in (0, 1)]
+    if depths[0] != depths[1]:
+        return None
+    terminals = [
+        CTerminal(
+            tid,
+            frag_gid[(t.host_level, t.host_fragment)],
+            frag_gid[(t.origin_level, t.origin_fragment)],
+            t.host_level,
+            t.origin_level,
+            t.position,
+            t.vertices,
+        )
+        for tid, t in enumerate(dec.terminal_sets)
+    ]
     key_to_terminal: dict[tuple[int, int, int], int] = {}
     for t in terminals:
         key = (t.origin_gid, t.position, t.host_gid)
@@ -190,8 +145,7 @@ def combine(g1: Graph, dec1: Decomposition, g2: Graph, dec2: Decomposition) -> O
     frag_point: dict[int, int] = {}
     term_point: dict[int, int] = {}
     level_degrees = []
-    depth = dec1.depth
-    for level in range(1, depth + 1):
+    for level in range(1, dec.depth + 1):
         start = len(point_kind)
         for cf in fragments:
             if cf.level == level:
@@ -203,19 +157,16 @@ def combine(g1: Graph, dec1: Decomposition, g2: Graph, dec2: Decomposition) -> O
                 point_kind.append(("term", t.tid))
         level_degrees.append(len(point_kind) - start)
     cd = CombinedDecomposition(
-        h, n1, depth, fragments, terminals, frag_point, term_point, point_kind, level_degrees, key_to_terminal
+        h, n1, dec.depth, fragments, terminals, frag_point, term_point, point_kind, level_degrees, key_to_terminal
     )
     # marked hosts and local set orders
-    decs = {0: dec1, 1: dec2s}
-    for cf in fragments:
-        fam_terms: list[list[CTerminal]] = [[] for _ in range(cf.level - 1)]
-        for t in terminals:
-            if t.host_gid == cf.gid:
-                fam_terms[t.family].append(t)
-        for fam in fam_terms:
+    fam_terms: list[list[list[CTerminal]]] = [[[] for _ in range(cf.level - 1)] for cf in fragments]
+    for t in terminals:
+        fam_terms[t.host_gid][t.origin_level - 1].append(t)
+    for cf, fams in zip(fragments, fam_terms):
+        for fam in fams:
             fam.sort(key=lambda t: (t.origin_gid, t.position))
-        dec_frag = decs[cf.side].fragment(cf.level, cf.orig_index)
-        _fragment_marked(g1 if cf.side == 0 else g2, cf, dec_frag, n1 if cf.side else 0, fam_terms)
+        _fragment_marked(h, cf, fams)
     return cd
 
 
@@ -438,9 +389,7 @@ def _verify_witness(g1: Graph, g2: Graph, witness: tuple[int, ...]) -> bool:
 
 def _connected_isomorphism(g1: Graph, g2: Graph, d: int) -> Optional[tuple[int, ...]]:
     """Witness bijection between connected chordal graphs, or None; raises NotTGraph."""
-    dec1 = canonical_decomposition(g1, d)
-    dec2 = canonical_decomposition(g2, d)
-    cd = combine(g1, dec1, g2, dec2)
+    cd = combine(g1, g2, d)
     if cd is None:
         return None
     for level in range(1, cd.depth + 1):

@@ -12,6 +12,7 @@ from tgraphs.chordal import (
     is_chordal,
     leaf_cliques,
     maximal_cliques,
+    maximum_cardinality_search,
     minimal_separators,
     simplicial_vertices,
     weighted_clique_graph,
@@ -103,6 +104,43 @@ class TestIsChordal:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
         g = Graph(n, edges)
         assert (is_chordal(g) is not None) == brute_is_chordal(g)
+
+
+def quadratic_mcs(g):
+    """Reference MCS: scan every vertex for the largest weight, smallest id on a tie."""
+    weight = [0] * g.n
+    visited = [False] * g.n
+    order = []
+    for _ in range(g.n):
+        best = -1
+        for v in range(g.n):
+            if not visited[v] and (best == -1 or weight[v] > weight[best]):
+                best = v
+        visited[best] = True
+        order.append(best)
+        for w in g.adj[best]:
+            if not visited[w]:
+                weight[w] += 1
+    return order
+
+
+class TestMaximumCardinalitySearch:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_order_matches_quadratic_scan_on_t_graphs(self, seed):
+        g, _ = random_t_graph(2 + seed % 4, 6 + seed, 300 + seed)
+        assert maximum_cardinality_search(g) == quadratic_mcs(g)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_order_matches_quadratic_scan_on_gnp(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 30)
+        p = rng.choice([0.05, 0.15, 0.4, 0.8])
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        assert maximum_cardinality_search(g) == quadratic_mcs(g)
+
+    @pytest.mark.parametrize("g", [path_graph(20000), star_graph(20000)], ids=["path", "star"])
+    def test_large_graphs_are_chordal(self, g):
+        assert is_chordal(g) is not None
 
 
 class TestSimplicial:

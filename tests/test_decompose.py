@@ -310,6 +310,17 @@ class TestCanonicalDecomposition:
         assert data["terminal_sets"][0]["level"] == 2
         assert data["terminal_sets"][0]["from_level"] == 1
 
+    @pytest.mark.parametrize("first_is_path", [True, False])
+    def test_disjoint_union_completions_label_union_vertices(self, first_is_path):
+        parts = (path_graph(3), subdivided_claw())
+        g = parts[0].union_disjoint(parts[1]) if first_is_path else parts[1].union_disjoint(parts[0])
+        dec = canonical_decomposition(g, 3)
+        completed = [f for level in dec.levels for f in level if f.completion is not None]
+        assert len(completed) == 3  # the claw's three tips
+        for f in completed:
+            c = f.completion
+            assert {c.labels[i] for i in c.frag_ids} == f.vertices
+
     def test_outer_simplicial_levels_then_separator_level(self):
         """Pendant paths peel off as simplicial levels before the branch level."""
         g = figure_branch_graph()

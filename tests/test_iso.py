@@ -44,8 +44,13 @@ def spider(*arms):
 SMALL_SPIDERS = [(1, 1, 1), (1, 2, 2), (2, 2, 3), (1, 1, 1, 1), (1, 2, 2, 2)]
 
 
+def connected_t_graph(d, n, seed):
+    """The first connected random_t_graph(d, n, s) for s = seed, seed + 1, ..."""
+    return next(g for s in range(seed, seed + 50) if (g := random_t_graph(d, n, s)[0]).is_connected())
+
+
 def make_cd(g1, g2, d):
-    return combine(g1, canonical_decomposition(g1, d), g2, canonical_decomposition(g2, d))
+    return combine(g1, g2, d)
 
 
 class TestCombine:
@@ -66,6 +71,28 @@ class TestCombine:
         g = subdivided_claw()
         cd = make_cd(g, g, 3)
         assert cd.degree == len(cd.fragments) + len(cd.terminals)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_union_decomposition_matches_both_sides(self, seed):
+        """combine's fragments and terminal sets are each side's decomposition, G2's shifted by g1.n."""
+        d = 2 + seed % 3
+        g1 = connected_t_graph(d, 12, 1300 + seed)
+        g2 = connected_t_graph(d, 12, 2300 + seed) if seed % 2 else random_relabel(g1, seed)[0]
+        dec1, dec2 = canonical_decomposition(g1, d), canonical_decomposition(g2, d)
+        cd = make_cd(g1, g2, d)
+        if dec1.depth != dec2.depth:
+            assert cd is None
+            return
+        shift = lambda vs, side: frozenset(v + g1.n * side for v in vs)
+        for level in range(1, cd.depth + 1):
+            want = {(side, shift(f.vertices, side)) for side, dec in enumerate((dec1, dec2)) for f in dec.levels[level - 1]}
+            assert {(cf.side, cf.vertices) for cf in cd.fragments if cf.level == level} == want
+        want = {
+            (t.host_level, t.origin_level, t.position, shift(t.vertices, side))
+            for side, dec in enumerate((dec1, dec2))
+            for t in dec.terminal_sets
+        }
+        assert {(t.level, t.origin_level, t.position, t.vertices) for t in cd.terminals} == want
 
 
 class TestLevelGroup:
