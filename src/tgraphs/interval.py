@@ -42,12 +42,12 @@ class PQTree:
     cliques: tuple[tuple[int, ...], ...]
     root: PQNode
     nodes: tuple[PQNode, ...] = ()
-    vertex_node: dict[int, PQNode] = field(default_factory=dict)
     vertex_run: dict[int, tuple[int, int]] = field(default_factory=dict)
+    node_vertices: dict[PQNode, frozenset[int]] = field(default_factory=dict)
 
     def assigned_vertices(self, node: PQNode) -> frozenset[int]:
         """Vertices whose minimal covering node is `node` (leaf privates included)."""
-        return frozenset(v for v, nd in self.vertex_node.items() if nd is node)
+        return self.node_vertices.get(node, frozenset())
 
     def belongs(self, node: PQNode) -> frozenset[int]:
         """Vertices of the subgraph belonging to the node: union of its leaf cliques."""
@@ -304,6 +304,7 @@ def _finalize(tree: PQTree) -> Optional[PQTree]:
     visit(tree.root, 0, None)
     tree.nodes = tuple(nodes)
     clique_sets = [frozenset(c) for c in tree.cliques]
+    held: dict[PQNode, list[int]] = {}
     for v in tree.graph.vertices():
         kv = frozenset(i for i, c in enumerate(clique_sets) if v in c)
         node = tree.root
@@ -312,7 +313,7 @@ def _finalize(tree: PQTree) -> Optional[PQTree]:
             if not inside:
                 break
             node = inside[0]
-        tree.vertex_node[v] = node
+        held.setdefault(node, []).append(v)
         if node.kind == "L":
             if kv != node.leaf_set:
                 return None
@@ -327,6 +328,7 @@ def _finalize(tree: PQTree) -> Optional[PQTree]:
         if node.kind == "P" and len(touched) != len(node.children):
             return None
         tree.vertex_run[v] = (lo, hi)
+    tree.node_vertices = {node: frozenset(vs) for node, vs in held.items()}
     return tree
 
 

@@ -116,7 +116,7 @@ class _Level:
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[Perm] = []
-        ident = Perm.identity(degree)
+        ident = Perm._raw(_identity_images(degree))
         self.transversal: dict[int, Perm] = {point: ident}
         self.inv_transversal: dict[int, Perm] = {point: ident}
         self.processed: set[tuple[int, int]] = set()
@@ -273,22 +273,30 @@ class PermGroup:
 
         accept_partial(i, R) sees a partial product whose images of
         base[0..i] are final; pruning must be sound w.r.t. accept_full.
+        Only levels with a transversal larger than 1 branch, so the recursion
+        depth is their number; the trivial levels below each choice are
+        checked right after it, when their images are already final.
         """
         levels = self._levels
+        moving = [i for i, lvl in enumerate(levels) if len(lvl.transversal) > 1]
+        ends = moving + [len(levels)]  # the first level past the trivial run after each choice
 
-        def dfs(i: int, r: Perm) -> Optional[Perm]:
-            if i == len(levels):
+        def dfs(k: int, r: Perm) -> Optional[Perm]:
+            if k == len(moving):
                 return r if accept_full(r) else None
+            i = moving[k]
             for x in sorted(levels[i].transversal):
                 r2 = levels[i].transversal[x] * r
-                if not accept_partial(i, r2):
-                    continue
-                found = dfs(i + 1, r2)
-                if found is not None:
-                    return found
+                if all(accept_partial(j, r2) for j in range(i, ends[k + 1])):
+                    found = dfs(k + 1, r2)
+                    if found is not None:
+                        return found
             return None
 
-        return dfs(0, Perm.identity(self.degree))
+        identity = Perm.identity(self.degree)
+        if not all(accept_partial(j, identity) for j in range(ends[0])):
+            return None
+        return dfs(0, identity)
 
     def to_json(self) -> str:
         """Generators as a JSON array of image arrays."""

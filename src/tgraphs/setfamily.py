@@ -8,7 +8,9 @@ sizes, each leaf checked against the cardinality Venn diagram.
 from __future__ import annotations
 
 import json
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import IndexBoundExceeded
@@ -160,35 +162,85 @@ def _intersections(family: SetFamily) -> list[tuple[tuple[int, int], ...]]:
     for i, s in enumerate(family.sets):
         for z in s:
             holders[z].append(i)
-    return [
-        tuple((j, len(s & family.sets[j])) for j in set().union(*(holders[z] for z in s)))
-        for s in family.sets
-    ]
+    return [tuple(Counter(chain.from_iterable(holders[z] for z in s)).items()) for s in family.sets]
 
 
-def _refine(colour: list, rows: list[tuple[tuple[int, int], ...]]) -> list[int]:
-    """Coarsest stable refinement, as canonical ranks of sorted keys.
+def _initial_colour(family: SetFamily) -> list[int]:
+    """Each set at the start of its (repr(annotation), size) cell, cells in sorted key order."""
+    keys = [(repr(a), len(s)) for a, s in zip(family.annotations, family.sets)]
+    start: dict[tuple[str, int], int] = {}
+    for i, key in enumerate(sorted(keys)):
+        start.setdefault(key, i)
+    return [start[key] for key in keys]
 
-    A set's key is its colour and the sorted (colour of j, |S_i & S_j|) over
-    its nonempty intersections; the empty ones follow from the cell sizes.
-    Input colours may be any sortable values; ranks respect their order.
+
+def _refine(colour: list[int], rows: list[tuple[tuple[int, int], ...]], splitters: Iterable[int]) -> list[int]:
+    """Coarsest stable refinement of an ordered partition, by a splitter queue.
+
+    A colour is the start position of its cell. The cells starting at
+    `splitters` are queued; the partition must already be stable with respect
+    to every other cell. Processing a splitter W keys each set i by the sorted
+    multiset of |S_i & S_j| over j in W (nonzero sizes only; the zeros follow
+    from |W|) and splits every cell by key, fragments in key order. A fragment
+    inherits the queue entry of its cell; a cell off the queue queues all its
+    fragments but the first largest (Hopcroft; Paige-Tarjan 1987). Keys and
+    queue order depend only on colours and sizes, so the refinement commutes
+    with relabelling the sets.
     """
-    cells = len(set(colour))
-    while True:
-        keys = [(colour[i], tuple(sorted((colour[j], c) for j, c in row))) for i, row in enumerate(rows)]
-        palette = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-        colour = [palette[key] for key in keys]
-        if len(palette) == cells:
-            return colour
-        cells = len(palette)
+    colour = list(colour)
+    cells: dict[int, list[int]] = {}
+    for i, c in enumerate(colour):
+        cells.setdefault(c, []).append(i)
+    queue = deque(sorted(set(splitters)))
+    queued = set(queue)
+    m = len(colour)
+    while queue and len(cells) < m:
+        w = queue.popleft()
+        queued.discard(w)
+        counts: dict[int, list[int]] = {}
+        for j in cells[w]:
+            for i, c in rows[j]:
+                counts.setdefault(i, []).append(c)
+        for start in sorted({colour[i] for i in counts}):
+            cell = cells[start]
+            if len(cell) == 1:
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for i in cell:
+                key = tuple(sorted(counts[i])) if i in counts else ()
+                groups.setdefault(key, []).append(i)
+            if len(groups) == 1:
+                continue
+            fragments = [groups[key] for key in sorted(groups)]
+            skip = -1 if start in queued else max(range(len(fragments)), key=lambda f: len(fragments[f]))
+            at = start
+            for f, members in enumerate(fragments):
+                cells[at] = members
+                for i in members:
+                    colour[i] = at
+                if f != skip and at not in queued:
+                    queue.append(at)
+                    queued.add(at)
+                at += len(members)
+    return colour
 
 
 def _individualise(colour: list[int], v: int) -> list[int]:
-    """v alone in colour 2c, the rest of its cell 2c+1, every other cell c' at 2c'."""
-    c = colour[v]
-    out = [2 * x + (x == c) for x in colour]
-    out[v] = 2 * c
+    """Individualise v: v alone at its cell's start p, the rest of that cell at p+1.
+
+    Every other cell keeps its start, so the colours stay start positions. The
+    parent colouring was stable, so only the two new cells can split others.
+    """
+    p = colour[v]
+    out = [p + 1 if c == p else c for c in colour]
+    out[v] = p
     return out
+
+
+def _child(colour: list[int], v: int, rows: list[tuple[tuple[int, int], ...]]) -> list[int]:
+    """The refined colouring below a node on individualising v, with its two new cells queued."""
+    p = colour[v]
+    return _refine(_individualise(colour, v), rows, (p, p + 1))
 
 
 def _target_cell(colour: list[int]) -> list[int]:
@@ -216,19 +268,21 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
     m = len(family.sets)
     if m == 0:
         return PermGroup(0, [])
-    actual = max_antichain_size(family)
-    if actual > antichain_bound:
-        raise IndexBoundExceeded(
-            f"antichain promise violated: {actual} > {antichain_bound}",
-            bound=antichain_bound,
-            stage="antichain-promise",
-        )
+    if antichain_bound < m:  # no antichain outgrows the family, so a bound of m holds vacuously
+        actual = max_antichain_size(family)
+        if actual > antichain_bound:
+            raise IndexBoundExceeded(
+                f"antichain promise violated: {actual} > {antichain_bound}",
+                bound=antichain_bound,
+                stage="antichain-promise",
+            )
     rows = _intersections(family)
-    path = [_refine([(repr(a), len(s)) for a, s in zip(family.annotations, family.sets)], rows)]
+    initial = _initial_colour(family)
+    path = [_refine(initial, rows, initial)]
     cells: list[list[int]] = []
     while len(set(path[-1])) < m:
         cells.append(_target_cell(path[-1]))
-        path.append(_refine(_individualise(path[-1], cells[-1][0]), rows))
+        path.append(_child(path[-1], cells[-1][0], rows))
     shapes = [sorted(colour) for colour in path]
     first_leaf = path[-1]
 
@@ -241,7 +295,7 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
             p = Perm([at[c] for c in first_leaf])
             return p if is_family_automorphism(family, p) else None
         for v in _target_cell(colour):
-            p = search(_refine(_individualise(colour, v), rows), depth + 1)
+            p = search(_child(colour, v, rows), depth + 1)
             if p is not None:
                 return p
         return None
@@ -261,7 +315,7 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
             if find(w) in {find(t) for t in tried}:
                 continue
             tried.append(w)
-            p = search(_refine(_individualise(path[depth], w), rows), depth + 1)
+            p = search(_child(path[depth], w, rows), depth + 1)
             if p is not None:
                 gens.append(p)
                 for i, j in enumerate(p.images):

@@ -21,7 +21,7 @@ from tgraphs.interval import (
     pq_tree_to_text,
     reduce_clean,
 )
-from tgraphs.setfamily import SetFamily, max_antichain_size
+from tgraphs.setfamily import SetFamily, family_autgroup, max_antichain_size
 
 
 def brute_valid_orders(g):
@@ -391,7 +391,26 @@ class TestMarkedIsomorphism:
         for seed in (4, 6, 7):
             calls.clear()
             MarkedContext(random_marked(6, seed)).group
-            assert len(calls) == 1
+            # the context's bound is the family size, which no antichain exceeds,
+            # so the promise check is skipped
+            assert len(calls) == 0
+
+    def test_real_bound_computes_antichain_once(self, monkeypatch):
+        calls = []
+
+        def counting(family):
+            calls.append(len(family))
+            return max_antichain_size(family)
+
+        for seed in (4, 6, 7):
+            family = MarkedContext(random_marked(6, seed)).enc.family
+            bound = max_antichain_size(family)
+            assert bound < len(family.sets)
+            with monkeypatch.context() as patch:
+                patch.setattr(tgraphs.setfamily, "max_antichain_size", counting)
+                calls.clear()
+                family_autgroup(family, bound)
+                assert len(calls) == 1
 
 
 class TestRealizeChecks:

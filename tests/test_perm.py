@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -319,6 +320,40 @@ class TestFindWithImages:
     def test_infeasible(self):
         group = build_group(4, [Perm([1, 2, 3, 0])])
         assert find_element(group, {0: 1, 1: 0}) is None
+
+    def test_long_prescribed_base_under_default_recursion_limit(self):
+        # every prescribed point gets a chain level, and 1999 of them are trivial
+        n = 2000
+        group = PermGroup(n, [Perm.from_cycles(n, [(0, 1)])])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert find_element(group, {z: z for z in range(n)}).is_identity()
+            swap = find_element(group, {0: 1, **{z: z for z in range(2, n)}})
+            assert swap is not None and swap.moved_points() == [0, 1]
+            # a trivial level far below the only choice still prunes
+            assert find_element(group, {0: 1, n - 2: n - 1}) is None
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_element_filter(self, seed):
+        # a sparse group on a long prescribed base: most levels are trivial
+        rng = random.Random(seed)
+        n = 7
+        gens = [Perm.from_cycles(n, [rng.sample(range(n), rng.randint(2, 3))]) for _ in range(rng.randint(1, 2))]
+        group = build_group(n, gens)
+        points = rng.sample(range(n), 5)
+        target = rng.choice(list(group.elements()))
+        images = {z: target(z) for z in points}
+        if seed % 2:  # one image moved at random: feasible or not
+            images[points[-1]] = rng.randrange(n)
+        found = find_element(group, images)
+        want = [p for p in group.elements() if all(p(z) == t for z, t in images.items())]
+        if want:
+            assert found is not None and all(found(z) == t for z, t in images.items())
+        else:
+            assert found is None
 
 
 class TestStabilizer:

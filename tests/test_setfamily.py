@@ -3,10 +3,19 @@ from itertools import combinations, permutations
 
 import pytest
 
+import tgraphs.interval
 from tgraphs.errors import IndexBoundExceeded
+from tgraphs.graph import Graph, path_graph
+from tgraphs.harness import random_relabel
+from tgraphs.iso import is_isomorphic
 from tgraphs.perm import Perm
 from tgraphs.setfamily import (
     SetFamily,
+    _child,
+    _individualise,
+    _initial_colour,
+    _intersections,
+    _refine,
     cell_signature,
     family_autgroup,
     ground_witness,
@@ -206,6 +215,100 @@ class TestFamilyAutgroup:
         for a in gens:
             for b in gens:
                 assert is_family_automorphism(fam, a * b)
+
+
+def whole_key_refine(colour, rows):
+    """Reference refinement: every round re-keys every set by its colour and the
+    sorted (colour of j, |S_i & S_j|) over its nonempty intersections, and ranks
+    the keys, until the number of cells stops growing."""
+    cells = len(set(colour))
+    while True:
+        keys = [(colour[i], tuple(sorted((colour[j], c) for j, c in row))) for i, row in enumerate(rows)]
+        palette = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        colour = [palette[key] for key in keys]
+        if len(palette) == cells:
+            return colour
+        cells = len(palette)
+
+
+def cells_of(colour):
+    cells = {}
+    for i, c in enumerate(colour):
+        cells.setdefault(c, set()).add(i)
+    return {frozenset(cell) for cell in cells.values()}
+
+
+def individualisation_chain(rng, family):
+    """A random chain of individualisations down to a discrete leaf: pairs of the set
+    individualised (None at the root) and the refined colouring it leads to."""
+    rows = _intersections(family)
+    colour = _initial_colour(family)
+    out = [(None, _refine(colour, rows, colour))]
+    while len(set(out[-1][1])) < len(family.sets):
+        parent = out[-1][1]
+        v = rng.choice([i for i, c in enumerate(parent) if parent.count(c) > 1])
+        out.append((v, _child(parent, v, rows)))
+    return out
+
+
+# odd seeds draw annotated families; in 130, 851, 949 and 1093 a queued cell splits
+# with a largest fragment that is not its first, so every fragment must be queued
+REFINE_SEEDS = [*range(60), 130, 851, 949, 1093]
+
+
+class TestRefine:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_intersections_match_direct_formula(self, seed):
+        fam = random_family(random.Random(seed), max_sets=8, max_ground=8)
+        for i, row in enumerate(_intersections(fam)):
+            want = {j: len(fam.sets[i] & t) for j, t in enumerate(fam.sets) if fam.sets[i] & t}
+            assert dict(row) == want and len(row) == len(want)
+
+    @pytest.mark.parametrize("seed", REFINE_SEEDS)
+    def test_matches_whole_key_refinement(self, seed):
+        rng = random.Random(seed)
+        fam = random_family(rng, max_sets=10, max_ground=7, annotated=seed % 2 == 1)
+        rows = _intersections(fam)
+        before = _initial_colour(fam)
+        for v, after in individualisation_chain(rng, fam):
+            if v is not None:
+                before = _individualise(before, v)
+            assert cells_of(after) == cells_of(whole_key_refine(before, rows))
+            # each colour is the start position of its cell
+            assert all(c == sum(1 for d in after if d < c) for c in after)
+            before = after
+
+    @pytest.mark.parametrize("seed", REFINE_SEEDS)
+    def test_commutes_with_relabelling(self, seed):
+        rng = random.Random(seed)
+        fam = random_family(rng, max_sets=10, max_ground=7, annotated=seed % 2 == 1)
+        m = len(fam.sets)
+        pi = list(range(m))  # set i of fam is set pi[i] of moved
+        rng.shuffle(pi)
+        at = sorted(range(m), key=pi.__getitem__)
+        moved = SetFamily(fam.ground, [fam.sets[i] for i in at], [fam.annotations[i] for i in at])
+        rows = _intersections(moved)
+        colour = _initial_colour(moved)
+        for v, after in individualisation_chain(rng, fam):
+            colour = _refine(colour, rows, colour) if v is None else _child(colour, pi[v], rows)
+            assert colour == [after[i] for i in at]
+
+    def test_decision_group_orders_are_pinned(self, monkeypatch):
+        orders = []
+        inner = tgraphs.interval.family_autgroup
+
+        def recording(family, bound):
+            group = inner(family, bound)
+            orders.append(group.order())
+            return group
+
+        monkeypatch.setattr(tgraphs.interval, "family_autgroup", recording)
+        # a centre 0 with three arms of five vertices
+        spider = Graph(16, [(5 * a + k if k else 0, 5 * a + k + 1) for a in range(3) for k in range(5)])
+        for g, d, want in ((path_graph(21), 2, [8]), (spider, 3, [72, 720, 720, 720, 720])):
+            orders.clear()
+            assert is_isomorphic(g, random_relabel(g, 1)[0], d).witness is not None
+            assert orders == want
 
 
 class TestSerialization:
