@@ -7,13 +7,13 @@ it yields the level decomposition the isomorphism engine works on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Hashable, Iterable, Optional, Sequence
 
 from .chordal import is_chordal, leaf_cliques, minimal_separators, simplicial_vertices
 from .errors import BadSeparator, Disconnected, NotChordal, NotTGraph
 from .graph import Graph, separates
-from .interval import build_pq_tree
+from .interval import PQTree, build_pq_tree
 
 
 def _label_key(label: Hashable):
@@ -22,7 +22,11 @@ def _label_key(label: Hashable):
 
 @dataclass(frozen=True)
 class Completion:
-    """A fragment plus its separator, the rest contracted to l with pendant tail l'."""
+    """A fragment plus its separator, the rest contracted to l with pendant tail l'.
+
+    `tree` is the PQ-tree of `graph`, built once with the completion; None
+    when the completion is not a connected interval graph.
+    """
 
     graph: Graph
     labels: tuple[Hashable, ...]
@@ -30,6 +34,7 @@ class Completion:
     contracted: int
     frag_ids: frozenset[int]
     sep_ids: frozenset[int]
+    tree: Optional[PQTree] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,7 @@ def _build_completion(
         l_id,
         frozenset(index[v] for v in frag),
         frozenset(index[v] for v in sep),
+        build_pq_tree(comp_graph),
     )
 
 
@@ -291,7 +297,7 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int) -> list[E
     c1 = [
         (f, z, comp)
         for (f, z), comp in zip(c0_prime, completions)
-        if build_pq_tree(comp.graph) is not None
+        if comp.tree is not None
     ]
     if c1:
         # Step 7: the interval completions are the fragment collection
@@ -341,7 +347,11 @@ def extract_fragments(g: Graph, d: int) -> list[ExtractedFragment]:
 
 @dataclass(frozen=True)
 class Fragment:
-    """A decomposition fragment with its attachment chain and cached completion."""
+    """A decomposition fragment with its attachment chain and cached completion.
+
+    The residual fragment has no completion; `tree` keeps the PQ-tree that the
+    decomposition built to recognise it, over its vertices in sorted order.
+    """
 
     level: int  # 1-based, outermost first
     index: int  # position within the level
@@ -349,6 +359,7 @@ class Fragment:
     provenance: str  # "simplicial" | "separator" | "residual"
     attachments: tuple[frozenset[int], ...]
     completion: Optional[Completion]
+    tree: Optional[PQTree] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -431,8 +442,9 @@ def canonical_decomposition(g: Graph, d: int) -> Decomposition:
         if not sub.is_connected():
             raise NotTGraph("residue disconnected during decomposition", level=level + 1)
         level += 1
-        if build_pq_tree(sub) is not None:
-            fragments = [Fragment(level, 0, frozenset(residue), "residual", (), None)]
+        tree = build_pq_tree(sub)
+        if tree is not None:
+            fragments = [Fragment(level, 0, frozenset(residue), "residual", (), None, tree)]
             levels.append(fragments)
             _distribute_shards(active, fragments, terminal_sets)
             break
@@ -506,6 +518,7 @@ def _merge_component_decompositions(g: Graph, d: int) -> Decomposition:
                         f.provenance,
                         tuple(frozenset(back[v] for v in a) for a in f.attachments),
                         relabelled,
+                        f.tree,  # in the fragment's own coordinates, like the completion's
                     )
                 )
         for t in dec.terminal_sets:

@@ -41,6 +41,7 @@ class PQTree:
     graph: Graph
     cliques: tuple[tuple[int, ...], ...]
     root: PQNode
+    vertex_cliques: tuple[frozenset[int], ...]  # per vertex, the indices of the cliques holding it
     nodes: tuple[PQNode, ...] = ()
     vertex_run: dict[int, tuple[int, int]] = field(default_factory=dict)
     node_vertices: dict[PQNode, frozenset[int]] = field(default_factory=dict)
@@ -202,17 +203,17 @@ def _order_component(comp_rows: list[frozenset[int]]) -> Optional[list[frozenset
                 return False
         return True
 
-    def extend(cells: list[frozenset[int]], placed: frozenset[int], k: int) -> Optional[list[frozenset[int]]]:
+    # depth-first over the insertion options, first option first
+    stack = [([frozenset(ordered[0])], frozenset(ordered[0]), 1)]
+    while stack:
+        cells, placed, k = stack.pop()
         if k == len(ordered):
-            return cells if valid(cells) else None
+            if valid(cells):
+                return cells
+            continue
         w = ordered[k]
-        for option in _insert_row(cells, placed, w):
-            found = extend(option, placed | w, k + 1)
-            if found is not None:
-                return found
-        return None
-
-    return extend([frozenset(ordered[0])], frozenset(ordered[0]), 1)
+        stack.extend((option, placed | w, k + 1) for option in reversed(_insert_row(cells, placed, w)))
+    return None
 
 
 def _build_node(ground: list[int], rows: list[frozenset[int]]) -> Optional[PQNode]:
@@ -303,10 +304,8 @@ def _finalize(tree: PQTree) -> Optional[PQTree]:
 
     visit(tree.root, 0, None)
     tree.nodes = tuple(nodes)
-    clique_sets = [frozenset(c) for c in tree.cliques]
     held: dict[PQNode, list[int]] = {}
-    for v in tree.graph.vertices():
-        kv = frozenset(i for i, c in enumerate(clique_sets) if v in c)
+    for v, kv in enumerate(tree.vertex_cliques):
         node = tree.root
         while node.kind != "L":
             inside = [c for c in node.children if kv <= c.leaf_set]
@@ -340,11 +339,15 @@ def build_pq_tree(g: Graph) -> Optional[PQTree]:
     if peo is None:
         return None
     cliques = tuple(maximal_cliques(g, peo))
-    rows = {frozenset(i for i, c in enumerate(cliques) if v in c) for v in g.vertices()}
-    root = _build_node(list(range(len(cliques))), sorted(rows, key=sorted))
+    incidence: list[list[int]] = [[] for _ in g.vertices()]
+    for i, c in enumerate(cliques):
+        for v in c:
+            incidence[v].append(i)
+    vertex_cliques = tuple(map(frozenset, incidence))
+    root = _build_node(list(range(len(cliques))), sorted(set(vertex_cliques), key=sorted))
     if root is None:
         return None
-    return _finalize(PQTree(g, cliques, root))
+    return _finalize(PQTree(g, cliques, root, vertex_cliques))
 
 
 def inner_vertices(tree: PQTree, node: PQNode) -> frozenset[int]:
@@ -375,13 +378,24 @@ def pq_tree_to_text(tree: PQTree) -> str:
 
 @dataclass(frozen=True)
 class MarkedIntervalGraph:
-    """Interval host with families of marked clique sets and an optional tail."""
+    """Interval host with families of marked clique sets and an optional tail.
+
+    `trees`, when given, holds the PQ-tree of every host component, in
+    `Graph.components` order, each with the host vertex of every tree vertex.
+    """
 
     host: Graph
     families: tuple[tuple[frozenset[int], ...], ...]
     tail: Optional[int] = None
+    trees: Optional[tuple[tuple[PQTree, Sequence[int]], ...]] = field(default=None, compare=False, repr=False)
 
-    def __init__(self, host: Graph, families: Sequence[Sequence[Any]], tail: Optional[int] = None):
+    def __init__(
+        self,
+        host: Graph,
+        families: Sequence[Sequence[Any]],
+        tail: Optional[int] = None,
+        trees: Optional[Sequence[tuple[PQTree, Sequence[int]]]] = None,
+    ):
         fams = tuple(tuple(frozenset(s) for s in fam) for fam in families)
         for fam in fams:
             for s in fam:
@@ -392,6 +406,7 @@ class MarkedIntervalGraph:
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "families", fams)
         object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "trees", None if trees is None else tuple(trees))
 
     def marked_vertices(self) -> frozenset[int]:
         out: set[int] = set()
@@ -404,6 +419,10 @@ class MarkedIntervalGraph:
 
     def flat_sets(self) -> list[frozenset[int]]:
         return [s for fam in self.families for s in fam]
+
+    def component_trees(self) -> Sequence[tuple[PQTree, Sequence[int]]]:
+        """`trees`, or the host components' PQ-trees built now when none were given."""
+        return self.trees if self.trees is not None else _component_trees(self.host)
 
 
 def _subtree_code(tree: PQTree, node: PQNode) -> tuple:
@@ -503,7 +522,7 @@ class _Encoding:
     a_indices: list[list[int]]  # per marked family, global indices
     tail_index: Optional[int]
     trees: list[PQTree]
-    backs: list[list[int]]  # per tree, local vertex id -> host vertex id
+    backs: list[Sequence[int]]  # per tree, local vertex id -> host vertex id
     b_index: dict[tuple[int, int], int]  # (tree idx, nid) -> family index
     reductions: list[CleanReduction]
     qrun_index: dict[tuple[int, int, str, int], int]  # (tree, nid, 'L'/'R', i) -> index
@@ -532,6 +551,9 @@ def _component_trees(host: Graph) -> list[tuple[PQTree, list[int]]]:
 
 
 def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
+    """The annotated set family of a marked host, read off its components'
+    PQ-trees: those it carries (a fragment's from its decomposition, a
+    union's from its parts), else built here once."""
     host = m.host
     marked = m.marked_vertices()
     sets: list[frozenset[int]] = []
@@ -545,7 +567,7 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
         comp_of.append(comp)
         return len(sets) - 1
 
-    tree_comps = _component_trees(host)
+    tree_comps = m.component_trees()
     comp_id_of_vertex: dict[int, int] = {}
     for ti, (_tree, back) in enumerate(tree_comps):
         for v in back:
@@ -601,29 +623,17 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
             child_codes = [
                 drops.get(pos, ("retained",)) for pos in range(k)
             ]
-            prefix_leaves: list[frozenset[int]] = []
-            acc: frozenset[int] = frozenset()
-            for c in node.children:
-                acc |= c.leaf_set
-                prefix_leaves.append(acc)
-            suffix_leaves: list[frozenset[int]] = []
-            acc = frozenset()
-            for c in reversed(node.children):
-                acc |= c.leaf_set
-                suffix_leaves.append(acc)
-            clique_sets = [frozenset(c) for c in tree.cliques]
-
-            def confined(leafset: frozenset[int]) -> frozenset[int]:
-                out = set()
-                for v in tree.belongs(node):
-                    kv = frozenset(ci for ci, c in enumerate(clique_sets) if v in c)
-                    if kv <= leafset:
-                        out.add(v)
-                return frozenset(back[v] for v in out)
-
+            # each belonging vertex's span of child positions; one holding a
+            # clique outside the node lies in no prefix or suffix run
+            child_of = {ci: pos for pos, c in enumerate(node.children) for ci in c.leaf_set}
+            spans = []
+            for v in tree.belongs(node):
+                positions = [child_of.get(ci) for ci in tree.vertex_cliques[v]]
+                if None not in positions:
+                    spans.append((min(positions), max(positions), back[v]))
             for i in range(1, k):
-                lset = confined(prefix_leaves[i - 1])
-                rset = confined(suffix_leaves[i - 1])
+                lset = frozenset(hv for lo, hi, hv in spans if hi < i)
+                rset = frozenset(hv for lo, hi, hv in spans if lo >= k - i)
                 lann = ("qrun", i, tuple(child_codes[:i]))
                 rann = ("qrun", i, tuple(reversed(child_codes[k - i :])))
                 qrun_index[(ti, node.nid, "L", i)] = add(lset, lann, ti)
@@ -801,9 +811,11 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
                     raise AssertionError("tau does not respect the tree structure")
 
     out: dict[int, int] = {}
-    pattern: dict[int, frozenset[int]] = {}
-    for v in host.vertices():
-        pattern[v] = frozenset(i for i, s in enumerate(sets) if v in s)
+    members: list[list[int]] = [[] for _ in host.vertices()]
+    for i, s in enumerate(sets):
+        for v in s:
+            members[v].append(i)
+    pattern = [frozenset(ms) for ms in members]
     buckets: dict[tuple[tuple[int, int], frozenset[int]], list[int]] = {}
     for ti, red in enumerate(enc.reductions):
         back = back_of_tree[ti]
@@ -925,7 +937,9 @@ def marked_union(ms: Sequence[MarkedIntervalGraph]) -> tuple[MarkedIntervalGraph
     """Disjoint union of marked hosts, with each part's vertex offset.
 
     Family j of the union is family j of every part, concatenated in part
-    order; the parts' tails become one last family of singletons.
+    order; the parts' tails become one last family of singletons. The union
+    carries the parts' component trees in part order, which is its own
+    component order.
     """
     if len({len(m.families) for m in ms}) > 1:
         raise ValueError("all parts must carry the same number of families")
@@ -933,6 +947,7 @@ def marked_union(ms: Sequence[MarkedIntervalGraph]) -> tuple[MarkedIntervalGraph
         raise ValueError("either every part has a tail or none has")
     offsets = list(accumulate((m.host.n for m in ms[:-1]), initial=0))
     parts = list(zip(ms, offsets))
+    trees = [(tree, [v + off for v in back]) for m, off in parts for tree, back in m.component_trees()]
     edges = [(u + off, v + off) for m, off in parts for u, v in m.host.edges]
     families = [
         tuple(frozenset(v + off for v in s) for m, off in parts for s in m.families[j])
@@ -940,7 +955,7 @@ def marked_union(ms: Sequence[MarkedIntervalGraph]) -> tuple[MarkedIntervalGraph
     ]
     if ms[0].tail is not None:
         families.append(tuple(frozenset([m.tail + off]) for m, off in parts))
-    return MarkedIntervalGraph(Graph(offsets[-1] + ms[-1].host.n, edges), families), offsets
+    return MarkedIntervalGraph(Graph(offsets[-1] + ms[-1].host.n, edges), families, trees=trees), offsets
 
 
 def marked_isomorphism(

@@ -17,7 +17,7 @@ from .chordal import is_chordal
 from .decompose import Completion, canonical_decomposition
 from .errors import IndexBoundExceeded, NotTGraph
 from .graph import Graph
-from .interval import MarkedContext, MarkedIntervalGraph, marked_union
+from .interval import MarkedContext, MarkedIntervalGraph, PQTree, marked_union
 from .perm import (
     MembershipPredicate,
     Perm,
@@ -43,6 +43,7 @@ class CFragment:
     marked: MarkedIntervalGraph = field(repr=False, default=None)
     label_to_host: dict = field(repr=False, default_factory=dict)
     shards: list[list["CTerminal"]] = field(repr=False, default_factory=list)  # per family, in marked order
+    tree: Optional[PQTree] = field(repr=False, default=None)  # the residual fragment's, from the decomposition
 
 
 @dataclass
@@ -90,16 +91,18 @@ class CombinedDecomposition:
         return out
 
 
-def _fragment_marked(h: Graph, cf: CFragment, fam_terms: list[list[CTerminal]]):
-    """Build the fragment's marked interval host and the label translation."""
-    if cf.completion is None:
-        host, to_local = h.subgraph(cf.vertices)  # numbered by sorted vertex id
-        tail = None
+def _fragment_marked(cf: CFragment, fam_terms: list[list[CTerminal]]):
+    """Build the fragment's marked interval host, with the PQ-tree the
+    decomposition built for it, and the label translation."""
+    if cf.completion is None:  # the residual fragment: its tree's graph, numbered by sorted vertex id
+        host, tail, tree = cf.tree.graph, None, cf.tree
+        to_local = {v: i for i, v in enumerate(sorted(cf.vertices))}
     else:
-        host, tail = cf.completion.graph, cf.completion.tail
+        host, tail, tree = cf.completion.graph, cf.completion.tail, cf.completion.tree
         to_local = {lab: i for i, lab in enumerate(cf.completion.labels) if isinstance(lab, int)}
     families = [[frozenset(to_local[v] for v in t.vertices) for t in fam] for fam in fam_terms]
-    cf.marked = MarkedIntervalGraph(host, families, tail=tail)
+    trees = None if tree is None else [(tree, range(host.n))]
+    cf.marked = MarkedIntervalGraph(host, families, tail=tail, trees=trees)
     cf.label_to_host = to_local
     cf.shards = fam_terms
 
@@ -117,7 +120,9 @@ def combine(g1: Graph, g2: Graph, d: int) -> Optional[CombinedDecomposition]:
             frag_gid[(f.level, f.index)] = len(fragments)
             side = int(min(f.vertices) >= n1)
             fragments.append(
-                CFragment(len(fragments), f.level, side, f.vertices, f.provenance, f.attachments, f.completion)
+                CFragment(
+                    len(fragments), f.level, side, f.vertices, f.provenance, f.attachments, f.completion, tree=f.tree
+                )
             )
     depths = [max((cf.level for cf in fragments if cf.side == side), default=0) for side in (0, 1)]
     if depths[0] != depths[1]:
@@ -166,7 +171,7 @@ def combine(g1: Graph, g2: Graph, d: int) -> Optional[CombinedDecomposition]:
     for cf, fams in zip(fragments, fam_terms):
         for fam in fams:
             fam.sort(key=lambda t: (t.origin_gid, t.position))
-        _fragment_marked(h, cf, fams)
+        _fragment_marked(cf, fams)
     return cd
 
 

@@ -9,7 +9,7 @@ import pytest
 import tgraphs
 from tgraphs.chordal import is_chordal, maximal_cliques
 from tgraphs.graph import Graph, complete_graph, path_graph, star_graph
-from tgraphs.harness import random_t_graph
+from tgraphs.harness import random_relabel, random_t_graph
 from tgraphs.interval import (
     MarkedContext,
     MarkedIntervalGraph,
@@ -140,11 +140,73 @@ class TestBuildPQTree:
         want = sorted(brute_valid_orders(g))
         assert got == want
 
+    def test_long_path_under_default_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            tree = build_pq_tree(path_graph(1100))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tree.root.kind == "Q"
+        assert len(tree.root.children) == 1099
+
     def test_subdivided_claw_via_star_triangles(self):
         # a non-interval chordal graph: 3 triangles glued to a center vertex path-wise
         g = subdivided_claw()
         assert is_chordal(g) is not None
         assert not is_interval(g)
+
+
+def path_power(n, k):
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + k + 1))])
+
+
+def full_scan_kv(tree, v):
+    """A vertex's clique set, by scanning every clique."""
+    return frozenset(i for i, c in enumerate(tree.cliques) if v in c)
+
+
+def full_scan_confined(tree, node, leafset):
+    """The belonging vertices of a node whose clique sets lie inside leafset."""
+    return frozenset(v for v in tree.belongs(node) if full_scan_kv(tree, v) <= leafset)
+
+
+class TestCliqueIncidence:
+    """The incidence built once per tree and the Q-node runs read off child
+    spans agree with the full scans they replace."""
+
+    @staticmethod
+    def hosts():
+        for seed in range(4):
+            yield random_relabel(path_graph(5 + 4 * seed), seed)[0]
+            yield random_relabel(path_power(8 + 3 * seed, 1 + seed % 3), seed)[0]
+            for n in (6, 12, 20):
+                yield random_connected_interval(n, 100 * seed + n)
+        # a cone over P5 plus a pendant w on the apex u: u sits at the root
+        # P-node and passes through the Q-node below it
+        u, w = 5, 6
+        yield Graph(7, list(path_graph(5).edges) + [(u, v) for v in range(5)] + [(u, w)])
+
+    def test_incidence_matches_full_scan(self):
+        for g in self.hosts():
+            tree = build_pq_tree(g)
+            assert tree.vertex_cliques == tuple(full_scan_kv(tree, v) for v in g.vertices())
+
+    def test_q_runs_match_full_scan(self):
+        checked = 0
+        for g in self.hosts():
+            # every vertex marked: no subtree is clean, so every Q-node gets its runs
+            enc = MarkedContext(MarkedIntervalGraph(g, [[frozenset([v]) for v in g.vertices()]])).enc
+            (tree,) = enc.trees
+            q_nodes = {node.nid for node in tree.nodes if node.kind == "Q"}
+            assert {nid for _ti, nid, _side, _i in enc.qrun_index} == q_nodes
+            for (_ti, nid, side, i), index in enc.qrun_index.items():
+                children = tree.nodes[nid].children
+                run = children[:i] if side == "L" else children[len(children) - i :]
+                leafset = frozenset().union(*(c.leaf_set for c in run))
+                assert enc.family.sets[index] == full_scan_confined(tree, tree.nodes[nid], leafset)
+                checked += 1
+        assert checked > 100
 
 
 class TestInnerVertices:

@@ -209,6 +209,68 @@ class TestLift:
                 lift_to_vertices(cd, gen)  # verifies internally
 
 
+def branch_graph_with_pendants():
+    """Three interval branches on cut vertices of a junction, each branch end
+    extended by a pendant path: simplicial, separator and residual levels."""
+    edges = []
+    for b in (1, 5, 9):
+        x, y, z = b + 1, b + 2, b + 3
+        edges += [(0, b), (b, x), (b, y), (b, z), (x, y), (y, z)]
+    for end, nxt in ((4, 13), (8, 15), (12, 17)):
+        edges += [(end, nxt), (nxt, nxt + 1)]
+    return Graph(19, edges)
+
+
+class TestTreeReuse:
+    """Each fragment's PQ-tree is built once, by the decomposition, and the
+    level groups and the lift read it from there."""
+
+    @staticmethod
+    def record_builds(monkeypatch) -> list:
+        import tgraphs.decompose as decompose
+        import tgraphs.interval as interval
+
+        built = []
+        original = interval.build_pq_tree
+
+        def recording(g):
+            built.append(original(g))
+            return built[-1]
+
+        def forbidden(host):
+            raise AssertionError("a decision split a marked host to rebuild its trees")
+
+        for module in (decompose, interval):
+            monkeypatch.setattr(module, "build_pq_tree", recording)
+        monkeypatch.setattr(interval, "_component_trees", forbidden)
+        return built
+
+    def test_relabelled_path_builds_two_trees(self, monkeypatch):
+        g = path_graph(21)
+        h, _ = random_relabel(g, 3)
+        built = self.record_builds(monkeypatch)
+        assert is_isomorphic(g, h, 2).kind == ISOMORPHIC
+        assert len(built) == 2  # each side is one residual fragment
+
+    def test_no_fragment_tree_built_twice(self, monkeypatch):
+        g = branch_graph_with_pendants()
+        h, _ = random_relabel(g, 7)
+        built = self.record_builds(monkeypatch)
+        cd = combine(g, h, 3)
+        assert cd.depth >= 2
+        assert {cf.provenance for cf in cd.fragments} == {"simplicial", "separator", "residual"}
+        decomposed = len(built)
+        group = decomposition_autgroup(cd)
+        lift_to_vertices(cd, find_block_swap(group, cd.side_points(0), cd.side_points(1)))
+        assert len(built) == decomposed  # the level groups and the lift build none
+        own = {cf.gid: cf.tree if cf.completion is None else cf.completion.tree for cf in cd.fragments}
+        assert len({id(tree) for tree in own.values()}) == len(cd.fragments)
+        for bucket in (b for buckets in cd.buckets.values() for b in buckets):
+            assert len(bucket.context.enc.trees) == len(bucket.frags)
+            for tree, cf in zip(bucket.context.enc.trees, bucket.frags):
+                assert tree is own[cf.gid]
+
+
 class TestIsIsomorphic:
     def test_identity_instance(self):
         g = subdivided_claw()
