@@ -39,9 +39,7 @@ from .perm import (
     MembershipPredicate,
     Perm,
     PermGroup,
-    build_group,
     direct_product,
-    exists_block_swap,
     fhl_subgroup,
     find_block_swap,
     symmetric_on_classes,
@@ -59,7 +57,6 @@ from .interval import (
     PQTree,
     brute_marked_autgroup,
     build_pq_tree,
-    inner_vertices,
     marked_action_group,
     marked_isomorphism,
     pq_tree_to_text,
@@ -131,12 +128,10 @@ __all__ = [
     "Perm",
     "PermGroup",
     "MembershipPredicate",
-    "build_group",
     "fhl_subgroup",
     "tower_of_groups",
     "direct_product",
     "symmetric_on_classes",
-    "exists_block_swap",
     "find_block_swap",
     # set families
     "SetFamily",
@@ -148,7 +143,6 @@ __all__ = [
     "PQTree",
     "MarkedIntervalGraph",
     "build_pq_tree",
-    "inner_vertices",
     "reduce_clean",
     "marked_action_group",
     "marked_isomorphism",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional
 
@@ -32,15 +32,6 @@ class CliqueTree:
     nodes: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]  # (i, j), i < j
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return out
-
 
 INDISPENSABLE = "indispensable"
 UNNECESSARY = "unnecessary"
@@ -49,10 +40,9 @@ OPTIONAL = "optional"
 
 @dataclass(frozen=True)
 class Separator:
-    """Minimal vertex separator; optionally flags one component it cuts off."""
+    """Minimal vertex separator."""
 
     vertices: tuple[int, ...]
-    component: Optional[frozenset[int]] = field(default=None, compare=False)
 
 
 def maximum_cardinality_search(g: Graph) -> list[int]:
@@ -279,87 +269,40 @@ def _multigraph_bridges(edges, comp):
 def leaf_cliques(g: Graph) -> list[tuple[int, ...]]:
     """Maximal cliques that can be a leaf of some clique tree.
 
-    A clique qualifies iff it is incident to at most one indispensable edge
-    and is not a cutvertex of the clique graph minus unnecessary edges.
+    A clique C of a connected chordal graph is a leaf of some clique tree iff
+    every vertex that C shares with another clique lies in one single other
+    clique D (Blair and Peyton, An introduction to chordal graphs and clique
+    trees, 1993). Only if: in a tree where C hangs off D, every path from C
+    passes through D, so by the running-intersection property D holds every
+    vertex C shares. If: deleting C's private vertices leaves a connected
+    chordal graph whose maximal cliques are the other cliques; take any clique
+    tree of it and hang C off D. A single clique is a leaf.
     """
     if not g.is_connected():
         raise Disconnected("leaf_cliques requires a connected graph")
-    wcg = weighted_clique_graph(g)
-    classes = classify_edges(wcg)
-    k = len(wcg.nodes)
-    indis = [0] * k
-    adj = [[] for _ in range(k)]
-    for (i, j), cls in classes.items():
-        if cls == INDISPENSABLE:
-            indis[i] += 1
-            indis[j] += 1
-        if cls != UNNECESSARY:
-            adj[i].append(j)
-            adj[j].append(i)
-    cut = _cutvertices(k, adj)
-    return [wcg.nodes[i] for i in range(k) if indis[i] <= 1 and i not in cut]
-
-
-def _cutvertices(n, adj):
-    """Articulation points via iterative Tarjan DFS."""
-    index = [-1] * n
-    low = [0] * n
-    cut = set()
-    counter = [0]
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        root_children = 0
-        stack = [(root, -1, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            node, parent, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if index[nxt] == -1:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    if node == root:
-                        root_children += 1
-                    stack.append((nxt, node, iter(adj[nxt])))
-                    advanced = True
-                    break
-                elif nxt != parent:
-                    low[node] = min(low[node], index[nxt])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pnode = stack[-1][0]
-                    low[pnode] = min(low[pnode], low[node])
-                    if pnode != root and low[node] >= index[pnode]:
-                        cut.add(pnode)
-        if root_children >= 2:
-            cut.add(root)
-    return cut
+    cliques = maximal_cliques(g)
+    holders: list[set[int]] = [set() for _ in g.vertices()]  # per vertex, the cliques holding it
+    for i, c in enumerate(cliques):
+        for v in c:
+            holders[v].add(i)
+    out = []
+    for i, c in enumerate(cliques):
+        others = [holders[v] - {i} for v in c if len(holders[v]) > 1]
+        if not others or set.intersection(*others):
+            out.append(c)
+    return out
 
 
 def minimal_separators(g: Graph) -> list[Separator]:
     """All minimal vertex separators of a connected chordal graph.
 
     Realized as deduplicated intersections of adjacent cliques along a
-    clique tree; each is a clique. A cut-off component is attached for
-    convenience.
+    clique tree; each is a clique.
     """
     if g.n == 0:
         return []
     if not g.is_connected():
         raise Disconnected("minimal_separators requires a connected graph")
     tree = clique_tree(g)
-    seen: dict[tuple[int, ...], Separator] = {}
-    for i, j in tree.edges:
-        s = frozenset(tree.nodes[i]) & frozenset(tree.nodes[j])
-        key = tuple(sorted(s))
-        if not key or key in seen:
-            continue
-        allowed = frozenset(v for v in g.vertices() if v not in s)
-        # flag the component containing the lowest vertex outside s
-        start = min(allowed)
-        comp = frozenset(g.connected_in(allowed, start))
-        seen[key] = Separator(key, comp)
-    return [seen[k] for k in sorted(seen)]
+    keys = {tuple(sorted(frozenset(tree.nodes[i]) & frozenset(tree.nodes[j]))) for i, j in tree.edges}
+    return [Separator(key) for key in sorted(keys) if key]

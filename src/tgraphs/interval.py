@@ -15,10 +15,10 @@ from itertools import accumulate
 from typing import Any, Iterator, Optional, Sequence
 
 from .chordal import is_chordal, maximal_cliques
-from .errors import IndexBoundExceeded, TooLarge
+from .errors import TooLarge
 from .graph import Graph
 from .perm import Perm, PermGroup, find_element
-from .setfamily import SetFamily, family_autgroup, max_antichain_size
+from .setfamily import SetFamily, family_autgroup
 
 
 class PQNode:
@@ -118,12 +118,13 @@ def _overlaps(a: frozenset, b: frozenset) -> bool:
     return bool(a & b) and not (a <= b) and not (b <= a)
 
 
-def _insert_row(cells: list[frozenset[int]], placed: frozenset[int], w: frozenset[int]) -> list[list[frozenset[int]]]:
-    """Legal cell sequences after requiring w to be consecutive; empty when infeasible.
+def _insert_row(cells: list[frozenset[int]], placed: frozenset[int], w: frozenset[int]) -> Optional[list[frozenset[int]]]:
+    """The cell sequence after requiring w to be consecutive, or None when infeasible.
 
     New elements of w can only extend an end of the current sequence, and a
     partially covered end cell must face its covered part toward the run
-    interior (or toward the new elements). Ambiguous attachments branch.
+    interior (or toward the new elements). When both ends could take the new
+    elements, the left one does (see `_order_component`).
     """
     marks = []
     for c in cells:
@@ -131,89 +132,56 @@ def _insert_row(cells: list[frozenset[int]], placed: frozenset[int], w: frozense
         marks.append(0 if not inter else (2 if c <= w else 1))
     nz = [i for i, m in enumerate(marks) if m]
     if not nz:
-        return []
+        return None
     lo, hi = nz[0], nz[-1]
     if any(marks[i] == 0 for i in range(lo, hi + 1)):
-        return []
+        return None
     if any(marks[i] == 1 for i in range(lo + 1, hi)):
-        return []
+        return None
     extras = frozenset(w - placed)
     single = lo == hi
+    # the end cells of the run, split with the covered part inward (empty parts drop out)
+    head = [cells[lo] - w, cells[lo] & w]
+    tail = [cells[hi] & w, cells[hi] - w]
     if not extras:
-        if single and marks[lo] == 1:
-            return []  # nested in one cell: cannot overlap anything processed
-        out = list(cells[:lo])
-        if marks[lo] == 1:
-            out += [cells[lo] - w, cells[lo] & w]
-        else:
-            out.append(cells[lo])
-        out += list(cells[lo + 1 : hi])
-        if hi > lo:
-            if marks[hi] == 1:
-                out += [cells[hi] & w, cells[hi] - w]
-            else:
-                out.append(cells[hi])
-        out += list(cells[hi + 1 :])
-        return [[c for c in out if c]]
-    options: list[list[frozenset[int]]] = []
-    attach_left = lo == 0 and (single or marks[lo] == 2)
-    attach_right = hi == len(cells) - 1 and (single or marks[hi] == 2)
-    if attach_left:
-        out = [extras]
-        if single and marks[lo] == 1:
-            out += [cells[lo] & w, cells[lo] - w]
-        else:
-            out += list(cells[lo:hi])
-            if marks[hi] == 1:
-                out += [cells[hi] & w, cells[hi] - w]
-            else:
-                out.append(cells[hi])
-        out += list(cells[hi + 1 :])
-        options.append([c for c in out if c])
-    if attach_right:
-        out = list(cells[:lo])
-        if single and marks[lo] == 1:
-            out += [cells[lo] - w, cells[lo] & w]
-        else:
-            if marks[lo] == 1:
-                out += [cells[lo] - w, cells[lo] & w]
-            else:
-                out.append(cells[lo])
-            out += list(cells[lo + 1 : hi + 1])
-        out.append(extras)
-        out += list(cells[hi + 1 :])
-        options.append([c for c in out if c])
-    return options
+        if single:
+            return None if marks[lo] == 1 else cells  # nested in one cell: cannot overlap anything placed
+        out = cells[:lo] + head + cells[lo + 1 : hi] + tail + cells[hi + 1 :]
+    elif lo == 0 and (single or marks[lo] == 2):
+        out = [extras] + cells[:hi] + tail + cells[hi + 1 :]
+    elif hi == len(cells) - 1 and (single or marks[hi] == 2):
+        out = cells[:lo] + head + cells[lo + 1 :] + [extras]
+    else:
+        return None
+    return [c for c in out if c]
 
 
 def _order_component(comp_rows: list[frozenset[int]]) -> Optional[list[frozenset[int]]]:
     """A cell order realizing one overlap component consecutively, or None.
 
-    The order is unique up to reversal; transiently ambiguous end attachments
-    are resolved by backtracking against the later rows.
+    The order is forced up to reversal, so one pass finds it. Each row after
+    the first overlaps an earlier one (`_bfs_rows`). For both ends to take a
+    row's new elements, the row would have to cover every placed cell and so
+    contain every earlier row, which it cannot while it overlaps one of them.
+    So only the second row has two insertions, and they are mirror images;
+    every later insertion commutes with reversal, so the left one loses
+    nothing.
     """
     ordered = _bfs_rows(comp_rows)
-
-    def valid(cells: list[frozenset[int]]) -> bool:
-        for r in comp_rows:
-            idx = [i for i, c in enumerate(cells) if c & r]
-            if idx != list(range(idx[0], idx[-1] + 1)):
-                return False
-            if frozenset().union(*(cells[i] for i in idx)) != r:
-                return False
-        return True
-
-    # depth-first over the insertion options, first option first
-    stack = [([frozenset(ordered[0])], frozenset(ordered[0]), 1)]
-    while stack:
-        cells, placed, k = stack.pop()
-        if k == len(ordered):
-            if valid(cells):
-                return cells
-            continue
-        w = ordered[k]
-        stack.extend((option, placed | w, k + 1) for option in reversed(_insert_row(cells, placed, w)))
-    return None
+    cells: Optional[list[frozenset[int]]] = [ordered[0]]
+    placed = ordered[0]
+    for w in ordered[1:]:
+        cells = _insert_row(cells, placed, w)
+        if cells is None:
+            return None
+        placed |= w
+    for r in comp_rows:
+        idx = [i for i, c in enumerate(cells) if c & r]
+        if idx != list(range(idx[0], idx[-1] + 1)):
+            return None
+        if frozenset().union(*(cells[i] for i in idx)) != r:
+            return None
+    return cells
 
 
 def _build_node(ground: list[int], rows: list[frozenset[int]]) -> Optional[PQNode]:
@@ -350,17 +318,6 @@ def build_pq_tree(g: Graph) -> Optional[PQTree]:
     return _finalize(PQTree(g, cliques, root, vertex_cliques))
 
 
-def inner_vertices(tree: PQTree, node: PQNode) -> frozenset[int]:
-    """Vertices belonging to >= 2 children of the node but to no sibling.
-
-    Vacuously empty for leaves; for P-nodes these vertices belong to all
-    children.
-    """
-    if node.kind == "L":
-        return frozenset()
-    return tree.assigned_vertices(node)
-
-
 def pq_tree_to_text(tree: PQTree) -> str:
     """Bracketed serialization: P(...), Q(...), L{v1,...}."""
 
@@ -457,17 +414,14 @@ class CleanReduction:
 
     tree: PQTree
     retained: tuple[PQNode, ...]
-    clean: dict[int, bool]  # nid -> subtree entirely clean
     discarded: dict[int, tuple[tuple[int, tuple], ...]]  # parent nid -> ((child pos, code), ...)
     annotations: dict[int, tuple]  # retained nid -> annotation
 
 
-def reduce_clean(tree: PQTree, marked: frozenset[int], antichain_cap: Optional[int] = None) -> CleanReduction:
+def reduce_clean(tree: PQTree, marked: frozenset[int]) -> CleanReduction:
     """Discard maximal clean subtrees, annotating their parents with codes.
 
-    A subtree is clean when no vertex assigned inside it is marked. The number
-    of non-clean subtrees per depth is checked against the antichain cap when
-    one is supplied (IndexBoundExceeded when it is passed).
+    A subtree is clean when no vertex assigned inside it is marked.
     """
     node_clean: dict[int, bool] = {}
     subtree_clean: dict[int, bool] = {}
@@ -491,18 +445,6 @@ def reduce_clean(tree: PQTree, marked: frozenset[int], antichain_cap: Optional[i
             discarded[node.nid] = tuple(drops)
 
     walk(tree.root)
-    if antichain_cap is not None:
-        per_depth: dict[int, int] = {}
-        for node in tree.nodes:
-            if not subtree_clean[node.nid]:
-                per_depth[node.depth] = per_depth.get(node.depth, 0) + 1
-        for depth, count in per_depth.items():
-            if count > max(antichain_cap, 1):
-                raise IndexBoundExceeded(
-                    f"non-clean subtrees at depth {depth}: {count} > {antichain_cap}",
-                    bound=antichain_cap,
-                    stage="clean-reduction",
-                )
     annotations: dict[int, tuple] = {}
     for node in retained:
         drops = discarded.get(node.nid, ())
@@ -510,7 +452,7 @@ def reduce_clean(tree: PQTree, marked: frozenset[int], antichain_cap: Optional[i
             annotations[node.nid] = ("node", "Q", ())
         else:
             annotations[node.nid] = ("node", node.kind, tuple(sorted(code for _pos, code in drops)))
-    return CleanReduction(tree, tuple(retained), subtree_clean, discarded, annotations)
+    return CleanReduction(tree, tuple(retained), discarded, annotations)
 
 
 @dataclass
@@ -520,7 +462,6 @@ class _Encoding:
     marked: MarkedIntervalGraph
     family: SetFamily
     a_indices: list[list[int]]  # per marked family, global indices
-    tail_index: Optional[int]
     trees: list[PQTree]
     backs: list[Sequence[int]]  # per tree, local vertex id -> host vertex id
     b_index: dict[tuple[int, int], int]  # (tree idx, nid) -> family index
@@ -579,9 +520,8 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
             comp = comp_id_of_vertex[min(s)] if s else -1
             idxs.append(add(s, ("A", j), comp))
         a_indices.append(idxs)
-    tail_index = None
     if m.tail is not None:
-        tail_index = add(frozenset([m.tail]), ("tail",), comp_id_of_vertex[m.tail])
+        add(frozenset([m.tail]), ("tail",), comp_id_of_vertex[m.tail])
 
     trees = []
     reductions = []
@@ -644,7 +584,6 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
         m,
         family,
         a_indices,
-        tail_index,
         trees,
         [back for _tree, back in tree_comps],
         b_index,
@@ -654,16 +593,8 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
     )
 
 
-def marked_action_group(m: MarkedIntervalGraph, antichain_bound: Optional[int] = None) -> PermGroup:
+def marked_action_group(m: MarkedIntervalGraph) -> PermGroup:
     """Action on marked-set indices of tail-fixing, family-preserving host automorphisms."""
-    if antichain_bound is not None:
-        actual = max_antichain_size(SetFamily(m.host.n, m.flat_sets()))
-        if actual > antichain_bound:
-            raise IndexBoundExceeded(
-                f"marked antichain {actual} exceeds declared bound {antichain_bound}",
-                bound=antichain_bound,
-                stage="marked-antichain",
-            )
     return MarkedContext(m).action_group()
 
 

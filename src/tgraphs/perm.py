@@ -5,8 +5,9 @@ Composition convention: (p * q)(x) == q(p(x)), i.e. apply p first, then q.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -95,19 +96,6 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm({list(self.images)})"
-
-
-def format_perm(p: Perm) -> str:
-    """One-line image array: '[i0 i1 ... i(m-1)]'."""
-    return "[" + " ".join(str(i) for i in p.images) + "]"
-
-
-def parse_perm(text: str) -> Perm:
-    inner = text.strip()
-    if inner.startswith("[") and inner.endswith("]"):
-        inner = inner[1:-1]
-    parts = inner.replace(",", " ").split()
-    return Perm([int(x) for x in parts])
 
 
 class _Level:
@@ -223,19 +211,17 @@ class PermGroup:
     __contains__ = contains
 
     def elements(self, limit: int = 1_000_000) -> Iterator[Perm]:
-        """All group elements (guarded; intended for small groups)."""
+        """All group elements (guarded; intended for small groups).
+
+        Each element is a product t_k * ... * t_0 of one transversal element
+        per chain level; the last level varies slowest and level 0 fastest.
+        Trivial levels contribute only the identity, so they are skipped.
+        """
         if self.order() > limit:
             raise ValueError(f"group order {self.order()} exceeds limit {limit}")
-
-        def rec(i: int) -> Iterator[Perm]:
-            if i == len(self._levels):
-                yield Perm.identity(self.degree)
-                return
-            for h in rec(i + 1):
-                for t in self._levels[i].transversal.values():
-                    yield h * t
-
-        return rec(0)
+        factors = [lvl.transversal.values() for lvl in reversed(self._levels) if len(lvl.transversal) > 1]
+        identity = Perm.identity(self.degree)
+        return (reduce(Perm.__mul__, ts, identity) for ts in product(*factors))
 
     def _with_base_prefix(self, points: Sequence[int]) -> "PermGroup":
         """This group, or the same group on a chain whose base starts with points."""
@@ -298,21 +284,8 @@ class PermGroup:
             return None
         return dfs(0, identity)
 
-    def to_json(self) -> str:
-        """Generators as a JSON array of image arrays."""
-        return json.dumps([list(g.images) for g in self.generators])
-
-    @classmethod
-    def from_json(cls, degree: int, text: str) -> "PermGroup":
-        return cls(degree, [Perm(images) for images in json.loads(text)])
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
-
-
-def build_group(m: int, gens: Iterable[Perm]) -> PermGroup:
-    """Group generated by gens acting on 0..m-1."""
-    return PermGroup(m, gens)
 
 
 @dataclass
@@ -504,10 +477,4 @@ def find_block_swap(group: PermGroup, block_a: Iterable[int], block_b: Iterable[
     """An element mapping block_a onto block_b and block_b onto block_a, or None."""
     a = frozenset(block_a)
     b = frozenset(block_b)
-    if not a and not b:
-        return Perm.identity(group.degree)
     return find_element(group, None, [(a, b), (b, a)])
-
-
-def exists_block_swap(group: PermGroup, block_a: Iterable[int], block_b: Iterable[int]) -> bool:
-    return find_block_swap(group, block_a, block_b) is not None

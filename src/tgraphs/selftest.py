@@ -24,7 +24,7 @@ from .harness import (
 )
 from .interval import MarkedIntervalGraph, brute_marked_autgroup, build_pq_tree, marked_action_group
 from .iso import ISOMORPHIC, NOT_T_GRAPH, combine, decomposition_autgroup, is_isomorphic, project_automorphism
-from .perm import MembershipPredicate, Perm, PermGroup, build_group, fhl_subgroup, symmetric_on_classes, tower_of_groups
+from .perm import MembershipPredicate, Perm, PermGroup, fhl_subgroup, symmetric_on_classes, tower_of_groups
 from .setfamily import SetFamily, family_autgroup, is_family_automorphism, max_antichain_size
 
 
@@ -193,7 +193,7 @@ def _group_engine(cfg) -> Check:
     """Criterion 5: FHL subgroups and a tower of groups against enumeration."""
 
     def s_n(n: int) -> PermGroup:
-        return build_group(n, [Perm.from_cycles(n, [(0, 1)]), Perm.from_cycles(n, [tuple(range(n))])])
+        return PermGroup(n, [Perm.from_cycles(n, [(0, 1)]), Perm.from_cycles(n, [tuple(range(n))])])
 
     def wrong_subgroup(group: PermGroup, pred: MembershipPredicate) -> bool:
         sub = fhl_subgroup(group, pred)
@@ -222,7 +222,7 @@ def _group_engine(cfg) -> Check:
             images = list(range(degree))
             rng.shuffle(images)
             gens.append(Perm(images))
-        group = build_group(degree, gens)
+        group = PermGroup(degree, gens)
         fixed = rng.randrange(degree)
         mismatches += wrong_subgroup(group, MembershipPredicate(lambda p, f=fixed: p(f) == f, group.order(), "stab"))
     detail = f"{mismatches} fixture mismatches; per-stage bounds asserted in every tower run"

@@ -7,7 +7,6 @@ sizes, each leaf checked against the cardinality Venn diagram.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
@@ -43,25 +42,6 @@ class SetFamily:
     def __len__(self) -> int:
         return len(self.sets)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ground": self.ground,
-                "sets": [sorted(s) for s in self.sets],
-                "annotations": list(self.annotations),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SetFamily":
-        """Inverse of to_json; JSON arrays in annotations come back as tuples."""
-        data = json.loads(text)
-        return cls(data["ground"], data["sets"], _tuples(data.get("annotations")))
-
-
-def _tuples(x: Any) -> Any:
-    return tuple(map(_tuples, x)) if isinstance(x, list) else x
-
 
 def cell_signature(family: SetFamily) -> dict[frozenset[int], int]:
     """Nonzero cells of the cardinality Venn diagram, keyed by membership pattern.
@@ -94,31 +74,6 @@ def is_family_automorphism(family: SetFamily, p: Perm) -> bool:
         if sig.get(image) != count:
             return False
     return True
-
-
-def ground_witness(family: SetFamily, p: Perm) -> Optional[Perm]:
-    """A ground bijection realizing p's Venn equality, or None.
-
-    Matches ground elements cell-by-cell; the result preserves incidence but
-    is not in general a graph automorphism of anything.
-    """
-    member = [frozenset() for _ in range(family.ground)]
-    buckets: dict[frozenset[int], list[int]] = {}
-    for z in range(family.ground):
-        pat = frozenset(i for i, s in enumerate(family.sets) if z in s)
-        member[z] = pat
-        buckets.setdefault(pat, []).append(z)
-    images = [0] * family.ground
-    taken: dict[frozenset[int], int] = {}
-    for z in range(family.ground):
-        target = frozenset(p(i) for i in member[z])
-        pool = buckets.get(target)
-        k = taken.get(target, 0)
-        if pool is None or k >= len(pool):
-            return None
-        images[z] = pool[k]
-        taken[target] = k + 1
-    return Perm(images)
 
 
 def max_antichain_size(family: SetFamily) -> int:

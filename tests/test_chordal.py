@@ -288,24 +288,40 @@ class TestLeafCliques:
     def test_single_clique(self):
         assert leaf_cliques(complete_graph(4)) == [(0, 1, 2, 3)]
 
-    @pytest.mark.parametrize("seed", range(12))
+    def test_clique_between_an_indispensable_edge_and_a_triangle(self):
+        # (4, 5, 7, 8) shares {5, 7, 8} only with (2, 3, 5, 7, 8) and {4, 7} only
+        # with (0, 4, 7) and (4, 6, 7), so every clique tree joins it to both sides
+        edges = [(0, 4), (0, 7), (1, 7), (2, 3), (2, 5), (2, 7), (2, 8), (3, 5), (3, 7)]
+        edges += [(3, 8), (4, 5), (4, 6), (4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (7, 8)]
+        g = Graph(9, edges)
+        assert leaf_cliques(g) == [(0, 4, 7), (1, 7), (2, 3, 5, 7, 8), (4, 6, 7)]
+        assert set(leaf_cliques(g)) == brute_leaf_cliques(weighted_clique_graph(g))
+
+    @pytest.mark.parametrize("seed", range(60))
     def test_matches_leaf_of_some_tree(self, seed):
-        g = random_chordal(7, 400 + seed)
-        wcg = weighted_clique_graph(g)
-        if not (2 <= len(wcg.nodes) <= 7):
+        compared = 0
+        for n in (7, 9):
+            g = random_chordal(n, 400 + seed)
+            wcg = weighted_clique_graph(g)
+            if not (2 <= len(wcg.nodes) <= 7):
+                continue  # keep brute enumeration small
+            assert set(leaf_cliques(g)) == brute_leaf_cliques(wcg)
+            compared += 1
+        if not compared:
             pytest.skip("keep brute enumeration small")
-        got = set(leaf_cliques(g))
-        expect = set()
-        k = len(wcg.nodes)
-        for tree in max_weight_spanning_trees(wcg):
-            deg = [0] * k
-            for i, j, _w in tree:
-                deg[i] += 1
-                deg[j] += 1
-            for i in range(k):
-                if deg[i] <= 1:
-                    expect.add(wcg.nodes[i])
-        assert got == expect
+
+
+def brute_leaf_cliques(wcg):
+    """Cliques of degree at most 1 in some maximum-weight spanning tree."""
+    k = len(wcg.nodes)
+    out = set()
+    for tree in max_weight_spanning_trees(wcg):
+        deg = [0] * k
+        for i, j, _w in tree:
+            deg[i] += 1
+            deg[j] += 1
+        out.update(wcg.nodes[i] for i in range(k) if deg[i] <= 1)
+    return out
 
 
 def brute_minimal_separators(g):

@@ -15,13 +15,12 @@ from tgraphs.interval import (
     MarkedIntervalGraph,
     brute_marked_autgroup,
     build_pq_tree,
-    inner_vertices,
     marked_action_group,
     marked_isomorphism,
     pq_tree_to_text,
     reduce_clean,
 )
-from tgraphs.setfamily import SetFamily, family_autgroup, max_antichain_size
+from tgraphs.setfamily import family_autgroup, max_antichain_size
 
 
 def brute_valid_orders(g):
@@ -212,17 +211,12 @@ class TestCliqueIncidence:
 class TestInnerVertices:
     def test_claw_root(self):
         tree = build_pq_tree(star_graph(3))
-        assert inner_vertices(tree, tree.root) == {0}
-
-    def test_leaf_is_empty(self):
-        tree = build_pq_tree(star_graph(3))
-        leaf = tree.root.children[0]
-        assert inner_vertices(tree, leaf) == frozenset()
+        assert tree.assigned_vertices(tree.root) == {0}
 
     def test_path4_root(self):
         tree = build_pq_tree(path_graph(4))
         # definition evaluated directly: vertices in >= 2 children, no sibling
-        got = inner_vertices(tree, tree.root)
+        got = tree.assigned_vertices(tree.root)
         want = set()
         for v in range(4):
             kv = [c for c in tree.root.children if v in tree.belongs(c)]
@@ -262,13 +256,6 @@ class TestReduceClean:
                 parent = next(n for n in tree.nodes if n.nid == parent_nid)
                 child = parent.children[pos]
                 assert not tree.assigned_vertices(child)
-
-    def test_depth_bound_assertion(self):
-        g = random_connected_interval(8, 11)
-        tree = build_pq_tree(g)
-        marked = frozenset([0])
-        fam = SetFamily(g.n, [[0]])
-        reduce_clean(tree, marked, antichain_cap=max_antichain_size(fam))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_equal_codes_mean_isomorphic_subtrees(self, seed):
@@ -449,7 +436,6 @@ class TestMarkedIsomorphism:
             return max_antichain_size(family)
 
         monkeypatch.setattr(tgraphs.setfamily, "max_antichain_size", counting)
-        monkeypatch.setattr(tgraphs.interval, "max_antichain_size", counting)
         for seed in (4, 6, 7):
             calls.clear()
             MarkedContext(random_marked(6, seed)).group
@@ -494,16 +480,3 @@ _realize_vertex_map(enc, Perm(images))
         run = subprocess.run([sys.executable, "-O", "-c", self.SCRIPT], capture_output=True, text=True, env=env)
         assert run.returncode != 0
         assert "AssertionError: cell sizes disagree under tau" in run.stderr, run.stderr
-
-    def test_clean_cap_raises_under_python_O(self):
-        # two marked leaves of the claw's P-node: two non-clean subtrees at depth 1
-        script = """
-from tgraphs.graph import star_graph
-from tgraphs.interval import build_pq_tree, reduce_clean
-reduce_clean(build_pq_tree(star_graph(3)), frozenset({1, 2}), antichain_cap=1)
-"""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(tgraphs.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
-        assert run.returncode != 0
-        assert "IndexBoundExceeded: non-clean subtrees at depth 1: 2 > 1" in run.stderr, run.stderr

@@ -13,14 +13,10 @@ from tgraphs.perm import (
     MembershipPredicate,
     Perm,
     PermGroup,
-    build_group,
     direct_product,
-    exists_block_swap,
     fhl_subgroup,
     find_block_swap,
     find_element,
-    format_perm,
-    parse_perm,
     symmetric_on_classes,
     tower_of_groups,
 )
@@ -72,44 +68,60 @@ class TestPerm:
         with pytest.raises(ValueError):
             Perm([0, 0, 1])
 
-    def test_serialization(self):
-        p = Perm([2, 0, 1])
-        assert format_perm(p) == "[2 0 1]"
-        assert parse_perm("[2 0 1]") == p
-
 
 class TestBuildGroup:
     def test_s3(self):
-        g = build_group(3, [Perm([1, 0, 2]), Perm([1, 2, 0])])
+        g = PermGroup(3, [Perm([1, 0, 2]), Perm([1, 2, 0])])
         assert g.order() == 6
 
     def test_trivial(self):
-        assert build_group(4, []).order() == 1
+        assert PermGroup(4, []).order() == 1
 
     def test_cyclic5(self):
-        g = build_group(5, [Perm([1, 2, 3, 4, 0])])
+        g = PermGroup(5, [Perm([1, 2, 3, 4, 0])])
         assert g.order() == 5
 
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
-            build_group(3, [Perm([1, 0])])
+            PermGroup(3, [Perm([1, 0])])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_order_matches_closure(self, seed):
         rng = random.Random(seed)
         degree = rng.randint(2, 7)
         gens = [random_perm(degree, rng) for _ in range(rng.randint(1, 3))]
-        group = build_group(degree, gens)
+        group = PermGroup(degree, gens)
         assert group.order() == len(closure(degree, gens))
 
     def test_elements_enumeration(self):
         gens = [Perm([1, 0, 2, 3]), Perm([0, 2, 1, 3])]
-        group = build_group(4, gens)
+        group = PermGroup(4, gens)
         elems = set(p.images for p in group.elements())
         assert len(elems) == group.order() == 6
 
+    @pytest.mark.parametrize("base", [(), (3, 0, 4, 1, 2)])
+    def test_elements_order(self, base):
+        # products t_k * ... * t_0, the last chain level varying slowest
+        group = PermGroup(5, [Perm([1, 0, 2, 3, 4]), Perm([1, 2, 3, 4, 0])], base=base)
+        want = [Perm.identity(5)]
+        for lvl in reversed(group._levels):
+            want = [h * t for h in want for t in lvl.transversal.values()]
+        assert list(group.elements()) == want
+        assert len(want) == 120
+
+    def test_elements_of_a_long_chain_under_default_recursion_limit(self):
+        n = 1200
+        group = PermGroup(n, [Perm.from_cycles(n, [(0, 1)])], base=range(n))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            elems = list(group.elements())
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [p.moved_points() for p in elems] == [[], [0, 1]]
+
     def test_contains_identity_always(self):
-        group = build_group(4, [Perm([1, 2, 3, 0])])
+        group = PermGroup(4, [Perm([1, 2, 3, 0])])
         assert group.contains(Perm.identity(4))
         for g in group.generators:
             assert group.contains(g.inverse())
@@ -117,18 +129,18 @@ class TestBuildGroup:
 
 class TestContains:
     def test_s3_contains_transposition(self):
-        g = build_group(3, [Perm([1, 0, 2]), Perm([1, 2, 0])])
+        g = PermGroup(3, [Perm([1, 0, 2]), Perm([1, 2, 0])])
         assert g.contains(Perm([2, 1, 0]))
 
     def test_cyclic_does_not_contain_swap(self):
-        g = build_group(5, [Perm([1, 2, 3, 4, 0])])
+        g = PermGroup(5, [Perm([1, 2, 3, 4, 0])])
         assert not g.contains(Perm([1, 0, 2, 3, 4]))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_word_is_member(self, seed):
         rng = random.Random(seed)
         gens = [random_perm(6, rng) for _ in range(2)]
-        group = build_group(6, gens)
+        group = PermGroup(6, gens)
         word = Perm.identity(6)
         for _ in range(rng.randint(1, 8)):
             word = word * rng.choice(gens)
@@ -136,7 +148,7 @@ class TestContains:
 
 
 def s_n(n):
-    return build_group(n, [Perm.from_cycles(n, [(0, 1)]), Perm.from_cycles(n, [tuple(range(n))])])
+    return PermGroup(n, [Perm.from_cycles(n, [(0, 1)]), Perm.from_cycles(n, [tuple(range(n))])])
 
 
 class TestFhlSubgroup:
@@ -189,7 +201,7 @@ class TestFhlSubgroup:
     def test_matches_exhaustive_filter(self, seed):
         rng = random.Random(seed)
         gens = [random_perm(6, rng) for _ in range(2)]
-        group = build_group(6, gens)
+        group = PermGroup(6, gens)
         fixed = rng.randrange(6)
         pred = MembershipPredicate(lambda p: p(fixed) == fixed, group.order(), "stab")
         sub = fhl_subgroup(group, pred)
@@ -263,13 +275,13 @@ class TestProducts:
         assert direct_product([s2, s2]).order() == 4
 
     def test_s3_x_trivial(self):
-        assert direct_product([s_n(3), build_group(2, [])]).order() == 6
+        assert direct_product([s_n(3), PermGroup(2, [])]).order() == 6
 
     @pytest.mark.parametrize("seed", range(5))
     def test_order_is_product(self, seed):
         rng = random.Random(seed)
-        a = build_group(4, [random_perm(4, rng)])
-        b = build_group(3, [random_perm(3, rng)])
+        a = PermGroup(4, [random_perm(4, rng)])
+        b = PermGroup(3, [random_perm(3, rng)])
         assert direct_product([a, b]).order() == a.order() * b.order()
 
 
@@ -292,16 +304,19 @@ class TestSymmetricOnClasses:
 
 class TestBlockSwap:
     def test_simple_swap(self):
-        group = build_group(4, [Perm([2, 3, 0, 1])])
-        assert exists_block_swap(group, {0, 1}, {2, 3})
+        group = PermGroup(4, [Perm([2, 3, 0, 1])])
+        assert find_block_swap(group, {0, 1}, {2, 3}) is not None
 
     def test_trivial_group(self):
-        assert not exists_block_swap(build_group(2, []), {0}, {1})
+        assert find_block_swap(PermGroup(2, []), {0}, {1}) is None
+
+    def test_empty_blocks_give_identity(self):
+        assert find_block_swap(s_n(3), set(), set()).is_identity()
 
     def test_k3_plus_p3_components_do_not_swap(self):
         g = complete_graph(3).union_disjoint(path_graph(3))
         aut = brute_force_autgroup(g)
-        assert not exists_block_swap(aut, {0, 1, 2}, {3, 4, 5})
+        assert find_block_swap(aut, {0, 1, 2}, {3, 4, 5}) is None
 
     def test_twin_components_swap(self):
         g = path_graph(3).union_disjoint(path_graph(3))
@@ -318,7 +333,7 @@ class TestFindWithImages:
         assert p is not None and p(0) == 3 and p(1) == 2
 
     def test_infeasible(self):
-        group = build_group(4, [Perm([1, 2, 3, 0])])
+        group = PermGroup(4, [Perm([1, 2, 3, 0])])
         assert find_element(group, {0: 1, 1: 0}) is None
 
     def test_long_prescribed_base_under_default_recursion_limit(self):
@@ -342,7 +357,7 @@ class TestFindWithImages:
         rng = random.Random(seed)
         n = 7
         gens = [Perm.from_cycles(n, [rng.sample(range(n), rng.randint(2, 3))]) for _ in range(rng.randint(1, 2))]
-        group = build_group(n, gens)
+        group = PermGroup(n, gens)
         points = rng.sample(range(n), 5)
         target = rng.choice(list(group.elements()))
         images = {z: target(z) for z in points}
@@ -360,7 +375,7 @@ class TestStabilizer:
     FIXTURES = {
         "s4": lambda: s_n(4),
         "s5": lambda: s_n(5),
-        "blocks": lambda: build_group(5, [Perm([1, 0, 2, 3, 4]), Perm([2, 3, 0, 1, 4])]),
+        "blocks": lambda: PermGroup(5, [Perm([1, 0, 2, 3, 4]), Perm([2, 3, 0, 1, 4])]),
     }
 
     @pytest.mark.parametrize("points", [[0], [2, 0], [1, 3], [3, 0, 2]])
@@ -398,9 +413,3 @@ class TestStabilizer:
         p = find_element(chain, {0: 3, 1: 2})
         assert p is not None and p(0) == 3 and p(1) == 2
 
-
-class TestSerialization:
-    def test_group_json_roundtrip(self):
-        g = s_n(4)
-        h = PermGroup.from_json(4, g.to_json())
-        assert h.order() == g.order()
