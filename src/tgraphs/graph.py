@@ -51,9 +51,12 @@ class Graph:
         return True
 
     def subgraph(self, vs: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph and the old->new vertex map."""
+        """Induced subgraph and the old->new vertex map; on all the vertices, the
+        graph itself (graphs are immutable, so sharing it is safe)."""
         vs = sorted(set(vs))
         idx = {v: i for i, v in enumerate(vs)}
+        if vs == list(self.vertices()):
+            return self, idx
         edges = [(idx[u], idx[v]) for u in vs for v in self.adj[u] if u < v and v in idx]
         return Graph(len(vs), edges), idx
 

@@ -269,7 +269,8 @@ def decomposition_autgroup(cd: CombinedDecomposition) -> PermGroup:
             if t.origin_level == i
         }
         origins = sorted({o for _pos, _host, o in shard.values()})
-        lam = PermGroup(cd.level_degrees[i - 1], level_group(cd, i).generators, base=origins)
+        level = level_group(cd, i)
+        lam = PermGroup(level.degree, level.generators, base=origins, order=level.order())
 
         def realize(k: Perm, shard=shard, lam=lam) -> Optional[Perm]:
             """A level-group element inducing k's origin map; None if k has no such map or none fits."""
@@ -281,10 +282,12 @@ def decomposition_autgroup(cd: CombinedDecomposition) -> PermGroup:
             return find_element(lam, images)  # none fits a map that is not injective
 
         kept = tower_of_groups(group, [MembershipPredicate(lambda k, f=realize: f(k) is not None, bound, f"a2-{i}")])
+        fixer = lam.stabilizer(origins)
         pairs = [(realize(k), k) for k in kept.generators]
-        pairs += [(s, Perm.identity(kept.degree)) for s in lam.stabilizer(origins).generators]
+        pairs += [(s, Perm.identity(kept.degree)) for s in fixer.generators]
         gens = [Perm(a.images + tuple(x + lam.degree for x in k.images)) for a, k in pairs]
-        group = PermGroup(lam.degree + kept.degree, gens)
+        # (a, k) -> k maps the fibre product onto K with kernel the origin fixer
+        group = PermGroup(lam.degree + kept.degree, gens, order=kept.order() * fixer.order())
     return group
 
 

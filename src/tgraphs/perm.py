@@ -99,7 +99,7 @@ class Perm:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "inv_transversal", "processed")
+    __slots__ = ("point", "gens", "transversal", "inv_transversal", "closed", "pending")
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -107,17 +107,46 @@ class _Level:
         ident = Perm._raw(_identity_images(degree))
         self.transversal: dict[int, Perm] = {point: ident}
         self.inv_transversal: dict[int, Perm] = {point: ident}
-        self.processed: set[tuple[int, int]] = set()
+        # (points, generators): the first that many generators are applied to the first that many points
+        self.closed = (0, 0)
+        # applied (point, generator index) pairs that reached a known point: their Schreier generators are unformed
+        self.pending: list[tuple[int, int]] = []
 
 
 class PermGroup:
     """Permutation group with a base and strong generating set (Schreier-Sims).
 
+    Every generator on chain level i fixes the base points before level i,
+    and level i's transversal is the orbit of its base point under level i's
+    generators. So each transversal lies inside the true basic orbit, and the
+    product of the transversal lengths reaches the group order only when
+    every transversal is the whole basic orbit. Then, from the bottom level
+    up, each level's generators generate the pointwise stabiliser of the
+    earlier base points, so the chain is complete.
+
+    Without a known order the chain is completed by sifting Schreier
+    generators until none is left. With a known `order` the construction
+    strips and installs each generator, closes the orbits, and stops as soon
+    as the product reaches `order`; only if it falls short are Schreier
+    generators formed, and sifting stops at `order` too (Seress, Permutation
+    Group Algorithms, 2003). A chain that ends at any other order, or a
+    generator that does not strip once the order is reached, raises
+    AssertionError. A stated order below the true one that the product passes
+    through exactly goes unnoticed, so `order` must come from a counting
+    argument.
+
     Immutable once constructed; derived groups are new values.
     """
 
-    def __init__(self, degree: int, generators: Iterable[Perm] = (), base: Sequence[int] = ()):
-        """`base` lists points to lead the base in that order, moved or not."""
+    def __init__(
+        self,
+        degree: int,
+        generators: Iterable[Perm] = (),
+        base: Sequence[int] = (),
+        order: Optional[int] = None,
+    ):
+        """`base` lists points to lead the base in that order, moved or not;
+        `order`, if given, is the order of the group the generators generate."""
         self.degree = degree
         gens = []
         seen = set()
@@ -131,8 +160,11 @@ class PermGroup:
         self.generators: tuple[Perm, ...] = tuple(gens)
         self._levels: list[_Level] = [_Level(b, degree) for b in dict.fromkeys(base)]
         self._sifted: set[tuple[int, ...]] = set()
-        for g in self.generators:
-            self._add_strong_gen(g)
+        if order is None:
+            for g in self.generators:
+                self._sift([g])
+        else:
+            self._build_to_order(order)
 
     # -- construction ---------------------------------------------------
 
@@ -148,47 +180,84 @@ class PermGroup:
             h = h * inv
         return h, len(self._levels)
 
-    def _add_strong_gen(self, g: Perm):
-        queue = [g]
-        while queue:
+    def _install(self, h: Perm, l: int):
+        """Add the stripped h, which fixes the base points before level l, to levels 0..l."""
+        if l == len(self._levels):
+            self._levels.append(_Level(min(h.moved_points()), self.degree))
+        for i in range(l + 1):
+            self._levels[i].gens.append(h)
+        for i in range(l, -1, -1):
+            self._close_orbit(i)
+
+    def _sift(self, queue: list[Perm], order: Optional[int] = None):
+        """Sift the queued elements and the Schreier generators they give rise
+        to into the chain, until the queue is empty or the chain reaches order."""
+        while queue and (order is None or self.order() < order):
             h, l = self._strip(queue.pop())
             if h.is_identity():
                 continue
-            if l == len(self._levels):
-                self._levels.append(_Level(min(h.moved_points()), self.degree))
-            for i in range(l + 1):
-                self._levels[i].gens.append(h)
+            self._install(h, l)
             for i in range(l, -1, -1):
-                for sgen in self._close_orbit(i):
-                    # conjugate Schreier generators recur; sift each form once
-                    if sgen.images not in self._sifted:
-                        self._sifted.add(sgen.images)
-                        queue.append(sgen)
+                self._queue_schreier_generators(i, queue)
 
-    def _close_orbit(self, i: int) -> list[Perm]:
-        """Extend level i's transversal; return unsifted Schreier generators."""
+    def _build_to_order(self, order: int):
+        """Install the generators, then sift Schreier generators only while the chain is short of order."""
+        for g in self.generators:
+            h, l = self._strip(g)
+            if h.is_identity():
+                continue
+            if self.order() >= order:
+                raise AssertionError(f"a generator lies outside a chain of the stated order {order}")
+            self._install(h, l)
+        if self.order() < order:
+            queue: list[Perm] = []
+            for i in range(len(self._levels) - 1, -1, -1):
+                self._queue_schreier_generators(i, queue)
+            self._sift(queue, order)
+        if self.order() != order:
+            raise AssertionError(f"chain order {self.order()} != stated order {order}")
+
+    def _close_orbit(self, i: int):
+        """Extend level i's transversal to the orbit of its base point under
+        the level's generators; pairs that reach a known point wait in pending.
+
+        Only pairs not applied before are visited: the new generators on the
+        old points, then every generator on each new point, pass by pass.
+        """
         lvl = self._levels[i]
-        out = []
-        progress = True
-        while progress:
-            progress = False
-            for x in list(lvl.transversal):
+        old_points, old_gens = lvl.closed
+        gens = lvl.gens
+        first = 0 if old_gens < len(gens) else old_points
+        while first < len(lvl.transversal):
+            points = list(lvl.transversal)
+            for idx in range(first, len(points)):
+                x = points[idx]
                 tx = lvl.transversal[x]
-                for gi, g in enumerate(lvl.gens):
-                    if (x, gi) in lvl.processed:
-                        continue
-                    lvl.processed.add((x, gi))
-                    progress = True
+                for gi in range(old_gens if idx < old_points else 0, len(gens)):
+                    g = gens[gi]
                     y = g(x)
                     if y not in lvl.transversal:
                         t = tx * g
                         lvl.transversal[y] = t
                         lvl.inv_transversal[y] = t.inverse()
                     else:
-                        sgen = tx * g * lvl.inv_transversal[y]
-                        if not sgen.is_identity():
-                            out.append(sgen)
-        return out
+                        lvl.pending.append((x, gi))
+            first = len(points)
+        lvl.closed = (len(lvl.transversal), len(gens))
+
+    def _queue_schreier_generators(self, i: int, queue: list[Perm]):
+        """Queue the nontrivial Schreier generators of level i's pending pairs.
+
+        Conjugate Schreier generators recur, so each form is queued once.
+        """
+        lvl = self._levels[i]
+        for x, gi in lvl.pending:
+            g = lvl.gens[gi]
+            sgen = lvl.transversal[x] * g * lvl.inv_transversal[g(x)]
+            if not sgen.is_identity() and sgen.images not in self._sifted:
+                self._sifted.add(sgen.images)
+                queue.append(sgen)
+        lvl.pending.clear()
 
     # -- queries ---------------------------------------------------------
 
@@ -227,7 +296,7 @@ class PermGroup:
         """This group, or the same group on a chain whose base starts with points."""
         if set(self.base[: len(points)]) == set(points):
             return self
-        return PermGroup(self.degree, self.generators, base=points)
+        return PermGroup(self.degree, self.generators, base=points, order=self.order())
 
     def stabilizer(self, points: Iterable[int]) -> "PermGroup":
         """Pointwise stabiliser of points, sharing the levels of a chain whose base starts with them."""
@@ -351,7 +420,7 @@ def fhl_subgroup(group: PermGroup, pred: MembershipPredicate) -> PermGroup:
             break
         if not sub.contains(h):
             kept.append(h)
-            sub._add_strong_gen(h)
+            sub._sift([h])
     sub.generators = tuple(kept)
     if sub.order() != target or group.order() % len(reps) != 0:
         raise AssertionError(

@@ -68,7 +68,11 @@ def is_family_automorphism(family: SetFamily, p: Perm) -> bool:
     """
     if p.degree != len(family.sets):
         raise ValueError("permutation must act on member-set indices")
-    sig = cell_signature(family)
+    return _preserves_signature(cell_signature(family), p)
+
+
+def _preserves_signature(sig: dict[frozenset[int], int], p: Perm) -> bool:
+    """Whether p maps every cell of the Venn signature onto a cell of equal size."""
     for pattern, count in sig.items():
         image = frozenset(p(i) for i in pattern)
         if sig.get(image) != count:
@@ -219,6 +223,14 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
     at that depth. A leaf gives the permutation matching equal colours; it is
     kept if it preserves the cardinality Venn diagram. Colours refine the
     annotations, so only annotation-preserving permutations are admitted.
+
+    The stabiliser chain comes from the search: its base is the first path's
+    individualised sets, and the generators found at depth i and below fix
+    the first i of them and generate their pointwise stabiliser. So the orbit
+    of base point i under them, the union-find class of the target cell's
+    first member read once depth i is done, is the i-th basic orbit, and the
+    product of these class sizes is the group order. The chain is built to
+    that known order, which orbit closure alone reaches.
     """
     m = len(family.sets)
     if m == 0:
@@ -240,6 +252,7 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
         path.append(_child(path[-1], cells[-1][0], rows))
     shapes = [sorted(colour) for colour in path]
     first_leaf = path[-1]
+    sig = cell_signature(family)
 
     def search(colour: list[int], depth: int) -> Optional[Perm]:
         """An automorphism taking the first leaf to a leaf below this node, or None."""
@@ -247,8 +260,8 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
             return None
         if depth == len(path) - 1:
             at = sorted(range(m), key=colour.__getitem__)  # the set of each colour
-            p = Perm([at[c] for c in first_leaf])
-            return p if is_family_automorphism(family, p) else None
+            p = Perm._raw(tuple(at[c] for c in first_leaf))
+            return p if _preserves_signature(sig, p) else None
         for v in _target_cell(colour):
             p = search(_child(colour, v, rows), depth + 1)
             if p is not None:
@@ -256,6 +269,7 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
         return None
 
     parent = list(range(m))  # orbits of the generators found so far, as a union-find forest
+    size = [1] * m  # class sizes, valid at the roots
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -264,6 +278,7 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
         return x
 
     gens: list[Perm] = []
+    order = 1
     for depth in reversed(range(len(cells))):
         tried = [cells[depth][0]]
         for w in cells[depth][1:]:
@@ -274,5 +289,9 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
             if p is not None:
                 gens.append(p)
                 for i, j in enumerate(p.images):
-                    parent[find(i)] = find(j)
-    return PermGroup(m, gens)
+                    a, b = find(i), find(j)
+                    if a != b:
+                        parent[a] = b
+                        size[b] += size[a]
+        order *= size[find(cells[depth][0])]
+    return PermGroup(m, gens, base=[cell[0] for cell in cells], order=order)

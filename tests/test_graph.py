@@ -87,6 +87,12 @@ class TestComponents:
         assert far.edges == ((0, 1), (2, 3))
         assert idx == {0: 0, 1: 1, 4: 2, 5: 3}
 
+    @pytest.mark.parametrize("g", [Graph(0), Graph(1), Graph(5, [(1, 3), (3, 4)]), path_graph(6)])
+    def test_subgraph_on_all_vertices_is_the_graph(self, g):
+        sub, idx = g.subgraph(reversed(range(g.n)))
+        assert sub is g
+        assert idx == {v: v for v in range(g.n)}
+
 
 class TestSeparates:
     def test_cut_vertex(self):

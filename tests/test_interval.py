@@ -474,9 +474,36 @@ images[i], images[j] = j, i
 _realize_vertex_map(enc, Perm(images))
 """
 
-    def test_invalid_tau_raises_under_python_O(self):
+    # a clean-subtree map that sends every leaf of the claw to vertex 1 leaves
+    # the vertex map complete but not a bijection
+    COLLIDING_SCRIPT = """
+from tgraphs import interval
+from tgraphs.graph import star_graph
+from tgraphs.interval import MarkedContext, MarkedIntervalGraph, _realize_vertex_map
+from tgraphs.perm import Perm
+clean_iso = interval._clean_iso
+def colliding(*args):
+    fresh = {}
+    clean_iso(*args[:-1], fresh)
+    args[-1].update(dict.fromkeys(fresh, 1))
+interval._clean_iso = colliding
+enc = MarkedContext(MarkedIntervalGraph(star_graph(3), [])).enc
+_realize_vertex_map(enc, Perm.identity(len(enc.family.sets)))
+"""
+
+    @staticmethod
+    def run_optimized(script):
         src = os.path.dirname(os.path.dirname(os.path.abspath(tgraphs.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
-        run = subprocess.run([sys.executable, "-O", "-c", self.SCRIPT], capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+
+    def test_invalid_tau_raises_under_python_O(self):
+        run = self.run_optimized(self.SCRIPT)
         assert run.returncode != 0
         assert "AssertionError: cell sizes disagree under tau" in run.stderr, run.stderr
+
+    def test_non_bijective_map_raises_assertion_not_value_error(self):
+        run = self.run_optimized(self.COLLIDING_SCRIPT)
+        assert run.returncode != 0
+        assert "AssertionError: realized map is not a bijection" in run.stderr, run.stderr
+        assert "ValueError" not in run.stderr

@@ -1,5 +1,6 @@
 import random
 import sys
+from functools import reduce
 from itertools import permutations
 
 import pytest
@@ -413,3 +414,75 @@ class TestStabilizer:
         p = find_element(chain, {0: 3, 1: 2})
         assert p is not None and p(0) == 3 and p(1) == 2
 
+
+
+def orbit(point, gens):
+    seen, stack = {point}, [point]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            if g(x) not in seen:
+                seen.add(g(x))
+                stack.append(g(x))
+    return seen
+
+
+def assert_valid_chain(group):
+    """Each level's generators fix the earlier base points, and its transversal
+    is exactly the orbit of its base point under them, each element carrying
+    the base point to its key."""
+    base = group.base
+    for i, lvl in enumerate(group._levels):
+        assert all(g(b) == b for g in lvl.gens for b in base[:i])
+        assert set(lvl.transversal) == orbit(lvl.point, lvl.gens)
+        assert all(t(lvl.point) == x for x, t in lvl.transversal.items())
+        assert all((t * lvl.inv_transversal[x]).is_identity() for x, t in lvl.transversal.items())
+
+
+class TestKnownOrder:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_agrees_with_general_chain(self, seed):
+        rng = random.Random(5000 + seed)
+        degree = rng.randint(2, 8)
+        gens = [random_perm(degree, rng) for _ in range(rng.randint(1, 3))]
+        base = rng.sample(range(degree), rng.randint(0, degree))
+        general = PermGroup(degree, gens, base=base)
+        known = PermGroup(degree, gens, base=base, order=general.order())
+        assert known.generators == general.generators
+        assert known.base[: len(base)] == tuple(base)
+        assert_valid_chain(known)
+        assert known.order() == general.order()
+        words = [reduce(Perm.__mul__, rng.choices(gens, k=rng.randint(1, 6))) for _ in range(5)]
+        for p in words + [random_perm(degree, rng) for _ in range(10)]:
+            assert known.contains(p) == general.contains(p)
+        for k in range(degree + 1):
+            points = base[:k] if k <= len(base) else rng.sample(range(degree), k)
+            assert known.stabilizer(points).order() == general.stabilizer(points).order()
+
+    def test_schreier_generators_complete_a_short_orbit_closure(self):
+        # S4 from a 4-cycle and a transposition: orbit closure alone gives
+        # transversals of 4 and 3, product 12, so Schreier generators reach 24
+        group = PermGroup(4, [Perm([1, 2, 3, 0]), Perm([1, 0, 2, 3])], order=24)
+        assert_valid_chain(group)
+        assert group.order() == 24
+        assert all(group.contains(Perm(p)) for p in permutations(range(4)))
+
+    # 1 and 2 are passed before the second generator is installed, 6 by the
+    # orbit closure, and 48 is never reached
+    @pytest.mark.parametrize("order", [1, 2, 6, 48])
+    def test_wrong_order_raises(self, order):
+        with pytest.raises(AssertionError):
+            PermGroup(4, [Perm([1, 2, 3, 0]), Perm([1, 0, 2, 3])], order=order)
+
+    def test_trivial_group(self):
+        assert PermGroup(3, [], order=1).order() == 1
+        with pytest.raises(AssertionError):
+            PermGroup(3, [], order=2)
+
+    def test_with_base_prefix_keeps_the_generators(self):
+        group = s_n(5)
+        chain = group._with_base_prefix([3, 1])
+        assert chain.base[:2] == (3, 1)
+        assert chain.generators == group.generators
+        assert_valid_chain(chain)
+        assert chain.order() == 120

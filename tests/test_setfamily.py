@@ -8,7 +8,7 @@ from tgraphs.errors import IndexBoundExceeded
 from tgraphs.graph import Graph, path_graph
 from tgraphs.harness import random_relabel
 from tgraphs.iso import is_isomorphic
-from tgraphs.perm import Perm
+from tgraphs.perm import Perm, PermGroup
 from tgraphs.setfamily import (
     SetFamily,
     _child,
@@ -16,6 +16,7 @@ from tgraphs.setfamily import (
     _initial_colour,
     _intersections,
     _refine,
+    _target_cell,
     cell_signature,
     family_autgroup,
     is_family_automorphism,
@@ -306,3 +307,88 @@ class TestRefine:
             assert is_isomorphic(g, random_relabel(g, 1)[0], d).witness is not None
             assert orders == want
 
+
+
+def first_path_points(family):
+    """The sets individualised along the search's first path."""
+    rows = _intersections(family)
+    colour = _initial_colour(family)
+    colour = _refine(colour, rows, colour)
+    points = []
+    while len(set(colour)) < len(family.sets):
+        points.append(_target_cell(colour)[0])
+        colour = _child(colour, points[-1], rows)
+    return points
+
+
+def spider_graph(*arms):
+    """A centre 0 with one path of each given length hanging off it."""
+    edges, nxt = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Graph(nxt, edges)
+
+
+def decision_groups(monkeypatch, g, d):
+    """Per family group a decision of g against a relabelling builds: the
+    family, the group and the number of Schreier generators its chain formed."""
+    built, formed = [], []
+    inner = tgraphs.interval.family_autgroup
+    queue_schreier = PermGroup._queue_schreier_generators
+
+    def counting(self, i, queue):
+        formed.append(len(self._levels[i].pending))
+        return queue_schreier(self, i, queue)
+
+    def recording(family, bound):
+        formed.clear()
+        group = inner(family, bound)
+        built.append((family, group, sum(formed)))
+        return group
+
+    monkeypatch.setattr(PermGroup, "_queue_schreier_generators", counting)
+    monkeypatch.setattr(tgraphs.interval, "family_autgroup", recording)
+    assert is_isomorphic(g, random_relabel(g, 3)[0], d).witness is not None
+    monkeypatch.undo()
+    return built
+
+
+class TestChainFromSearch:
+    def assert_chain_from_search(self, family, group):
+        assert list(group.base) == first_path_points(family)
+        for i, lvl in enumerate(group._levels):
+            assert all(g(b) == b for g in lvl.gens for b in group.base[:i])
+            orbit, stack = {lvl.point}, [lvl.point]
+            while stack:
+                x = stack.pop()
+                for g in lvl.gens:
+                    if g(x) not in orbit:
+                        orbit.add(g(x))
+                        stack.append(g(x))
+            assert set(lvl.transversal) == orbit
+        # the chain built to the search's order is the general one's group
+        assert group.order() == PermGroup(group.degree, group.generators).order()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_families(self, seed):
+        fam = random_family(random.Random(900 + seed), max_sets=7, max_ground=5, annotated=seed % 2 == 1)
+        self.assert_chain_from_search(fam, family_autgroup(fam, len(fam.sets)))
+
+    @pytest.mark.parametrize(
+        "g, d",
+        [(path_graph(21), 2), (spider_graph(5, 5, 5), 3), (spider_graph(2, 2, 2, 2), 4)],
+        ids=["path21", "3x5", "4x2"],
+    )
+    def test_decision_encodings(self, monkeypatch, g, d):
+        built = decision_groups(monkeypatch, g, d)
+        assert built
+        for family, group, _formed in built:
+            self.assert_chain_from_search(family, group)
+
+    def test_spider_family_groups_form_no_schreier_generator(self, monkeypatch):
+        built = decision_groups(monkeypatch, spider_graph(*[2] * 8), 8)
+        assert max(group.order() for _, group, _ in built) > 1
+        assert [formed for _, _, formed in built] == [0] * len(built)
