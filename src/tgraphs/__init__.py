@@ -11,7 +11,6 @@ from .errors import (
     BadSeparator,
     Disconnected,
     DomainMismatch,
-    DomainOverlap,
     IndexBoundExceeded,
     NotAPartition,
     NotChordal,
@@ -101,7 +100,6 @@ __all__ = [
     "Disconnected",
     "NotTGraph",
     "DomainMismatch",
-    "DomainOverlap",
     "NotAPartition",
     "IndexBoundExceeded",
     "NotClosed",

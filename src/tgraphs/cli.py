@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso = sub.add_parser("iso", help="decide isomorphism of two graphs")
     p_iso.add_argument("g1")
     p_iso.add_argument("g2")
-    p_iso.add_argument("--d-max", type=int, default=4, dest="d_max")
+    p_iso.add_argument("--d-max", type=_at_least(2), default=4, dest="d_max")
     p_iso.add_argument("--json", action="store_true")
     p_iso.set_defaults(func=cmd_iso)
 

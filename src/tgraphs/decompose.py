@@ -195,12 +195,15 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int) -> list[E
         for j in range(len(leaf)):
             if below[i][j] and not below[j][i]:
                 strict_removed.add(j)
-    l0 = [leaf[j] for j in range(len(leaf)) if j not in strict_removed]
+    kept = [j for j in range(len(leaf)) if j not in strict_removed]
+    l0 = [leaf[j] for j in kept]
     if not l0:
         raise NotTGraph("no leaf cliques survived the preorder filter")
-    # Step 3: cliques incomparable with all others under the common-witness relation
-    below = _relations(g, l0)
-    approx = [[bool(below[i][j] & below[j][i]) for j in range(len(l0))] for i in range(len(l0))]
+    # Step 3: cliques incomparable with all others under the common-witness
+    # relation. A witness depends only on g and its three cliques, so l0's
+    # relation is step 2's restricted to the kept indices.
+    kept_set = set(kept)
+    approx = [[bool(below[i][j] & below[j][i] & kept_set) for j in kept] for i in kept]
     l1 = [
         l0[i]
         for i in range(len(l0))

@@ -33,10 +33,6 @@ class DomainMismatch(TGraphsError):
     """Permutation does not act on the expected domain."""
 
 
-class DomainOverlap(TGraphsError):
-    """Direct product factors share domain points."""
-
-
 class NotAPartition(TGraphsError):
     """Point classes do not partition the domain."""
 

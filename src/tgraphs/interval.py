@@ -754,7 +754,7 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
             for v in enc.trees[ti].assigned_vertices(node):
                 hv = back[v]
                 buckets.setdefault(((ti, node.nid), pattern[hv]), []).append(hv)
-    for (key, pat), vs in sorted(buckets.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))):
+    for (key, pat), vs in buckets.items():
         target_key = node_map[key]
         target_pat = frozenset(tau(i) for i in pat)
         ws = buckets.get((target_key, target_pat))

@@ -481,8 +481,10 @@ def _component_matching(g1: Graph, g2: Graph, d: int) -> Verdict:
 
 def decide_up_to(g1: Graph, g2: Graph, d_max: int) -> Verdict:
     """Try leaf counts 2..d_max, returning the first decisive verdict."""
+    if d_max < 2:
+        raise ValueError("need d_max >= 2")
     last = None
-    for d in range(2, max(d_max, 2) + 1):
+    for d in range(2, d_max + 1):
         verdict = is_isomorphic(g1, g2, d)
         if verdict.kind != NOT_T_GRAPH:
             return verdict

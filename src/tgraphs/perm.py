@@ -8,11 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DomainMismatch,
-    DomainOverlap,
     IndexBoundExceeded,
     NotAPartition,
     NotClosed,
@@ -124,13 +124,16 @@ class PermGroup:
     up, each level's generators generate the pointwise stabiliser of the
     earlier base points, so the chain is complete.
 
-    Without a known order the chain is completed by sifting Schreier
-    generators until none is left. With a known `order` the construction
-    strips and installs each generator, closes the orbits, and stops as soon
-    as the product reaches `order`; only if it falls short are Schreier
-    generators formed, and sifting stops at `order` too (Seress, Permutation
-    Group Algorithms, 2003). A chain that ends at any other order, or a
-    generator that does not strip once the order is reached, raises
+    One construction builds every chain (Schreier-Sims; Seress, Permutation
+    Group Algorithms, 2003). Each given generator is stripped through the
+    chain built so far and installed if it does not strip to the identity;
+    installing closes the orbits of the levels it joins. Only the installed
+    generators are kept as `generators`. Then the Schreier generators of the
+    pairs that reached a known point are sifted until none is left. A caller
+    that knows the group order states it as `order`, and construction stops
+    as soon as the product reaches it, so when orbit closure alone reaches it
+    no Schreier generator is formed. A chain that ends at any other order, or
+    a generator that does not strip once the order is reached, raises
     AssertionError. A stated order below the true one that the product passes
     through exactly goes unnoticed, so `order` must come from a counting
     argument.
@@ -148,23 +151,34 @@ class PermGroup:
         """`base` lists points to lead the base in that order, moved or not;
         `order`, if given, is the order of the group the generators generate."""
         self.degree = degree
-        gens = []
-        seen = set()
+        self._levels: list[_Level] = [_Level(b, degree) for b in dict.fromkeys(base)]
+        self._sifted: set[tuple[int, ...]] = set()
+        kept = []
         for g in generators:
             if g.degree != degree:
                 raise DomainMismatch(f"generator degree {g.degree} != {degree}")
-            if g.is_identity() or g.images in seen:
+            h, l = self._strip(g)
+            if h.is_identity():
                 continue
-            seen.add(g.images)
-            gens.append(g)
-        self.generators: tuple[Perm, ...] = tuple(gens)
-        self._levels: list[_Level] = [_Level(b, degree) for b in dict.fromkeys(base)]
-        self._sifted: set[tuple[int, ...]] = set()
-        if order is None:
-            for g in self.generators:
-                self._sift([g])
-        else:
-            self._build_to_order(order)
+            if order is not None and self.order() >= order:
+                raise AssertionError(f"a generator lies outside a chain of the stated order {order}")
+            self._install(h, l)
+            kept.append(g)
+        self.generators: tuple[Perm, ...] = tuple(kept)
+        queue: list[Perm] = []
+        top = len(self._levels) - 1  # pending pairs lie on levels 0..top
+        while order is None or self.order() < order:
+            for i in range(top, -1, -1):
+                self._queue_schreier_generators(i, queue)
+            if not queue:
+                break
+            h, top = self._strip(queue.pop())
+            if h.is_identity():
+                top = -1
+            else:
+                self._install(h, top)
+        if order is not None and self.order() != order:
+            raise AssertionError(f"chain order {self.order()} != stated order {order}")
 
     # -- construction ---------------------------------------------------
 
@@ -181,41 +195,14 @@ class PermGroup:
         return h, len(self._levels)
 
     def _install(self, h: Perm, l: int):
-        """Add the stripped h, which fixes the base points before level l, to levels 0..l."""
+        """Add the stripped h, which fixes the base points before level l, to
+        levels 0..l, and close their orbits."""
         if l == len(self._levels):
             self._levels.append(_Level(min(h.moved_points()), self.degree))
         for i in range(l + 1):
             self._levels[i].gens.append(h)
         for i in range(l, -1, -1):
             self._close_orbit(i)
-
-    def _sift(self, queue: list[Perm], order: Optional[int] = None):
-        """Sift the queued elements and the Schreier generators they give rise
-        to into the chain, until the queue is empty or the chain reaches order."""
-        while queue and (order is None or self.order() < order):
-            h, l = self._strip(queue.pop())
-            if h.is_identity():
-                continue
-            self._install(h, l)
-            for i in range(l, -1, -1):
-                self._queue_schreier_generators(i, queue)
-
-    def _build_to_order(self, order: int):
-        """Install the generators, then sift Schreier generators only while the chain is short of order."""
-        for g in self.generators:
-            h, l = self._strip(g)
-            if h.is_identity():
-                continue
-            if self.order() >= order:
-                raise AssertionError(f"a generator lies outside a chain of the stated order {order}")
-            self._install(h, l)
-        if self.order() < order:
-            queue: list[Perm] = []
-            for i in range(len(self._levels) - 1, -1, -1):
-                self._queue_schreier_generators(i, queue)
-            self._sift(queue, order)
-        if self.order() != order:
-            raise AssertionError(f"chain order {self.order()} != stated order {order}")
 
     def _close_orbit(self, i: int):
         """Extend level i's transversal to the orbit of its base point under
@@ -375,7 +362,9 @@ def fhl_subgroup(group: PermGroup, pred: MembershipPredicate) -> PermGroup:
     Walks the coset graph of the subgroup: a product x lies in the coset of
     the first representative r with pred(x * r^-1); Schreier generators of
     the subgroup are collected along the way. Aborts with IndexBoundExceeded
-    when more than pred.index_bound cosets appear.
+    when more than pred.index_bound cosets appear. The representatives form
+    an exact transversal, so the subgroup is built with its order stated:
+    |group| divided by the number of cosets.
     """
     from collections import deque
 
@@ -410,23 +399,9 @@ def fhl_subgroup(group: PermGroup, pred: MembershipPredicate) -> PermGroup:
             reps.append(x)
             inv_reps.append(x.inverse())
             queue.append(x)
-    # the representatives form an exact transversal, so the subgroup order is
-    # known; generator reduction can stop as soon as the chain reaches it
-    target = group.order() // len(reps)
-    sub = PermGroup(group.degree, [])
-    kept: list[Perm] = []
-    for h in hgens.values():
-        if sub.order() >= target:
-            break
-        if not sub.contains(h):
-            kept.append(h)
-            sub._sift([h])
-    sub.generators = tuple(kept)
-    if sub.order() != target or group.order() % len(reps) != 0:
-        raise AssertionError(
-            f"subgroup order {sub.order()} disagrees with coset count for {pred.name!r}"
-        )
-    return sub
+    if group.order() % len(reps) != 0:
+        raise AssertionError(f"{len(reps)} cosets do not divide the group order for {pred.name!r}")
+    return PermGroup(group.degree, hgens.values(), order=group.order() // len(reps))
 
 
 def _identity_accepted(pred: MembershipPredicate, degree: int) -> Perm:
@@ -442,23 +417,16 @@ def tower_of_groups(g0: PermGroup, preds: Sequence[MembershipPredicate]) -> Perm
 
     A stage whose predicate holds on every generator of the current group is
     skipped: the predicate defines a subgroup, so it then holds on the whole
-    group. Asserts the per-stage index ratio against each predicate's
-    declared bound.
+    group. Every other stage is one fhl_subgroup call, whose coset count is
+    the stage's index; it raises IndexBoundExceeded as soon as that count
+    would pass the predicate's declared bound.
     """
     cur = g0
     for pred in preds:
         if all(map(pred, cur.generators)):
             _identity_accepted(pred, cur.degree)
             continue
-        nxt = fhl_subgroup(cur, pred)
-        prev_order, new_order = cur.order(), nxt.order()
-        if prev_order % new_order != 0 or prev_order // new_order > pred.index_bound:
-            raise IndexBoundExceeded(
-                f"stage {pred.name!r} index {prev_order}/{new_order} exceeds {pred.index_bound}",
-                bound=pred.index_bound,
-                stage=pred.name,
-            )
-        cur = nxt
+        cur = fhl_subgroup(cur, pred)
     return cur
 
 
@@ -474,13 +442,7 @@ def direct_product(groups: Sequence[PermGroup]) -> PermGroup:
                 images[offset + i] = offset + j
             gens.append(Perm(images))
         offset += g.degree
-    prod = PermGroup(total, gens)
-    expected = 1
-    for g in groups:
-        expected *= g.order()
-    if prod.order() != expected:
-        raise DomainOverlap("direct product order mismatch (domains overlap?)")
-    return prod
+    return PermGroup(total, gens, order=prod(g.order() for g in groups))
 
 
 def symmetric_on_classes(classes: Sequence[Iterable[int]], degree: Optional[int] = None) -> PermGroup:
@@ -497,7 +459,7 @@ def symmetric_on_classes(classes: Sequence[Iterable[int]], degree: Optional[int]
             gens.append(Perm.from_cycles(degree, [c[:2]]))
         if len(c) >= 3:
             gens.append(Perm.from_cycles(degree, [c]))
-    return PermGroup(degree, gens)
+    return PermGroup(degree, gens, order=prod(factorial(len(c)) for c in classes))
 
 
 def find_element(

@@ -60,11 +60,12 @@ class TestUsageErrors:
         [
             ["iso", "g1.graph"],
             ["iso", "g1.graph", "g2.graph", "--d-max", "x"],
+            ["iso", "g1.graph", "g2.graph", "--d-max", "1"],
             ["gen", "--d", "1", "--n", "5", "--out", "unused"],
             ["gen", "--d", "3", "--n", "0", "--out", "unused"],
             ["decompose", "g.graph", "--d", "1"],
         ],
-        ids=["missing-operand", "d-max-not-integer", "gen-d-1", "gen-n-0", "decompose-d-1"],
+        ids=["missing-operand", "d-max-not-integer", "d-max-1", "gen-d-1", "gen-n-0", "decompose-d-1"],
     )
     def test_status_3_with_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

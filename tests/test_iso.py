@@ -358,6 +358,12 @@ class TestIsIsomorphic:
         verdict = decide_up_to(g, h, 4)
         assert verdict.kind == ISOMORPHIC
 
+    @pytest.mark.parametrize("d_max", [1, 0, -5])
+    def test_decide_up_to_rejects_d_max_below_2(self, d_max):
+        g = path_graph(3)
+        with pytest.raises(ValueError):
+            decide_up_to(g, g, d_max)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_brute_force(self, seed):
         rng = random.Random(seed)

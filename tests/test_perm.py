@@ -121,6 +121,33 @@ class TestBuildGroup:
             sys.setrecursionlimit(limit)
         assert [p.moved_points() for p in elems] == [[], [0, 1]]
 
+    def test_keeps_only_installed_generators(self):
+        c = Perm([1, 2, 0])
+        assert PermGroup(3, [c, c * c]).generators == (c,)
+        assert PermGroup(3, [Perm.identity(3), c, c]).generators == (c,)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_kept_generators_generate_the_given_group(self, seed):
+        rng = random.Random(7000 + seed)
+        degree = rng.randint(2, 7)
+        gens = [random_perm(degree, rng) for _ in range(rng.randint(1, 5))]
+        gens += [reduce(Perm.__mul__, rng.choices(gens, k=3)) for _ in range(rng.randint(0, 3))]
+        group = PermGroup(degree, gens)
+        assert set(group.generators) <= set(gens)
+        assert len(closure(degree, group.generators)) == len(closure(degree, gens)) == group.order()
+        kept = PermGroup(degree, group.generators)
+        for _ in range(10):
+            word = reduce(Perm.__mul__, rng.choices(gens, k=rng.randint(1, 8)))
+            other = random_perm(degree, rng)
+            assert group.contains(word) and kept.contains(word)
+            assert group.contains(other) == kept.contains(other)
+
+    def test_restriction_to_a_non_invariant_set_raises(self):
+        group = PermGroup(4, [Perm([1, 2, 3, 0])])
+        assert group.restriction([0, 1, 2, 3]).order() == 4
+        with pytest.raises(DomainMismatch):
+            group.restriction([0, 1])
+
     def test_contains_identity_always(self):
         group = PermGroup(4, [Perm([1, 2, 3, 0])])
         assert group.contains(Perm.identity(4))
@@ -218,6 +245,15 @@ class TestTower:
             MembershipPredicate(lambda p: p(1) == 1, 3, "fix1"),
         ]
         assert tower_of_groups(s_n(4), preds).order() == 2
+
+    def test_stage_with_more_cosets_than_its_bound_raises(self):
+        preds = [
+            MembershipPredicate(lambda p: p(0) == 0, 4, "fix0"),
+            MembershipPredicate(lambda p: p(1) == 1, 2, "fix1"),
+        ]
+        with pytest.raises(IndexBoundExceeded) as exc:
+            tower_of_groups(s_n(4), preds)
+        assert (exc.value.stage, exc.value.bound) == ("fix1", 2)
 
     def test_empty_tower(self):
         g = s_n(4)
