@@ -10,9 +10,11 @@ the marked-set machinery consumes.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Any, Iterator, Optional, Sequence
+from heapq import heappop, heappush
+from itertools import accumulate, chain
+from typing import Any, Optional, Sequence
 
 from .chordal import is_chordal, maximal_cliques
 from .errors import TooLarge
@@ -99,21 +101,6 @@ class PQTree:
         return rec(self.root)
 
 
-def _bfs_rows(rows: list[frozenset[int]]) -> list[frozenset[int]]:
-    """Rows of one overlap component in an order where each overlaps a predecessor."""
-    rows = sorted(rows, key=lambda r: (len(r), sorted(r)))
-    ordered = [rows[0]]
-    remaining = rows[1:]
-    while remaining:
-        for i, w in enumerate(remaining):
-            if any(_overlaps(w, r) for r in ordered):
-                ordered.append(remaining.pop(i))
-                break
-        else:  # pragma: no cover - caller passes one overlap component
-            raise AssertionError("rows do not form one overlap component")
-    return ordered
-
-
 def _overlaps(a: frozenset, b: frozenset) -> bool:
     return bool(a & b) and not (a <= b) and not (b <= a)
 
@@ -156,18 +143,18 @@ def _insert_row(cells: list[frozenset[int]], placed: frozenset[int], w: frozense
     return [c for c in out if c]
 
 
-def _order_component(comp_rows: list[frozenset[int]]) -> Optional[list[frozenset[int]]]:
+def _order_component(ordered: list[frozenset[int]]) -> Optional[list[frozenset[int]]]:
     """A cell order realizing one overlap component consecutively, or None.
 
-    The order is forced up to reversal, so one pass finds it. Each row after
-    the first overlaps an earlier one (`_bfs_rows`). For both ends to take a
+    The order is forced up to reversal, so one pass finds it. The rows come
+    in an order where each after the first overlaps an earlier one (as
+    `_build_node` walks its overlap graph). For both ends to take a
     row's new elements, the row would have to cover every placed cell and so
     contain every earlier row, which it cannot while it overlaps one of them.
     So only the second row has two insertions, and they are mirror images;
     every later insertion commutes with reversal, so the left one loses
     nothing.
     """
-    ordered = _bfs_rows(comp_rows)
     cells: Optional[list[frozenset[int]]] = [ordered[0]]
     placed = ordered[0]
     for w in ordered[1:]:
@@ -175,7 +162,7 @@ def _order_component(comp_rows: list[frozenset[int]]) -> Optional[list[frozenset
         if cells is None:
             return None
         placed |= w
-    for r in comp_rows:
+    for r in ordered:
         idx = [i for i, c in enumerate(cells) if c & r]
         if idx != list(range(idx[0], idx[-1] + 1)):
             return None
@@ -194,40 +181,36 @@ def _build_node(ground: list[int], rows: list[frozenset[int]]) -> Optional[PQNod
     )
     if not rows:
         return PQNode("P", [PQNode("L", clique=c) for c in sorted(ground)])
-    # overlap components
-    comp_of = list(range(len(rows)))
-
-    def find(x):
-        while comp_of[x] != x:
-            comp_of[x] = comp_of[comp_of[x]]
-            x = comp_of[x]
-        return x
-
+    # the overlap graph, tested once per pair of rows
+    adj: list[list[int]] = [[] for _ in rows]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             if _overlaps(rows[i], rows[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    comp_of[ri] = rj
-    comps: dict[int, list[int]] = {}
-    for i in range(len(rows)):
-        comps.setdefault(find(i), []).append(i)
-    unions = {root: frozenset().union(*(rows[i] for i in members)) for root, members in comps.items()}
-    # maximal unions form a laminar family; two components share a union only
-    # when one is the single row equal to it, so duplicates collapse (their
-    # rows reappear in the recursion on that union)
-    maximal = []
-    seen_unions: set[frozenset[int]] = set()
-    for root, u in sorted(unions.items(), key=lambda item: (sorted(item[1]), item[0])):
-        if u in seen_unions or any(u < u2 for u2 in unions.values()):
+                adj[i].append(j)
+                adj[j].append(i)
+    # components, each listed in the order `_order_component` places its rows:
+    # every step takes the least row (in size-then-content order) that
+    # overlaps a row already taken
+    comps: list[list[int]] = []
+    taken = [False] * len(rows)
+    for root in range(len(rows)):
+        if taken[root]:
             continue
-        seen_unions.add(u)
-        maximal.append((root, u))
-    spanning = [item for item in maximal if item[1] == gset]
+        members: list[int] = []
+        comps.append(members)
+        frontier = [root]
+        taken[root] = True
+        while frontier:
+            i = heappop(frontier)
+            members.append(i)
+            for j in adj[i]:
+                if not taken[j]:
+                    taken[j] = True
+                    heappush(frontier, j)
+    unions = [frozenset().union(*(rows[i] for i in members)) for members in comps]
+    spanning = [members for members, u in zip(comps, unions) if u == gset]
     if spanning:
-        root_id, _u = spanning[0]
-        comp_rows = [rows[i] for i in comps[root_id]]
-        cells = _order_component(comp_rows)
+        cells = _order_component([rows[i] for i in spanning[0]])
         if cells is None:
             return None
         children = []
@@ -240,9 +223,13 @@ def _build_node(ground: list[int], rows: list[frozenset[int]]) -> Optional[PQNod
         if len(children) == 2:
             return PQNode("P", children)
         return PQNode("Q", children)
+    # maximal unions form a laminar family; two components share a union only
+    # when one is the single row equal to it, so duplicates collapse (their
+    # rows reappear in the recursion on that union)
+    maximal = sorted({u for u in unions if not any(u < u2 for u2 in unions)}, key=sorted)
     covered: set[int] = set()
     children = []
-    for root_id, u in maximal:
+    for u in maximal:
         sub_rows = [r for r in rows if r <= u]
         child = _build_node(sorted(u), sub_rows)
         if child is None:
@@ -382,30 +369,48 @@ class MarkedIntervalGraph:
         return self.trees if self.trees is not None else _component_trees(self.host)
 
 
-def _subtree_code(tree: PQTree, node: PQNode) -> tuple:
-    """Canonical isomorphism code of the subgraph belonging to a node.
+def _canonical_forms(tree: PQTree) -> tuple[list[tuple], list[tuple[int, ...]]]:
+    """Per node id, the node's canonical code and its subtree's assigned
+    vertices in canonical order, from one pass that visits children first.
 
-    Vertices assigned inside the subtree are counted structurally;
+    The code is an isomorphism invariant of the subgraph belonging to the
+    node. Vertices assigned inside the subtree are counted structurally;
     pass-through vertices (assigned above, uniform over the whole subtree)
-    enter only as a count, which completes the isomorphism class.
+    enter only as a count, which completes the isomorphism class. The order
+    lists a node's own vertices, then its children's orders: P-children by
+    code, a Q-node read in the orientation its code takes, with its vertices
+    grouped by oriented run. So zipping the orders of two equal-code subtrees
+    is an isomorphism of their belonging subgraphs, once the pass-through
+    vertices (each in every clique of the subtree) are paired in any way.
     """
-    assigned = len(tree.assigned_vertices(node))
-    passthrough = len(tree.belongs(node)) - sum(
-        len(tree.assigned_vertices(d)) for d in _subtree_nodes(node)
-    )
-    if node.kind == "L":
-        return ("L", assigned, passthrough)
-    child_codes = [_subtree_code(tree, c) for c in node.children]
-    if node.kind == "P":
-        return ("P", assigned, passthrough, tuple(sorted(child_codes)))
-    runs: dict[tuple[int, int], int] = {}
-    for v in tree.assigned_vertices(node):
-        runs[tree.vertex_run[v]] = runs.get(tree.vertex_run[v], 0) + 1
-    k = len(node.children)
-    fwd = (tuple(child_codes), tuple(sorted(runs.items())))
-    mirrored = {(k - 1 - hi, k - 1 - lo): c for (lo, hi), c in runs.items()}
-    bwd = (tuple(reversed(child_codes)), tuple(sorted(mirrored.items())))
-    return ("Q", assigned, passthrough) + min(fwd, bwd)
+    codes: list[tuple] = [()] * len(tree.nodes)
+    orders: list[tuple[int, ...]] = [()] * len(tree.nodes)
+    for node in reversed(tree.nodes):  # children first (preorder reversed)
+        assigned = tree.assigned_vertices(node)
+        children = node.children
+        own = sorted(assigned)
+        if node.kind == "P":
+            children = sorted(children, key=lambda c: (codes[c.nid], c.nid))
+            body: tuple = (tuple(codes[c.nid] for c in children),)
+        elif node.kind == "Q":
+            k = len(children)
+            run = {v: tree.vertex_run[v] for v in assigned}
+            runs = Counter(run.values())
+            fwd = (tuple(codes[c.nid] for c in children), tuple(sorted(runs.items())))
+            mirrored = {(k - 1 - hi, k - 1 - lo): c for (lo, hi), c in runs.items()}
+            bwd = (fwd[0][::-1], tuple(sorted(mirrored.items())))
+            body = min(fwd, bwd)
+            if bwd < fwd:
+                children = children[::-1]
+                run = {v: (k - 1 - hi, k - 1 - lo) for v, (lo, hi) in run.items()}
+            own.sort(key=lambda v: (run[v], v))
+        else:
+            body = ()
+        order = tuple(chain(own, *(orders[c.nid] for c in children)))
+        passthrough = len(tree.belongs(node)) - len(order)
+        codes[node.nid] = (node.kind, len(assigned), passthrough) + body
+        orders[node.nid] = order
+    return codes, orders
 
 
 @dataclass
@@ -416,20 +421,18 @@ class CleanReduction:
     retained: tuple[PQNode, ...]
     discarded: dict[int, tuple[tuple[int, tuple], ...]]  # parent nid -> ((child pos, code), ...)
     annotations: dict[int, tuple]  # retained nid -> annotation
+    orders: Sequence[tuple[int, ...]]  # per nid, the subtree's assigned vertices in canonical order
 
 
 def reduce_clean(tree: PQTree, marked: frozenset[int]) -> CleanReduction:
     """Discard maximal clean subtrees, annotating their parents with codes.
 
-    A subtree is clean when no vertex assigned inside it is marked.
+    A subtree is clean when no vertex assigned inside it is marked. Codes and
+    canonical orders come from one pass (`_canonical_forms`); the reduction
+    keeps the orders, from which realization pairs two matched clean subtrees
+    and the encoding reads each retained node's layer set.
     """
-    node_clean: dict[int, bool] = {}
-    subtree_clean: dict[int, bool] = {}
-    for node in reversed(tree.nodes):  # children first (preorder reversed)
-        node_clean[node.nid] = not (tree.assigned_vertices(node) & marked)
-        subtree_clean[node.nid] = node_clean[node.nid] and all(
-            subtree_clean[c.nid] for c in node.children
-        )
+    codes, orders = _canonical_forms(tree)
     retained: list[PQNode] = []
     discarded: dict[int, tuple[tuple[int, tuple], ...]] = {}
 
@@ -437,8 +440,8 @@ def reduce_clean(tree: PQTree, marked: frozenset[int]) -> CleanReduction:
         retained.append(node)
         drops = []
         for pos, c in enumerate(node.children):
-            if subtree_clean[c.nid]:
-                drops.append((pos, _subtree_code(tree, c)))
+            if marked.isdisjoint(orders[c.nid]):
+                drops.append((pos, codes[c.nid]))
             else:
                 walk(c)
         if drops:
@@ -452,7 +455,7 @@ def reduce_clean(tree: PQTree, marked: frozenset[int]) -> CleanReduction:
             annotations[node.nid] = ("node", "Q", ())
         else:
             annotations[node.nid] = ("node", node.kind, tuple(sorted(code for _pos, code in drops)))
-    return CleanReduction(tree, tuple(retained), discarded, annotations)
+    return CleanReduction(tree, tuple(retained), discarded, annotations, orders)
 
 
 @dataclass
@@ -468,12 +471,6 @@ class _Encoding:
     reductions: list[CleanReduction]
     qrun_index: dict[tuple[int, int, str, int], int]  # (tree, nid, 'L'/'R', i) -> index
     component_of_index: list[int]
-
-
-def _subtree_nodes(node: PQNode) -> Iterator[PQNode]:
-    yield node
-    for c in node.children:
-        yield from _subtree_nodes(c)
 
 
 def _component_trees(host: Graph) -> list[tuple[PQTree, list[int]]]:
@@ -548,11 +545,7 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
             # layer structure: vertices assigned within the subtree (excludes
             # pass-throughs from above, unlike the belonging set); laminar, so
             # it pins assignment depth without growing antichains per node
-            sset = frozenset(
-                back[v]
-                for d in _subtree_nodes(node)
-                for v in tree.assigned_vertices(d)
-            )
+            sset = frozenset(back[v] for v in red.orders[node.nid])
             if sset:
                 add(sset, ("layer",), ti)
         for node in red.retained:
@@ -644,82 +637,11 @@ def brute_marked_autgroup(m: MarkedIntervalGraph, guard: int = 10) -> PermGroup:
 # Realizing index permutations as vertex maps
 
 
-def _fwd_code_tuple(tree: PQTree, node: PQNode) -> tuple:
-    child_codes = tuple(_subtree_code(tree, c) for c in node.children)
-    runs: dict[tuple[int, int], int] = {}
-    for v in tree.assigned_vertices(node):
-        runs[tree.vertex_run[v]] = runs.get(tree.vertex_run[v], 0) + 1
-    return (child_codes, tuple(sorted(runs.items())))
-
-
-def _clean_iso(
-    tree_a: PQTree,
-    a: PQNode,
-    tree_b: PQTree,
-    b: PQNode,
-    back_a: Sequence[int],
-    back_b: Sequence[int],
-    out: dict[int, int],
-):
-    """Extend `out` with a structural bijection between two equal-code clean subtrees."""
-    assigned_a = sorted(tree_a.assigned_vertices(a))
-    assigned_b = sorted(tree_b.assigned_vertices(b))
-    if len(assigned_a) != len(assigned_b):
-        raise AssertionError("clean subtree codes disagree with sizes")
-    if a.kind == "L" or b.kind == "L":
-        if not a.kind == b.kind == "L":
-            raise AssertionError("a leaf paired with an inner node")
-        for va, vb in zip(assigned_a, assigned_b):
-            out[back_a[va]] = back_b[vb]
-        return
-    if a.kind != b.kind:
-        raise AssertionError("clean subtree node kinds disagree")
-    if a.kind == "P":
-        for va, vb in zip(assigned_a, assigned_b):
-            out[back_a[va]] = back_b[vb]
-        order_a = sorted(a.children, key=lambda c: (_subtree_code(tree_a, c), c.nid))
-        order_b = sorted(b.children, key=lambda c: (_subtree_code(tree_b, c), c.nid))
-        for ca, cb in zip(order_a, order_b):
-            _clean_iso(tree_a, ca, tree_b, cb, back_a, back_b, out)
-        return
-    # Q-node: forward if the forward tuples agree, else reversed
-    fa, fb = _fwd_code_tuple(tree_a, a), _fwd_code_tuple(tree_b, b)
-    k = len(a.children)
-    if len(b.children) != k:
-        raise AssertionError("Q-node child counts disagree")
-    if fa == fb:
-        pairing = list(range(k))
-        flip = False
-    else:
-        pairing = list(reversed(range(k)))
-        flip = True
-    for pos, target in enumerate(pairing):
-        _clean_iso(tree_a, a.children[pos], tree_b, b.children[target], back_a, back_b, out)
-    buckets_a: dict[tuple[int, int], list[int]] = {}
-    for v in assigned_a:
-        buckets_a.setdefault(tree_a.vertex_run[v], []).append(v)
-    buckets_b: dict[tuple[int, int], list[int]] = {}
-    for v in assigned_b:
-        buckets_b.setdefault(tree_b.vertex_run[v], []).append(v)
-    for run, vs in buckets_a.items():
-        lo, hi = run
-        target_run = (k - 1 - hi, k - 1 - lo) if flip else run
-        ws = buckets_b.get(target_run)
-        if ws is None or len(ws) != len(vs):
-            raise AssertionError("run multisets disagree")
-        for va, vb in zip(sorted(vs), sorted(ws)):
-            out[back_a[va]] = back_b[vb]
-
-
 def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
     """A host automorphism/isomorphism acting on every encoded set as tau does."""
     host = enc.marked.host
     sets = enc.family.sets
-    node_by_key = {}
     back_of_tree = enc.backs
-    for ti, tree in enumerate(enc.trees):
-        for node in tree.nodes:
-            node_by_key[(ti, node.nid)] = node
     # node map from tau on B indices
     set_to_bkey = {}
     for key, idx in enc.b_index.items():
@@ -737,7 +659,7 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
             if node.parent is not None and node.parent.nid in retained_ids:
                 tj, nj = node_map[(ti, node.nid)]
                 pj = node_map[(ti, node.parent.nid)]
-                mapped = node_by_key[(tj, nj)]
+                mapped = enc.trees[tj].nodes[nj]
                 if mapped.parent is None or (tj, mapped.parent.nid) != pj:
                     raise AssertionError("tau does not respect the tree structure")
 
@@ -763,54 +685,42 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
         for va, vb in zip(sorted(vs), sorted(ws)):
             out[va] = vb
 
-    # discarded clean subtrees
+    # discarded clean subtrees: paired ones have equal codes, so zipping
+    # their canonical orders maps one onto the other
     for ti, red in enumerate(enc.reductions):
-        tree = enc.trees[ti]
         back = back_of_tree[ti]
         for node in red.retained:
             drops = red.discarded.get(node.nid, ())
             if not drops:
                 continue
             tj, nj = node_map[(ti, node.nid)]
-            tree2 = enc.trees[tj]
+            red2 = enc.reductions[tj]
             back2 = back_of_tree[tj]
-            node2 = node_by_key[(tj, nj)]
-            drops2 = enc.reductions[tj].discarded.get(node2.nid, ())
+            node2 = enc.trees[tj].nodes[nj]
+            drops2 = red2.discarded.get(nj, ())
             if len(drops) != len(drops2):
                 raise AssertionError("discarded subtree counts disagree")
+            pairs = []
             if node.kind == "Q":
-                flip = _q_orientation(enc, tau, ti, node, tj, node2)
+                flip = _q_orientation(enc, tau, node_map, ti, node, tj, node2)
                 k = len(node.children)
-                target_of = {pos: (k - 1 - pos if flip else pos) for pos, _c in drops}
-                drop2_by_pos = dict(drops2)
+                code2_at = dict(drops2)
                 for pos, code in drops:
-                    t_pos = target_of[pos]
-                    if drop2_by_pos.get(t_pos) != code:
+                    pos2 = k - 1 - pos if flip else pos
+                    if code2_at.get(pos2) != code:
                         raise AssertionError("Q discard codes disagree")
-                    _clean_iso(
-                        tree,
-                        node.children[pos],
-                        tree2,
-                        node2.children[t_pos],
-                        back,
-                        back2,
-                        out,
-                    )
+                    pairs.append((pos, pos2))
             else:
                 src = sorted(drops, key=lambda pc: (pc[1], pc[0]))
                 dst = sorted(drops2, key=lambda pc: (pc[1], pc[0]))
                 for (pos, code), (pos2, code2) in zip(src, dst):
                     if code != code2:
                         raise AssertionError("P discard codes disagree")
-                    _clean_iso(
-                        tree,
-                        node.children[pos],
-                        tree2,
-                        node2.children[pos2],
-                        back,
-                        back2,
-                        out,
-                    )
+                    pairs.append((pos, pos2))
+            for pos, pos2 in pairs:
+                source = red.orders[node.children[pos].nid]
+                target = red2.orders[node2.children[pos2].nid]
+                out.update(zip((back[v] for v in source), (back2[v] for v in target)))
 
     if len(out) != host.n or sorted(out) != list(range(host.n)):
         raise AssertionError("vertex map incomplete")
@@ -828,8 +738,17 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
     return sigma
 
 
-def _q_orientation(enc: _Encoding, tau: Perm, ti: int, node: PQNode, tj: int, node2: PQNode) -> bool:
-    """False = forward, True = reversed, judged by tau's images of the run chains."""
+def _q_orientation(
+    enc: _Encoding,
+    tau: Perm,
+    node_map: dict[tuple[int, int], tuple[int, int]],
+    ti: int,
+    node: PQNode,
+    tj: int,
+    node2: PQNode,
+) -> bool:
+    """False = forward, True = reversed, judged by tau's images of the run chains
+    and, through `node_map`, of the retained children."""
     sets = enc.family.sets
     k = len(node.children)
     fwd_ok = True
@@ -843,18 +762,14 @@ def _q_orientation(enc: _Encoding, tau: Perm, ti: int, node: PQNode, tj: int, no
             fwd_ok = False
         if sets[tau(li)] != sets[ri2] or sets[tau(ri)] != sets[li2]:
             rev_ok = False
-    # retained children pin the orientation as well
-    red = enc.reductions[ti]
-    retained_ids = {n.nid for n in red.retained}
-    node_map_local: dict[int, int] = {}
+    # retained children pin the orientation as well; each one's image is a
+    # child of node2, as the caller's parent check ensures
+    pos2_of = {c2.nid: pos2 for pos2, c2 in enumerate(node2.children)}
     for pos, c in enumerate(node.children):
-        if c.nid in retained_ids and (ti, c.nid) in enc.b_index:
-            img = tau(enc.b_index[(ti, c.nid)])
-            for pos2, c2 in enumerate(node2.children):
-                key2 = (tj, c2.nid)
-                if key2 in enc.b_index and enc.b_index[key2] == img:
-                    node_map_local[pos] = pos2
-    for pos, pos2 in node_map_local.items():
+        image = node_map.get((ti, c.nid))
+        if image is None:
+            continue
+        pos2 = pos2_of[image[1]]
         if pos2 != pos:
             fwd_ok = False
         if pos2 != k - 1 - pos:

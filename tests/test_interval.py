@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -149,6 +149,27 @@ class TestBuildPQTree:
         assert tree.root.kind == "Q"
         assert len(tree.root.children) == 1099
 
+    def test_one_overlap_test_per_pair_of_rows(self, monkeypatch):
+        # the spider with three arms of 32 is a tree but no caterpillar, so not
+        # interval; the rows of its root are the clique sets of its r = 94
+        # vertices of degree >= 2, and the overlap graph on them spans the root
+        from tgraphs import interval
+
+        arms = [(0, 1 + 32 * a) for a in range(3)] + [(i, i + 1) for a in range(3) for i in range(1 + 32 * a, 32 + 32 * a)]
+        g, _p = random_relabel(Graph(97, arms), 1)
+        calls = []
+        overlaps = interval._overlaps
+
+        def counting(a, b):
+            calls.append(None)
+            return overlaps(a, b)
+
+        monkeypatch.setattr(interval, "_overlaps", counting)
+        assert build_pq_tree(g) is None
+        r = sum(g.degree(v) >= 2 for v in g.vertices())
+        assert r == 94
+        assert len(calls) <= r * (r - 1) // 2
+
     def test_subdivided_claw_via_star_triangles(self):
         # a non-interval chordal graph: 3 triangles glued to a center vertex path-wise
         g = subdivided_claw()
@@ -264,22 +285,24 @@ class TestReduceClean:
         red = reduce_clean(tree, frozenset())
         # regenerate under a relabeling: root codes must match exactly
         from tgraphs.harness import random_relabel
-        from tgraphs.interval import _subtree_code
+        from tgraphs.interval import _canonical_forms
 
         h, _p = random_relabel(g, seed)
         tree2 = build_pq_tree(h)
-        assert _subtree_code(tree, tree.root) == _subtree_code(tree2, tree2.root)
+        assert _canonical_forms(tree)[0][tree.root.nid] == _canonical_forms(tree2)[0][tree2.root.nid]
 
     def test_codes_are_isomorphism_complete(self):
         """Equal codes iff interface-preserving isomorphic belonging subgraphs.
 
         The interface is the set of pass-through vertices (assigned above the
         subtree); a genuine automorphism maps pass-throughs to pass-throughs,
-        so the oracle must too.
+        so the oracle must too. Equal codes also make the zipped canonical
+        orders, with the pass-throughs paired in sorted order, an isomorphism:
+        each pass-through lies in every clique of the subtree.
         """
         from itertools import permutations as iperm
 
-        from tgraphs.interval import _subtree_code, _subtree_nodes
+        from tgraphs.interval import _canonical_forms
 
         def marked_iso_exists(sub1, marks1, sub2, marks2):
             if sub1.n != sub2.n or sub1.m != sub2.m or len(marks1) != len(marks2):
@@ -292,19 +315,31 @@ class TestReduceClean:
             return False
 
         pool = []
+        by_code = {}
         for seed in range(40):
             g = random_connected_interval(random.Random(seed).randint(3, 9), 300 + seed)
-            tree = build_pq_tree(g)
-            for node in tree.nodes:
-                belongs = tree.belongs(node)
-                if len(belongs) > 7:
-                    continue
-                inside = frozenset(
-                    v for d in _subtree_nodes(node) for v in tree.assigned_vertices(d)
-                )
-                sub, idx = g.subgraph(belongs)
-                passthrough = frozenset(idx[v] for v in belongs - inside)
-                pool.append((_subtree_code(tree, node), sub, passthrough))
+            # a relabelled copy numbers its cliques differently, so its Q-nodes
+            # often come reversed
+            for copy in (g, random_relabel(g, seed)[0]):
+                tree = build_pq_tree(copy)
+                codes, orders = _canonical_forms(tree)
+                for node in tree.nodes:
+                    belongs = tree.belongs(node)
+                    sub, idx = copy.subgraph(belongs)
+                    passthrough = frozenset(idx[v] for v in belongs - frozenset(orders[node.nid]))
+                    order = [idx[v] for v in orders[node.nid]] + sorted(passthrough)
+                    by_code.setdefault(codes[node.nid], []).append((sub, order))
+                    if copy is g and len(belongs) <= 7:
+                        pool.append((codes[node.nid], sub, passthrough))
+        zipped = 0
+        for group in by_code.values():
+            for (sub_a, order_a), (sub_b, order_b) in combinations(group, 2):
+                images = dict(zip(order_a, order_b))
+                assert sorted(images) == list(range(sub_a.n)) and sorted(images.values()) == list(range(sub_b.n))
+                assert sub_a.m == sub_b.m
+                assert all(sub_b.has_edge(images[u], images[v]) for u, v in sub_a.edges)
+                zipped += 1
+        assert zipped > 100, zipped
         checked = 0
         for i in range(len(pool)):
             for j in range(i + 1, min(i + 12, len(pool))):
@@ -404,6 +439,27 @@ class TestMarkedIsomorphism:
                 image = frozenset(vmap[v] for v in s)
                 assert image == m2.families[j][smaps[j][pos]]
 
+    # the path 0-4 with 5 on 3 and 4, an apex 6 on all of them and a pendant 7 on
+    # 6: P(Q(...),L{6,7}), and marking 6 leaves the Q-subtree, which is not
+    # mirror-symmetric, clean; a relabelling reverses it about half the time
+    APEX = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)] + [(6, v) for v in range(6)] + [(6, 7)])
+
+    def test_apex_tree_shape(self):
+        text = pq_tree_to_text(build_pq_tree(self.APEX))
+        assert text.startswith("P(Q(") and text.endswith(",L{6,7})")
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_clean_q_subtrees_pair_in_either_orientation(self, seed):
+        h, p = random_relabel(self.APEX, seed)
+        m1 = MarkedIntervalGraph(self.APEX, [({6},)])
+        m2 = MarkedIntervalGraph(h, [({p(6)},)])
+        result = marked_isomorphism(m1, m2)
+        assert result is not None
+        vmap, _smaps = result
+        assert vmap[6] == p(6)
+        assert sorted(vmap) == list(range(8))
+        assert all(h.has_edge(vmap[u], vmap[v]) for u, v in self.APEX.edges)
+
     def test_empty_marked_set(self):
         m = MarkedIntervalGraph(path_graph(3), [(frozenset(), frozenset({0}))])
         assert marked_isomorphism(m, m) == ([0, 1, 2], [[0, 1]])
@@ -474,20 +530,22 @@ images[i], images[j] = j, i
 _realize_vertex_map(enc, Perm(images))
 """
 
-    # a clean-subtree map that sends every leaf of the claw to vertex 1 leaves
-    # the vertex map complete but not a bijection
+    # clean-subtree orders that send every leaf of the claw to vertex 1 leave
+    # the vertex map complete but not a bijection: under the identity each
+    # clean leaf's order is read as a source and then as its own target, and
+    # every read after the first gives vertex 1
     COLLIDING_SCRIPT = """
-from tgraphs import interval
 from tgraphs.graph import star_graph
 from tgraphs.interval import MarkedContext, MarkedIntervalGraph, _realize_vertex_map
 from tgraphs.perm import Perm
-clean_iso = interval._clean_iso
-def colliding(*args):
-    fresh = {}
-    clean_iso(*args[:-1], fresh)
-    args[-1].update(dict.fromkeys(fresh, 1))
-interval._clean_iso = colliding
+class TargetsToOne(list):
+    def __getitem__(self, nid):
+        order = super().__getitem__(nid)
+        self[nid] = (1,)
+        return order
 enc = MarkedContext(MarkedIntervalGraph(star_graph(3), [])).enc
+red = enc.reductions[0]
+red.orders = TargetsToOne(red.orders)
 _realize_vertex_map(enc, Perm.identity(len(enc.family.sets)))
 """
 
