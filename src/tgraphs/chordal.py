@@ -117,20 +117,20 @@ def maximal_cliques(g: Graph, peo: Optional[EliminationOrdering] = None) -> list
         peo = is_chordal(g)
         if peo is None:
             raise NotChordal("maximal_cliques requires a chordal graph")
-    order = peo.order
     pos = [0] * g.n
-    for i, v in enumerate(order):
+    for i, v in enumerate(peo.order):
         pos[v] = i
-    candidates = []
-    for i, v in enumerate(order):
-        c = frozenset([v] + [w for w in g.adj[v] if pos[w] > i])
-        candidates.append(c)
-    candidates = sorted(set(candidates), key=len, reverse=True)
-    cliques: list[frozenset[int]] = []
-    for c in candidates:
-        if not any(c < other for other in cliques):
-            cliques.append(c)
-    return sorted(tuple(sorted(c)) for c in cliques)
+    later = [[w for w in g.adj[v] if pos[w] > pos[v]] for v in g.vertices()]
+    # v plus its later neighbours is a clique C_v; it lies inside another
+    # exactly when some u whose earliest later neighbour is v has one more
+    # later neighbour than v (Fulkerson and Gross, Pacific J. Math. 1965)
+    covered = [False] * g.n
+    for lu in later:
+        if lu:
+            v = min(lu, key=pos.__getitem__)
+            if len(lu) == len(later[v]) + 1:
+                covered[v] = True
+    return sorted(tuple(sorted([v] + later[v])) for v in g.vertices() if not covered[v])
 
 
 def weighted_clique_graph(g: Graph) -> WeightedCliqueGraph:

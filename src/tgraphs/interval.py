@@ -469,7 +469,7 @@ class _Encoding:
     backs: list[Sequence[int]]  # per tree, local vertex id -> host vertex id
     b_index: dict[tuple[int, int], int]  # (tree idx, nid) -> family index
     reductions: list[CleanReduction]
-    qrun_index: dict[tuple[int, int, str, int], int]  # (tree, nid, 'L'/'R', i) -> index
+    q_columns: dict[tuple[int, int], list[int]]  # (tree idx, Q nid) -> family index per child position
     component_of_index: list[int]
 
 
@@ -523,7 +523,7 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
     trees = []
     reductions = []
     b_index: dict[tuple[int, int], int] = {}
-    qrun_index: dict[tuple[int, int, str, int], int] = {}
+    q_columns: dict[tuple[int, int], list[int]] = {}
     for ti, (tree, back) in enumerate(tree_comps):
         trees.append(tree)
         local_marked = frozenset(
@@ -548,29 +548,24 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
             sset = frozenset(back[v] for v in red.orders[node.nid])
             if sset:
                 add(sset, ("layer",), ti)
+        # a Q-node's column i: the confined vertices (those assigned inside
+        # its subtree) whose span of child positions contains i. A vertex's
+        # columns form an interval, so a map keeping the Venn diagram keeps
+        # the node's admissible child orders: the given one and its reverse
         for node in red.retained:
             if node.kind != "Q":
                 continue
             k = len(node.children)
             drops = dict(red.discarded.get(node.nid, ()))
-            child_codes = [
-                drops.get(pos, ("retained",)) for pos in range(k)
+            columns = [{back[v] for v in red.orders[c.nid]} for c in node.children]
+            for v in tree.assigned_vertices(node):
+                lo, hi = tree.vertex_run[v]
+                for pos in range(lo, hi + 1):
+                    columns[pos].add(back[v])
+            q_columns[(ti, node.nid)] = [
+                add(frozenset(col), ("qcol", drops.get(pos, ("retained",)), min(pos, k - 1 - pos), k), ti)
+                for pos, col in enumerate(columns)
             ]
-            # each belonging vertex's span of child positions; one holding a
-            # clique outside the node lies in no prefix or suffix run
-            child_of = {ci: pos for pos, c in enumerate(node.children) for ci in c.leaf_set}
-            spans = []
-            for v in tree.belongs(node):
-                positions = [child_of.get(ci) for ci in tree.vertex_cliques[v]]
-                if None not in positions:
-                    spans.append((min(positions), max(positions), back[v]))
-            for i in range(1, k):
-                lset = frozenset(hv for lo, hi, hv in spans if hi < i)
-                rset = frozenset(hv for lo, hi, hv in spans if lo >= k - i)
-                lann = ("qrun", i, tuple(child_codes[:i]))
-                rann = ("qrun", i, tuple(reversed(child_codes[k - i :])))
-                qrun_index[(ti, node.nid, "L", i)] = add(lset, lann, ti)
-                qrun_index[(ti, node.nid, "R", i)] = add(rset, rann, ti)
 
     family = SetFamily(host.n, sets, annotations)
     return _Encoding(
@@ -581,7 +576,7 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
         [back for _tree, back in tree_comps],
         b_index,
         reductions,
-        qrun_index,
+        q_columns,
         comp_of,
     )
 
@@ -702,11 +697,12 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
                 raise AssertionError("discarded subtree counts disagree")
             pairs = []
             if node.kind == "Q":
-                flip = _q_orientation(enc, tau, node_map, ti, node, tj, node2)
-                k = len(node.children)
+                # a discarded child's image position is that of its column's image
+                pos2_of = {index: pos2 for pos2, index in enumerate(enc.q_columns[(tj, nj)])}
+                columns = enc.q_columns[(ti, node.nid)]
                 code2_at = dict(drops2)
                 for pos, code in drops:
-                    pos2 = k - 1 - pos if flip else pos
+                    pos2 = pos2_of.get(tau(columns[pos]))
                     if code2_at.get(pos2) != code:
                         raise AssertionError("Q discard codes disagree")
                     pairs.append((pos, pos2))
@@ -736,47 +732,6 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
         if sigma.image_of_set(s) != sets[tau(i)]:
             raise AssertionError("realized map disagrees with tau on a set")
     return sigma
-
-
-def _q_orientation(
-    enc: _Encoding,
-    tau: Perm,
-    node_map: dict[tuple[int, int], tuple[int, int]],
-    ti: int,
-    node: PQNode,
-    tj: int,
-    node2: PQNode,
-) -> bool:
-    """False = forward, True = reversed, judged by tau's images of the run chains
-    and, through `node_map`, of the retained children."""
-    sets = enc.family.sets
-    k = len(node.children)
-    fwd_ok = True
-    rev_ok = True
-    for i in range(1, k):
-        li = enc.qrun_index[(ti, node.nid, "L", i)]
-        ri = enc.qrun_index[(ti, node.nid, "R", i)]
-        li2 = enc.qrun_index[(tj, node2.nid, "L", i)]
-        ri2 = enc.qrun_index[(tj, node2.nid, "R", i)]
-        if sets[tau(li)] != sets[li2] or sets[tau(ri)] != sets[ri2]:
-            fwd_ok = False
-        if sets[tau(li)] != sets[ri2] or sets[tau(ri)] != sets[li2]:
-            rev_ok = False
-    # retained children pin the orientation as well; each one's image is a
-    # child of node2, as the caller's parent check ensures
-    pos2_of = {c2.nid: pos2 for pos2, c2 in enumerate(node2.children)}
-    for pos, c in enumerate(node.children):
-        image = node_map.get((ti, c.nid))
-        if image is None:
-            continue
-        pos2 = pos2_of[image[1]]
-        if pos2 != pos:
-            fwd_ok = False
-        if pos2 != k - 1 - pos:
-            rev_ok = False
-    if not (fwd_ok or rev_ok):
-        raise AssertionError("no orientation consistent with tau at a Q-node")
-    return not fwd_ok
 
 
 def marked_union(ms: Sequence[MarkedIntervalGraph]) -> tuple[MarkedIntervalGraph, list[int]]:

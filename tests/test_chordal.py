@@ -185,6 +185,18 @@ class TestMaximalCliques:
                     continue
                 assert sub in cliques
 
+    def test_matches_inclusion_filter(self):
+        # the elimination-ordering rule against the definition: the candidate
+        # cliques (a vertex plus its later neighbours) not inside another
+        rng = random.Random(77)
+        for seed in range(200):
+            g, _ = random_t_graph(rng.randint(2, 5), rng.randint(1, 40), 7000 + seed)
+            order = is_chordal(g).order
+            pos = {v: i for i, v in enumerate(order)}
+            candidates = {frozenset([v] + [w for w in g.adj[v] if pos[w] > pos[v]]) for v in order}
+            expected = sorted(tuple(sorted(c)) for c in candidates if not any(c < o for o in candidates))
+            assert maximal_cliques(g) == expected
+
 
 class TestWeightedCliqueGraph:
     def test_path4(self):

@@ -192,8 +192,8 @@ def full_scan_confined(tree, node, leafset):
 
 
 class TestCliqueIncidence:
-    """The incidence built once per tree and the Q-node runs read off child
-    spans agree with the full scans they replace."""
+    """The incidence built once per tree and the Q-node columns read off child
+    spans agree with full scans."""
 
     @staticmethod
     def hosts():
@@ -212,21 +212,37 @@ class TestCliqueIncidence:
             tree = build_pq_tree(g)
             assert tree.vertex_cliques == tuple(full_scan_kv(tree, v) for v in g.vertices())
 
-    def test_q_runs_match_full_scan(self):
+    def test_q_columns_match_full_scan(self):
         checked = 0
         for g in self.hosts():
-            # every vertex marked: no subtree is clean, so every Q-node gets its runs
+            # every vertex marked: no subtree is clean, so every Q-node gets its columns
             enc = MarkedContext(MarkedIntervalGraph(g, [[frozenset([v]) for v in g.vertices()]])).enc
             (tree,) = enc.trees
             q_nodes = {node.nid for node in tree.nodes if node.kind == "Q"}
-            assert {nid for _ti, nid, _side, _i in enc.qrun_index} == q_nodes
-            for (_ti, nid, side, i), index in enc.qrun_index.items():
-                children = tree.nodes[nid].children
-                run = children[:i] if side == "L" else children[len(children) - i :]
-                leafset = frozenset().union(*(c.leaf_set for c in run))
-                assert enc.family.sets[index] == full_scan_confined(tree, tree.nodes[nid], leafset)
-                checked += 1
+            assert {nid for _ti, nid in enc.q_columns} == q_nodes
+            for (_ti, nid), indices in enc.q_columns.items():
+                node = tree.nodes[nid]
+                assert len(indices) == len(node.children)
+                confined = full_scan_confined(tree, node, node.leaf_set)
+                for child, index in zip(node.children, indices):
+                    column = frozenset(v for v in confined if full_scan_kv(tree, v) & child.leaf_set)
+                    assert enc.family.sets[index] == column
+                    checked += 1
         assert checked > 100
+
+
+class TestEncodingSize:
+    @pytest.mark.parametrize("n", [21, 161, 641])
+    def test_path_family_is_linear(self, n):
+        # one column per clique of the root Q-node, one node set, one layer set
+        family = MarkedContext(MarkedIntervalGraph(path_graph(n), [])).enc.family
+        holders = [0] * n
+        for s in family.sets:
+            for z in s:
+                holders[z] += 1
+        assert len(family.sets) == n + 1
+        assert sum(map(len, family.sets)) == 4 * n - 2
+        assert sum(h * h for h in holders) == 16 * n - 14
 
 
 class TestInnerVertices:

@@ -398,3 +398,46 @@ class TestIsIsomorphic:
         assert data["verdict"] == "isomorphic"
         assert data["d"] == 2
         assert isinstance(data["witness"], list)
+
+
+def pendant_pair_body(p2_at, lollipop_at):
+    """A path 0-5 with a pendant P2 (6-7) on one body vertex and a pendant
+    lollipop (8 on the body, triangle 8, 9, 10) on another."""
+    edges = [(i, i + 1) for i in range(5)]
+    edges += [(p2_at, 6), (6, 7), (lollipop_at, 8), (8, 9), (8, 10), (9, 10)]
+    return Graph(11, edges)
+
+
+class TestConstraintTower:
+    """Swapping the two pendants leaves every level group able to match the
+    sides; only the a2 stage, which ties the pendants to their attachment
+    points, tells the graphs apart."""
+
+    @staticmethod
+    def record_tower(monkeypatch):
+        stages = []
+        original = iso.tower_of_groups
+
+        def recording(g0, preds):
+            kept = original(g0, preds)
+            stages.append(([p.name for p in preds], g0.order(), kept.order()))
+            return kept
+
+        monkeypatch.setattr(iso, "tower_of_groups", recording)
+        return stages
+
+    def test_swapped_pendants_cut_by_a2(self, monkeypatch):
+        g, h = pendant_pair_body(1, 2), pendant_pair_body(2, 1)
+        stages = self.record_tower(monkeypatch)
+        verdict = is_isomorphic(g, h, 4)
+        assert verdict.kind == NOT_ISOMORPHIC
+        assert brute_force_isomorphism(g, h) is None
+        assert (["a2-1"], 2) in [(names, before // after) for names, before, after in stages]
+
+    def test_relabelled_copy_isomorphic(self):
+        g = pendant_pair_body(1, 2)
+        h, _ = random_relabel(g, 3)
+        verdict = is_isomorphic(g, h, 4)
+        assert verdict.kind == ISOMORPHIC
+        for u, v in g.edges:
+            assert h.has_edge(verdict.witness[u], verdict.witness[v])
