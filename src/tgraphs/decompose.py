@@ -8,11 +8,11 @@ it yields the level decomposition the isomorphism engine works on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .chordal import is_chordal, leaf_cliques, minimal_separators, simplicial_vertices
 from .errors import BadSeparator, Disconnected, NotChordal, NotTGraph
-from .graph import Graph, separates
+from .graph import Graph
 from .interval import PQTree, build_pq_tree
 
 
@@ -63,8 +63,8 @@ def clique_approx(g: Graph, cliques: Sequence[Iterable[int]], i: int, j: int) ->
     return bool(witnesses[i][j] & witnesses[j][i])
 
 
-def _component_signatures(g: Graph, removed: frozenset[int], cliques: Sequence[frozenset[int]]):
-    """For each clique, the set of components of g - removed touched by clique - removed."""
+def _component_ids(g: Graph, removed: frozenset[int]) -> list[int]:
+    """Component index of each vertex in g - removed (numbered by least vertex), -1 if removed."""
     comp_id = [-1] * g.n
     cid = 0
     allowed = frozenset(v for v in g.vertices() if v not in removed)
@@ -74,24 +74,27 @@ def _component_signatures(g: Graph, removed: frozenset[int], cliques: Sequence[f
         for w in g.connected_in(allowed, v):
             comp_id[w] = cid
         cid += 1
-    sigs = []
-    for c in cliques:
-        sigs.append(frozenset(comp_id[v] for v in c if v not in removed))
-    return sigs
+    return comp_id
+
+
+def _touched(comp_id: list[int], vs: Iterable[int]) -> frozenset[int]:
+    """Components of a labelling met by the vertices vs."""
+    return frozenset(comp_id[v] for v in vs if comp_id[v] != -1)
 
 
 def _relations(g: Graph, cliques: list[frozenset[int]]) -> list[list[set[int]]]:
     """Separation witnesses over an ambient clique collection.
 
-    witnesses[i][j] holds every k (distinct from i and j) such that cliques[j]
-    separates cliques[i] from cliques[k]: i precedes j iff the set is nonempty,
+    witnesses[i][j] holds every k (distinct from i and j) such that g - cliques[j]
+    parts cliques[i] from cliques[k]: i precedes j iff the set is nonempty,
     and i approx j iff witnesses[i][j] and witnesses[j][i] share a k.
     """
     m = len(cliques)
     witnesses: list[list[set[int]]] = [[set() for _ in range(m)] for _ in range(m)]
     for j in range(m):
         # sig[i] = components touched by clique i after removing clique j
-        sig = _component_signatures(g, cliques[j], cliques)
+        comp_id = _component_ids(g, cliques[j])
+        sig = [_touched(comp_id, c) for c in cliques]
         for i in range(m):
             if i == j:
                 continue
@@ -229,55 +232,38 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int) -> list[E
                 )
             )
         return frags
-    # Step 4: minimal joint separators over approx-related pairs
-    min_seps = [frozenset(s.vertices) for s in minimal_separators(g)]
-    sep_comp_cache: dict[frozenset[int], Any] = {}
-    joint: set[frozenset[int]] = set()
-    order_l0 = sorted(range(len(l0)), key=lambda i: sorted(l0[i]))
-    for ai in range(len(order_l0)):
-        for bi in range(ai + 1, len(order_l0)):
-            i, j = order_l0[ai], order_l0[bi]
-            if not approx[i][j]:
-                continue
-            inter = l0[i] & l0[j]
-            sym = l0[i] ^ l0[j]
-            witness = min(
-                (l0[k] for k in range(len(l0)) if k not in (i, j)),
-                key=lambda c: sorted(c),
-            )
-            qualifying = []
-            for z in min_seps:
-                if not z <= inter:
-                    continue
-                if separates(g, z, sym, witness):
-                    qualifying.append(z)
-            minimal = [z for z in qualifying if not any(z2 < z for z2 in qualifying)]
-            joint.update(minimal)
+    # Step 4: minimal joint separators over approx-related pairs. A minimal
+    # separator z inside both cliques of a pair qualifies when g - z parts
+    # their symmetric difference from some third clique of l0.
+    pairs = [(i, j) for i in range(len(l0)) for j in range(i + 1, len(l0)) if approx[i][j]]
+    qualifying: dict[tuple[int, int], list[frozenset[int]]] = {pair: [] for pair in pairs}
+    for z in (frozenset(s.vertices) for s in minimal_separators(g)):
+        inside = [(i, j) for i, j in pairs if z <= l0[i] & l0[j]]
+        if not inside:
+            continue
+        comp_id = _component_ids(g, z)
+        sig = [_touched(comp_id, c) for c in l0]
+        for i, j in inside:
+            sym = _touched(comp_id, l0[i] ^ l0[j])
+            if any(not (sym & sig[k]) for k in range(len(l0)) if k not in (i, j)):
+                qualifying[i, j].append(z)
+    joint = {z for zs in qualifying.values() for z in zs if not any(z2 < z for z2 in zs)}
     if not joint:
         raise NotTGraph("approx-related leaf cliques without joint separators")
-    for z in joint:
-        if z & simplicial:
-            raise NotChordal("joint separator contains a simplicial vertex")
-    # Step 5: components incident to exactly one joint separator
-    removed = frozenset().union(*joint)
-    allowed = frozenset(v for v in g.vertices() if v not in removed)
-    comps: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for v in sorted(allowed):
-        if v in seen:
-            continue
-        comp = frozenset(g.connected_in(allowed, v))
-        seen |= comp
-        comps.append(comp)
-    joint_list = sorted(joint, key=sorted)
-    c0: list[tuple[frozenset[int], frozenset[int]]] = []
-    for comp in comps:
-        nbhd = frozenset(w for v in comp for w in g.adj[v]) - comp
-        incident = [z for z in joint_list if nbhd & z]
-        if len(incident) == 1:
-            c0.append((comp, incident[0]))
+    # Step 5: components of g minus the joint separators incident to exactly one
+    # of them
+    comp_id = _component_ids(g, frozenset().union(*joint))
+    incident: list[list[frozenset[int]]] = [[] for _ in range(max(comp_id) + 1)]
+    for z in sorted(joint, key=sorted):
+        for c in _touched(comp_id, (w for v in z for w in g.adj[v])):
+            incident[c].append(z)
+    c0 = [
+        (frozenset(v for v in g.vertices() if comp_id[v] == c), zs[0])
+        for c, zs in enumerate(incident)
+        if len(zs) == 1
+    ]
     if not c0:
-        raise NotChordal("no component is incident to a single joint separator")
+        raise NotTGraph("no component is incident to a single joint separator", joint=len(joint))
     z0 = sorted({z for _comp, z in c0}, key=sorted)
     if len(z0) > d:
         raise NotTGraph("more active joint separators than leaves", count=len(z0), d=d)

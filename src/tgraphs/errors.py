@@ -37,11 +37,15 @@ class NotAPartition(TGraphsError):
     """Point classes do not partition the domain."""
 
 
-class IndexBoundExceeded(TGraphsError):
-    """Subgroup coset discovery exceeded the declared index bound."""
+class IndexBoundExceeded(NotTGraph):
+    """Subgroup coset discovery exceeded the declared index bound.
+
+    Every bound holds for T-graphs, so this is not-a-T-graph evidence too.
+    """
 
     def __init__(self, message, bound=None, stage=None):
-        super().__init__(message)
+        super().__init__("group index bound exceeded", stage=stage, bound=bound)
+        self.args = (message,)  # str() keeps the specific message
         self.bound = bound
         self.stage = stage
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .chordal import is_chordal
 from .decompose import Completion, canonical_decomposition
-from .errors import IndexBoundExceeded, NotTGraph
+from .errors import NotTGraph
 from .graph import Graph
 from .interval import MarkedContext, MarkedIntervalGraph, PQTree, marked_union
 from .perm import (
@@ -436,12 +436,6 @@ def is_isomorphic(g1: Graph, g2: Graph, d: int) -> Verdict:
         return _component_matching(g1, g2, d)
     except NotTGraph as e:
         return Verdict(NOT_T_GRAPH, d, evidence=e.evidence())
-    except IndexBoundExceeded as e:
-        return Verdict(
-            NOT_T_GRAPH,
-            d,
-            evidence={"reason": "group index bound exceeded", "stage": e.stage, "bound": e.bound},
-        )
 
 
 def _component_matching(g1: Graph, g2: Graph, d: int) -> Verdict:

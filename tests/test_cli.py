@@ -5,7 +5,7 @@ import json
 import pytest
 
 from tgraphs.cli import main
-from tgraphs.graph import cycle_graph, format_graph_text, path_graph, star_graph
+from tgraphs.graph import Graph, cycle_graph, format_graph_text, path_graph, star_graph
 from tgraphs.harness import random_relabel, random_t_graph
 from tgraphs.selftest import ANALYZE_FIXTURE, run_selftest
 
@@ -83,8 +83,6 @@ class TestDecompose:
         assert len(data["levels"]) == 1
 
     def test_subdivided_claw_two_levels(self, tmp_path, capsys):
-        from tgraphs.graph import Graph
-
         g = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
         p = write_graph(tmp_path, "sc.graph", g)
         assert main(["decompose", p, "--d", "3"]) == 0
@@ -96,6 +94,22 @@ class TestDecompose:
         assert main(["decompose", p, "--d", "3"]) == 2
         data = json.loads(capsys.readouterr().out)
         assert data["error"] == "not_chordal"
+
+    def test_chordal_promise_violation_is_not_t_graph(self, tmp_path, capsys):
+        # chordal, but no component of g minus its joint separators at d = 4
+        # meets exactly one of them
+        g = Graph(19, [
+            (0, 1), (0, 2), (0, 4), (0, 5), (0, 6), (0, 8), (0, 9), (0, 11), (0, 12), (0, 15), (0, 16),
+            (0, 17), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 8), (1, 11), (1, 12), (1, 14), (1, 15),
+            (1, 18), (2, 8), (3, 6), (4, 8), (6, 8), (6, 9), (6, 11), (6, 12), (6, 14), (6, 15), (6, 18),
+            (7, 13), (8, 9), (8, 11), (8, 12), (8, 15), (10, 11), (10, 15), (11, 12), (11, 14), (11, 15),
+            (12, 15), (12, 16), (12, 17), (13, 18), (14, 15),
+        ])
+        p = write_graph(tmp_path, "g19.graph", g)
+        assert main(["decompose", p, "--d", "4"]) == 2
+        data = json.loads(capsys.readouterr().out)
+        assert data["error"] == "not_t_graph"
+        assert data["evidence"]["reason"] == "no component is incident to a single joint separator"
 
 
 class TestGen:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import tgraphs.decompose as decompose
 from tgraphs.chordal import maximal_cliques
 from tgraphs.decompose import (
     attachment_sets,
@@ -13,7 +14,8 @@ from tgraphs.decompose import (
 )
 from tgraphs.errors import BadSeparator, NotChordal, NotTGraph
 from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, separates, star_graph
-from tgraphs.harness import random_relabel, random_t_graph
+from tgraphs.harness import random_relabel, random_t_graph, random_tree
+from tgraphs.iso import ISOMORPHIC, NOT_ISOMORPHIC, NOT_T_GRAPH, is_isomorphic
 
 
 def subdivided_claw():
@@ -341,6 +343,85 @@ class TestCanonicalDecomposition:
         assert level3 == {(2, 3, 4), (6, 7, 8), (10, 11, 12)}
 
 
+def assert_relabel_commutes(g, h, p, d):
+    """p maps g's decomposition onto h's, level by level, as sets."""
+    dec_g = canonical_decomposition(g, d)
+    dec_h = canonical_decomposition(h, d)
+    assert dec_g.depth == dec_h.depth
+    for lv_g, lv_h in zip(dec_g.levels, dec_h.levels):
+        image = {frozenset(p(v) for v in f.vertices) for f in lv_g}
+        assert image == {f.vertices for f in lv_h}
+        chains_image = {
+            (
+                frozenset(p(v) for v in f.vertices),
+                tuple(frozenset(p(v) for v in a) for a in f.attachments),
+            )
+            for f in lv_g
+        }
+        chains_h = {(f.vertices, f.attachments) for f in lv_h}
+        assert chains_image == chains_h
+    shards_image = {
+        (
+            t.origin_level,
+            t.host_level,
+            t.position,
+            frozenset(p(v) for v in t.vertices),
+        )
+        for t in dec_g.terminal_sets
+    }
+    shards_h = {
+        (t.origin_level, t.host_level, t.position, t.vertices)
+        for t in dec_h.terminal_sets
+    }
+    assert shards_image == shards_h
+
+
+def edge_graph(n, text):
+    return Graph(n, [tuple(map(int, e.strip("()").split(","))) for e in text.split()])
+
+
+# Connected chordal graphs outside the promise for d <= 4, each with a seed of
+# random_relabel. While step 4 tested joint separators against one witness
+# clique picked by vertex number, G15's extraction raised NotChordal and
+# G20's relabelled copy was judged NOT_ISOMORPHIC. At d = 4 no component of
+# G19 minus its joint separators meets exactly one of them.
+OUTSIDE_PROMISE = {
+    "G15": (
+        edge_graph(
+            15,
+            "(0,1) (0,3) (0,5) (0,6) (0,8) (0,10) (0,11) (0,14) (1,5) (1,8) (1,14) (2,10) (2,14) (3,5) "
+            "(3,6) (3,8) (3,14) (4,6) (4,14) (5,6) (5,8) (5,10) (5,11) (5,14) (6,8) (6,14) (7,10) (7,14) "
+            "(8,10) (8,11) (8,12) (8,13) (8,14) (9,12) (10,11) (10,14)",
+        ),
+        2790,
+    ),
+    "G19": (
+        edge_graph(
+            19,
+            "(0,1) (0,2) (0,4) (0,5) (0,6) (0,8) (0,9) (0,11) (0,12) (0,15) (0,16) (0,17) (1,2) (1,3) "
+            "(1,4) (1,5) (1,6) (1,8) (1,11) (1,12) (1,14) (1,15) (1,18) (2,8) (3,6) (4,8) (6,8) (6,9) "
+            "(6,11) (6,12) (6,14) (6,15) (6,18) (7,13) (8,9) (8,11) (8,12) (8,15) (10,11) (10,15) "
+            "(11,12) (11,14) (11,15) (12,15) (12,16) (12,17) (13,18) (14,15)",
+        ),
+        1,
+    ),
+    "G20": (
+        edge_graph(
+            20,
+            "(0,4) (0,7) (0,8) (0,15) (0,19) (1,5) (1,6) (1,17) (2,5) (2,9) (2,11) (2,14) (2,16) (2,17) "
+            "(2,18) (2,19) (3,5) (3,13) (4,19) (5,6) (5,9) (5,11) (5,12) (5,13) (5,16) (5,17) (5,18) "
+            "(5,19) (6,17) (7,15) (7,19) (8,10) (8,15) (8,19) (9,16) (9,17) (9,18) (9,19) (11,17) "
+            "(11,19) (14,17) (15,19) (17,19) (18,19)",
+        ),
+        2174,
+    ),
+}
+
+
+# 40 trees with 4 to 40 vertices call step 4 30 times in all
+TREE_STREAM, TREE_STEP4 = 40, 20
+
+
 class TestCanonicity:
     """Relabeling commutes with decomposition, level by level, as sets."""
 
@@ -351,32 +432,42 @@ class TestCanonicity:
         n = rng.randint(2, 10)
         g, _ = random_t_graph(d, n, 1000 + seed)
         h, p = random_relabel(g, seed)
-        dec_g = canonical_decomposition(g, d)
-        dec_h = canonical_decomposition(h, d)
-        assert dec_g.depth == dec_h.depth
-        for lv_g, lv_h in zip(dec_g.levels, dec_h.levels):
-            image = {frozenset(p(v) for v in f.vertices) for f in lv_g}
-            assert image == {f.vertices for f in lv_h}
-            chains_image = {
-                (
-                    frozenset(p(v) for v in f.vertices),
-                    tuple(frozenset(p(v) for v in a) for a in f.attachments),
-                )
-                for f in lv_g
-            }
-            chains_h = {(f.vertices, f.attachments) for f in lv_h}
-            assert chains_image == chains_h
-        shards_image = {
-            (
-                t.origin_level,
-                t.host_level,
-                t.position,
-                frozenset(p(v) for v in t.vertices),
-            )
-            for t in dec_g.terminal_sets
-        }
-        shards_h = {
-            (t.origin_level, t.host_level, t.position, t.vertices)
-            for t in dec_h.terminal_sets
-        }
-        assert shards_image == shards_h
+        assert_relabel_commutes(g, h, p, d)
+
+    def test_tree_stream_reaches_joint_separators(self, monkeypatch):
+        # trees decomposed at d = their leaf count reach step 4 (joint
+        # separators), which random T-graphs almost never do
+        calls = []
+        real = decompose.minimal_separators
+        monkeypatch.setattr(decompose, "minimal_separators", lambda g: calls.append(g.n) or real(g))
+        for seed in range(TREE_STREAM):
+            rng = random.Random(seed)
+            g = random_tree(rng.randint(4, 40), rng)
+            d = max(2, sum(1 for v in g.vertices() if g.degree(v) == 1))
+            h, p = random_relabel(g, seed)
+            assert_relabel_commutes(g, h, p, d)
+        assert len(calls) >= TREE_STEP4
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(OUTSIDE_PROMISE))
+    def test_outside_promise_relabel(self, name, d):
+        g, seed = OUTSIDE_PROMISE[name]
+        h, p = random_relabel(g, seed)
+        verdict = is_isomorphic(g, h, d)
+        assert verdict.kind != NOT_ISOMORPHIC
+        if verdict.kind == ISOMORPHIC:
+            assert all(h.has_edge(verdict.witness[u], verdict.witness[v]) for u, v in g.edges)
+        try:
+            canonical_decomposition(g, d)
+        except NotTGraph:
+            with pytest.raises(NotTGraph):
+                canonical_decomposition(h, d)
+        else:
+            assert_relabel_commutes(g, h, p, d)
+
+    def test_chordal_promise_violation_is_not_t_graph(self):
+        g, seed = OUTSIDE_PROMISE["G19"]
+        with pytest.raises(NotTGraph, match="no component is incident to a single joint separator"):
+            canonical_decomposition(g, 4)
+        verdict = is_isomorphic(g, random_relabel(g, seed)[0], 4)
+        assert verdict.kind == NOT_T_GRAPH

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tgraphs import perm as perm_module
-from tgraphs.errors import DomainMismatch, IndexBoundExceeded, NotAPartition, NotClosed
+from tgraphs.errors import DomainMismatch, IndexBoundExceeded, NotAPartition, NotClosed, NotTGraph
 from tgraphs.graph import Graph, complete_graph, path_graph
 from tgraphs.harness import brute_force_autgroup
 from tgraphs.perm import (
@@ -254,6 +254,8 @@ class TestTower:
         with pytest.raises(IndexBoundExceeded) as exc:
             tower_of_groups(s_n(4), preds)
         assert (exc.value.stage, exc.value.bound) == ("fix1", 2)
+        assert isinstance(exc.value, NotTGraph)
+        assert exc.value.evidence() == {"reason": "group index bound exceeded", "stage": "fix1", "bound": 2}
 
     def test_empty_tower(self):
         g = s_n(4)
