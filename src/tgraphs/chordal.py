@@ -1,4 +1,8 @@
-"""Chordal-graph primitives: recognition, cliques, clique trees, edge classes, separators."""
+"""Chordal-graph primitives: recognition, cliques, clique trees, edge classes, separators.
+
+`is_chordal` and `maximal_cliques` read one elimination pass. The engine tests
+chordality only where a graph enters it (`iso.is_isomorphic`).
+"""
 
 from __future__ import annotations
 
@@ -85,25 +89,37 @@ def maximum_cardinality_search(g: Graph) -> list[int]:
     return order
 
 
+def _eliminate(g: Graph) -> Optional[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The reverse of g's MCS order and g's maximal cliques, or None when g is not chordal.
+
+    Walking the MCS order, u's later neighbours (in the reverse order) are the
+    visited ones; v is the earliest. The order is perfect iff the rest are
+    adjacent to v (Tarjan and Yannakakis, SIAM J. Comput. 1984), and v plus its
+    later neighbours lies in another clique iff some such u has one more
+    (Fulkerson and Gross, Pacific J. Math. 1965).
+    """
+    mcs = maximum_cardinality_search(g)
+    rank = [-1] * g.n  # MCS step of each vertex visited so far
+    later: list[list[int]] = [[] for _ in g.vertices()]
+    covered = [False] * g.n
+    for i, u in enumerate(mcs):
+        lu = later[u] = [w for w in g.adj[u] if rank[w] >= 0]
+        rank[u] = i
+        if not lu:
+            continue
+        v = max(lu, key=rank.__getitem__)
+        if any(w not in g.adj[v] for w in lu if w != v):
+            return None
+        if len(lu) == len(later[v]) + 1:
+            covered[v] = True
+    cliques = sorted(tuple(sorted([v] + later[v])) for v in g.vertices() if not covered[v])
+    return tuple(reversed(mcs)), cliques
+
+
 def is_chordal(g: Graph) -> Optional[EliminationOrdering]:
     """A perfect elimination ordering of g, or None when g is not chordal."""
-    n = g.n
-    if n == 0:
-        return EliminationOrdering(())
-    mcs = maximum_cardinality_search(g)
-    peo = mcs[::-1]
-    pos = [0] * n
-    for i, v in enumerate(peo):
-        pos[v] = i
-    for i, v in enumerate(peo):
-        later = [w for w in g.adj[v] if pos[w] > i]
-        if not later:
-            continue
-        u = min(later, key=lambda w: pos[w])
-        rest = [w for w in later if w != u]
-        if any(w not in g.adj[u] for w in rest):
-            return None
-    return EliminationOrdering(tuple(peo))
+    found = _eliminate(g)
+    return None if found is None else EliminationOrdering(found[0])
 
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:
@@ -111,26 +127,12 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
     return frozenset(v for v in g.vertices() if g.is_clique(g.adj[v]))
 
 
-def maximal_cliques(g: Graph, peo: Optional[EliminationOrdering] = None) -> list[tuple[int, ...]]:
-    """All maximal cliques of a chordal graph, sorted lexicographically."""
-    if peo is None:
-        peo = is_chordal(g)
-        if peo is None:
-            raise NotChordal("maximal_cliques requires a chordal graph")
-    pos = [0] * g.n
-    for i, v in enumerate(peo.order):
-        pos[v] = i
-    later = [[w for w in g.adj[v] if pos[w] > pos[v]] for v in g.vertices()]
-    # v plus its later neighbours is a clique C_v; it lies inside another
-    # exactly when some u whose earliest later neighbour is v has one more
-    # later neighbour than v (Fulkerson and Gross, Pacific J. Math. 1965)
-    covered = [False] * g.n
-    for lu in later:
-        if lu:
-            v = min(lu, key=pos.__getitem__)
-            if len(lu) == len(later[v]) + 1:
-                covered[v] = True
-    return sorted(tuple(sorted([v] + later[v])) for v in g.vertices() if not covered[v])
+def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
+    """All maximal cliques of g, sorted lexicographically; NotChordal if g is not chordal."""
+    found = _eliminate(g)
+    if found is None:
+        raise NotChordal("maximal_cliques requires a chordal graph")
+    return found[1]
 
 
 def weighted_clique_graph(g: Graph) -> WeightedCliqueGraph:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .chordal import is_chordal, leaf_cliques, minimal_separators, simplicial_vertices
-from .errors import BadSeparator, Disconnected, NotChordal, NotTGraph
+from .chordal import leaf_cliques, minimal_separators
+from .errors import BadSeparator, Disconnected, NotTGraph
 from .graph import Graph
 from .interval import PQTree, build_pq_tree
 
@@ -169,7 +169,7 @@ def completion(g: Graph, frag: Iterable[int], sep: Iterable[int]) -> Completion:
 def attachment_sets(g: Graph, frag: Iterable[int], sep: Iterable[int]) -> tuple[frozenset[int], ...]:
     """Attachment chain of a separator fragment: distinct neighborhoods in the separator.
 
-    Ascending by cardinality; chordality makes them nested.
+    Ascending by cardinality; NotTGraph when two are not nested.
     """
     frag = frozenset(frag)
     sep = frozenset(sep)
@@ -178,7 +178,7 @@ def attachment_sets(g: Graph, frag: Iterable[int], sep: Iterable[int]) -> tuple[
     chain = sorted(seen, key=len)
     for a, b in zip(chain, chain[1:]):
         if not a < b:
-            raise NotChordal("attachment sets do not form a chain")
+            raise NotTGraph("attachment sets do not form a chain", sizes=[len(a), len(b)])
     return tuple(chain)
 
 
@@ -186,10 +186,8 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int) -> list[E
     """Procedure for one fragment collection on a connected chordal labeled graph."""
     if depth > budget:
         raise NotTGraph("fragment extraction recursion exceeded its depth budget", depth=depth)
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         raise NotTGraph("empty graph in extraction")
-    simplicial = simplicial_vertices(g)
     leaf = [frozenset(c) for c in leaf_cliques(g)]
     # Step 2: drop cliques strictly above another in the separation preorder
     below = _relations(g, leaf)
@@ -217,7 +215,8 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int) -> list[E
     if l1:
         frags = []
         for idx, clique in enumerate(sorted(l1, key=lambda c: sorted(_label_key(labels[v]) for v in c))):
-            f = frozenset(v for v in clique if v in simplicial)
+            # v in the maximal clique is simplicial iff N[v] is the clique
+            f = frozenset(v for v in clique if len(g.adj[v]) == len(clique) - 1)
             if not f:
                 raise NotTGraph("leaf clique without simplicial vertices")
             sep = clique - f
@@ -321,15 +320,13 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int) -> list[E
 
 
 def extract_fragments(g: Graph, d: int) -> list[ExtractedFragment]:
-    """One canonical fragment collection of a connected chordal graph (size <= 2d)."""
+    """One canonical fragment collection of a connected chordal graph (size <= 2d); NotChordal otherwise."""
     if d < 2:
         raise ValueError("need d >= 2")
     if g.n == 0:
         raise ValueError("need a nonempty graph")
     if not g.is_connected():
         raise Disconnected("extraction requires a connected graph")
-    if is_chordal(g) is None:
-        raise NotChordal("extraction requires a chordal graph")
     frags = _extract(g, tuple(range(g.n)), d, 0, g.n + 2)
     return sorted(frags, key=lambda fr: sorted(fr.vertices))
 
@@ -409,16 +406,15 @@ def canonical_decomposition(g: Graph, d: int) -> Decomposition:
 
     The interval residue, connected like every residue, is the final level's
     one fragment. Disconnected inputs are decomposed per component and merged
-    by level index.
+    by level index. A non-chordal component raises NotChordal from its first
+    extraction's `leaf_cliques`; an induced subgraph of a chordal graph is chordal.
     """
     if d < 2:
         raise ValueError("need d >= 2")
     if g.n == 0:
         return Decomposition(g, (), ())
-    if not g.is_connected():  # each component's decomposition checks its chordality
+    if not g.is_connected():
         return _merge_component_decompositions(g, d)
-    if is_chordal(g) is None:
-        raise NotChordal("decomposition requires a chordal graph")
 
     levels: list[list[Fragment]] = []
     terminal_sets: list[TerminalSet] = []

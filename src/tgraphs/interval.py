@@ -16,8 +16,8 @@ from heapq import heappop, heappush
 from itertools import accumulate, chain
 from typing import Any, Optional, Sequence
 
-from .chordal import is_chordal, maximal_cliques
-from .errors import TooLarge
+from .chordal import maximal_cliques
+from .errors import NotChordal, TooLarge
 from .graph import Graph
 from .perm import Perm, PermGroup, find_element
 from .setfamily import SetFamily, family_autgroup
@@ -290,10 +290,10 @@ def build_pq_tree(g: Graph) -> Optional[PQTree]:
     """PQ-tree of g, or None when g is not a connected interval graph."""
     if g.n == 0 or not g.is_connected():
         return None
-    peo = is_chordal(g)
-    if peo is None:
+    try:
+        cliques = tuple(maximal_cliques(g))
+    except NotChordal:
         return None
-    cliques = tuple(maximal_cliques(g, peo))
     incidence: list[list[int]] = [[] for _ in g.vertices()]
     for i, c in enumerate(cliques):
         for v in c:

@@ -199,7 +199,8 @@ class Bucket:
 
 def level_group(cd: CombinedDecomposition, level: int) -> PermGroup:
     """The level group: per bucket, the marked automorphisms of the bucket's
-    union acting on its fragments and their terminal shards."""
+    union acting on its fragments and their terminal shards. The level's
+    origin fragments lead the base, as `decomposition_autgroup` needs."""
     if level in cd.level_groups:
         return cd.level_groups[level]
     offset = sum(cd.level_degrees[: level - 1])  # the domain lists the levels in order
@@ -231,7 +232,8 @@ def level_group(cd: CombinedDecomposition, level: int) -> PermGroup:
             for tid, i in shard_index.items():
                 images[cd.term_point[tid] - offset] = cd.term_point[shard_at[gen(i)]] - offset
             gens.append(Perm(images))
-    group = PermGroup(degree, gens)
+    origins = sorted({cd.frag_point[t.origin_gid] - offset for t in cd.terminals if t.origin_level == level})
+    group = PermGroup(degree, gens, base=origins)
     cd.level_groups[level] = group
     return group
 
@@ -269,8 +271,7 @@ def decomposition_autgroup(cd: CombinedDecomposition) -> PermGroup:
             if t.origin_level == i
         }
         origins = sorted({o for _pos, _host, o in shard.values()})
-        level = level_group(cd, i)
-        lam = PermGroup(level.degree, level.generators, base=origins, order=level.order())
+        lam = level_group(cd, i)  # its base starts with the origins
 
         def realize(k: Perm, shard=shard, lam=lam) -> Optional[Perm]:
             """A level-group element inducing k's origin map; None if k has no such map or none fits."""

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tgraphs.chordal import (
     INDISPENSABLE,
@@ -33,6 +34,22 @@ def brute_is_chordal(g):
             if g.connected_in(allowed, sub[0]) == set(sub):
                 return False
     return True
+
+
+def brute_maximal_cliques(g):
+    """Cliques no outside vertex sees whole, sorted lexicographically."""
+    cliques = [c for size in range(1, g.n + 1) for c in combinations(range(g.n), size) if g.is_clique(c)]
+    return sorted(
+        c for c in cliques if not any(all(g.has_edge(v, w) for w in c) for v in range(g.n) if v not in c)
+    )
+
+
+# every graph on 1..9 vertices, one coin per vertex pair: chordal or not, connected or not
+any_graph = st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+        lambda coins: Graph(n, [e for e, keep in zip(combinations(range(n), 2), coins) if keep])
+    )
+)
 
 
 def spanning_trees(k, edges):
@@ -104,6 +121,21 @@ class TestIsChordal:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
         g = Graph(n, edges)
         assert (is_chordal(g) is not None) == brute_is_chordal(g)
+
+
+class TestEliminationPass:
+    """`is_chordal` and `maximal_cliques` read one elimination pass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_graph)
+    def test_recognition_and_cliques_agree_with_brute_force(self, g):
+        chordal = is_chordal(g) is not None
+        assert chordal == brute_is_chordal(g)
+        if chordal:
+            assert maximal_cliques(g) == brute_maximal_cliques(g)
+        else:
+            with pytest.raises(NotChordal):
+                maximal_cliques(g)
 
 
 def quadratic_mcs(g):

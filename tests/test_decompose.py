@@ -3,7 +3,7 @@ import random
 import pytest
 
 import tgraphs.decompose as decompose
-from tgraphs.chordal import maximal_cliques
+from tgraphs.chordal import is_chordal, maximal_cliques
 from tgraphs.decompose import (
     attachment_sets,
     canonical_decomposition,
@@ -202,8 +202,6 @@ class TestCompletion:
         g, _ = random_t_graph(3, 9, 11)
         if not g.is_connected():
             pytest.skip("connected instance needed")
-        from tgraphs.chordal import is_chordal
-
         frags = extract_fragments(g, 3)
         for f in frags:
             assert is_chordal(f.completion.graph) is not None
@@ -224,6 +222,15 @@ class TestAttachmentSets:
         g = Graph(5, [(0, 1), (2, 3), (2, 0), (3, 0), (3, 1), (4, 0), (4, 1)])
         chain = attachment_sets(g, frozenset({2, 3}), frozenset({0, 1}))
         assert chain == (frozenset({0}), frozenset({0, 1}))
+
+    def test_non_chain_on_a_chordal_graph_is_not_t_graph(self):
+        # chordal (triangles 0-2-4, 1-3-4 and 0-1-4), but 2 sees {0} and 3
+        # sees {1} inside the separator: the attachment sets are not nested
+        g = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (0, 4), (1, 4)])
+        assert is_chordal(g) is not None
+        with pytest.raises(NotTGraph) as info:
+            attachment_sets(g, frozenset({2, 3, 4}), frozenset({0, 1}))
+        assert info.value.evidence() == {"reason": "attachment sets do not form a chain", "sizes": [1, 1]}
 
 
 class TestCanonicalDecomposition:

@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+import tgraphs.chordal as chordal
 import tgraphs.iso as iso
 from tgraphs.decompose import canonical_decomposition
 from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
@@ -136,6 +138,14 @@ class TestLevelGroup:
             # each level holds one bucket: six tips, then two cores
             assert len(calls) == 1
         assert orders == [720, 72]
+
+    def test_origin_fragments_lead_the_base(self):
+        # the six tips carry the shards of level 2, so decomposition_autgroup
+        # reads the level-1 group as it is
+        cd = make_cd(subdivided_claw(), subdivided_claw(), 3)
+        tips = sorted(cd.frag_point[cf.gid] for cf in cd.fragments if cf.level == 1)
+        assert len(tips) == 6
+        assert list(level_group(cd, 1).base[:6]) == tips
 
 
 class TestDecompositionAutgroup:
@@ -391,6 +401,30 @@ class TestIsIsomorphic:
         assert verdict.kind == ISOMORPHIC
         for u, v in g.edges:
             assert h.has_edge(verdict.witness[u], verdict.witness[v])
+
+    def test_chordality_is_tested_once_per_input(self, monkeypatch):
+        # every module binding of is_chordal is wrapped, as bench/spans.py does
+        calls = {"is_chordal": 0, "mcs": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        original = chordal.is_chordal
+        for name, mod in list(sys.modules.items()):
+            if (name == "tgraphs" or name.startswith("tgraphs.")) and getattr(mod, "is_chordal", None) is original:
+                monkeypatch.setattr(mod, "is_chordal", counting("is_chordal", original))
+        mcs = counting("mcs", chordal.maximum_cardinality_search)
+        monkeypatch.setattr(chordal, "maximum_cardinality_search", mcs)
+        g = spider(5, 5, 6)
+        h, _ = random_relabel(g, 3)
+        assert is_isomorphic(g, h, 3).kind == ISOMORPHIC
+        assert calls["is_chordal"] == 2
+        # one elimination pass per input test, clique query and PQ-tree
+        assert calls["mcs"] == 44
 
     def test_verdict_json(self):
         verdict = is_isomorphic(path_graph(3), path_graph(3), 2)
