@@ -382,6 +382,9 @@ def _canonical_forms(tree: PQTree) -> tuple[list[tuple], list[tuple[int, ...]]]:
     grouped by oriented run. So zipping the orders of two equal-code subtrees
     is an isomorphism of their belonging subgraphs, once the pass-through
     vertices (each in every clique of the subtree) are paired in any way.
+    A root has none, so its code decides isomorphism of the whole graph and
+    zipping two equal root orders is an isomorphism (Lueker and Booth, J. ACM
+    1979); `pq_tree_isomorphism` reads that off.
     """
     codes: list[tuple] = [()] * len(tree.nodes)
     orders: list[tuple[int, ...]] = [()] * len(tree.nodes)
@@ -411,6 +414,17 @@ def _canonical_forms(tree: PQTree) -> tuple[list[tuple], list[tuple[int, ...]]]:
         codes[node.nid] = (node.kind, len(assigned), passthrough) + body
         orders[node.nid] = order
     return codes, orders
+
+
+def pq_tree_isomorphism(t1: PQTree, t2: PQTree) -> Optional[tuple[int, ...]]:
+    """An isomorphism from t1's graph onto t2's, as each t1 vertex's image;
+    None when their root codes differ, that is, when there is none."""
+    (codes1, orders1), (codes2, orders2) = _canonical_forms(t1), _canonical_forms(t2)
+    root1, root2 = t1.root.nid, t2.root.nid
+    if codes1[root1] != codes2[root2]:
+        return None
+    images = dict(zip(orders1[root1], orders2[root2]))
+    return tuple(images[v] for v in range(t1.graph.n))
 
 
 @dataclass

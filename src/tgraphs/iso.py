@@ -17,7 +17,7 @@ from .chordal import is_chordal
 from .decompose import Completion, canonical_decomposition
 from .errors import NotTGraph
 from .graph import Graph
-from .interval import MarkedContext, MarkedIntervalGraph, PQTree, marked_union
+from .interval import MarkedContext, MarkedIntervalGraph, PQTree, marked_union, pq_tree_isomorphism
 from .perm import (
     MembershipPredicate,
     Perm,
@@ -273,14 +273,19 @@ def decomposition_autgroup(cd: CombinedDecomposition) -> PermGroup:
         origins = sorted({o for _pos, _host, o in shard.values()})
         lam = level_group(cd, i)  # its base starts with the origins
 
-        def realize(k: Perm, shard=shard, lam=lam) -> Optional[Perm]:
+        realized: dict[tuple[int, ...], Optional[Perm]] = {}  # k.images -> realize(k), for both uses below
+
+        def realize(k: Perm, shard=shard, lam=lam, realized=realized) -> Optional[Perm]:
             """A level-group element inducing k's origin map; None if k has no such map or none fits."""
-            images = {}
-            for pt, (pos, host, o) in shard.items():
-                image = shard.get(k(pt))
-                if image is None or image[:2] != (pos, k(host)) or images.setdefault(o, image[2]) != image[2]:
-                    return None
-            return find_element(lam, images)  # none fits a map that is not injective
+            if k.images not in realized:
+                images: Optional[dict[int, int]] = {}
+                for pt, (pos, host, o) in shard.items():
+                    image = shard.get(k(pt))
+                    if image is None or image[:2] != (pos, k(host)) or images.setdefault(o, image[2]) != image[2]:
+                        images = None
+                        break
+                realized[k.images] = None if images is None else find_element(lam, images)  # None if not injective
+            return realized[k.images]
 
         kept = tower_of_groups(group, [MembershipPredicate(lambda k, f=realize: f(k) is not None, bound, f"a2-{i}")])
         fixer = lam.stabilizer(origins)
@@ -401,19 +406,28 @@ def _connected_isomorphism(g1: Graph, g2: Graph, d: int) -> Optional[tuple[int, 
     cd = combine(g1, g2, d)
     if cd is None:
         return None
-    for level in range(1, cd.depth + 1):
-        left = sum(1 for cf in cd.fragments if cf.level == level and cf.side == 0)
-        right = sum(1 for cf in cd.fragments if cf.level == level and cf.side == 1)
-        if left != right:
+    if cd.depth == 1:  # each side is one interval residue: its tree's root code decides
+        f1, f2 = sorted(cd.fragments, key=lambda cf: cf.side)
+        images = pq_tree_isomorphism(f1.tree, f2.tree)
+        if images is None:
             return None
-    group = decomposition_autgroup(cd)
-    swap = find_block_swap(group, cd.side_points(0), cd.side_points(1))
-    if swap is None:
-        return None
-    sigma = lift_to_vertices(cd, swap)
-    witness = tuple(sigma(v) - cd.n1 for v in range(g1.n))
+        ids1, ids2 = sorted(f1.vertices), sorted(f2.vertices)  # the trees number them in this order
+        lifted = dict(zip(ids1, (ids2[j] - cd.n1 for j in images)))
+        witness = tuple(lifted[v] for v in range(g1.n))
+    else:
+        for level in range(1, cd.depth + 1):
+            left = sum(1 for cf in cd.fragments if cf.level == level and cf.side == 0)
+            right = sum(1 for cf in cd.fragments if cf.level == level and cf.side == 1)
+            if left != right:
+                return None
+        group = decomposition_autgroup(cd)
+        swap = find_block_swap(group, cd.side_points(0), cd.side_points(1))
+        if swap is None:
+            return None
+        sigma = lift_to_vertices(cd, swap)
+        witness = tuple(sigma(v) - cd.n1 for v in range(g1.n))
     if not _verify_witness(g1, g2, witness):
-        raise AssertionError("lifted witness failed edge verification")
+        raise AssertionError("witness failed edge verification")
     return witness
 
 

@@ -1,5 +1,7 @@
 import random
 import sys
+from collections import defaultdict
+from itertools import combinations
 
 import pytest
 
@@ -475,3 +477,60 @@ class TestConstraintTower:
         assert verdict.kind == ISOMORPHIC
         for u, v in g.edges:
             assert h.has_edge(verdict.witness[u], verdict.witness[v])
+
+
+def random_interval_graph(n, rng):
+    """The intersection graph of n integer intervals, each starting below n
+    and at most 4 long."""
+    spans = [(a, a + rng.randint(0, 4)) for a in (rng.randrange(n) for _ in range(n))]
+    meets = lambda u, v: spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if meets(u, v)])
+
+
+def interval_bucket_pairs(draws, seed):
+    """Connected random interval graphs (n from 4 to 10) bucketed by (n, m,
+    degree sequence), at most four to a bucket: every pair inside a bucket of
+    two or more, plus each of those graphs against a relabelled copy."""
+    rng = random.Random(seed)
+    buckets = defaultdict(list)
+    for _ in range(draws):
+        g = random_interval_graph(rng.randint(4, 10), rng)
+        key = (g.n, g.m, tuple(sorted(map(g.degree, g.vertices()))))
+        if g.is_connected() and len(buckets[key]) < 4:
+            buckets[key].append(g)
+    graphs = [g for gs in buckets.values() if len(gs) > 1 for g in gs]
+    pairs = [pair for gs in buckets.values() for pair in combinations(gs, 2)]
+    return pairs + [(g, random_relabel(g, i)[0]) for i, g in enumerate(graphs)]
+
+
+class TestIntervalRootCodes:
+    """A decision of depth 1 (each side one interval residue) is read off the
+    two residual PQ-trees' root codes, with no level group or tower."""
+
+    def test_agrees_with_brute_force_and_the_group_path(self):
+        pairs = interval_bucket_pairs(3000, 20)
+        truths = []
+        for g1, g2 in pairs:
+            truth = brute_force_isomorphism(g1, g2) is not None
+            verdict = is_isomorphic(g1, g2, 2)
+            assert verdict.kind == (ISOMORPHIC if truth else NOT_ISOMORPHIC)
+            if truth:
+                w = verdict.witness
+                assert sorted(w) == list(range(g2.n)) and all(g2.has_edge(w[u], w[v]) for u, v in g1.edges)
+            cd = combine(g1, g2, 2)
+            assert cd.depth == 1
+            swap = find_block_swap(decomposition_autgroup(cd), cd.side_points(0), cd.side_points(1))
+            assert (swap is not None) == truth
+            truths.append(truth)
+        assert len(pairs) > 1000 and truths.count(False) > 100
+
+    def test_union_of_paths_builds_no_level_group(self, monkeypatch):
+        calls = []
+        inner = iso.level_group
+        monkeypatch.setattr(iso, "level_group", lambda cd, level: calls.append(level) or inner(cd, level))
+        g = Graph(36, [(3 * i + k, 3 * i + k + 1) for i in range(12) for k in range(2)])  # 12 copies of P3
+        h, _ = random_relabel(g, 4)
+        verdict = is_isomorphic(g, h, 2)
+        assert verdict.kind == ISOMORPHIC
+        assert all(h.has_edge(verdict.witness[u], verdict.witness[v]) for u, v in g.edges)
+        assert calls == []

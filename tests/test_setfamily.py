@@ -7,6 +7,7 @@ import tgraphs.interval
 from tgraphs.errors import IndexBoundExceeded
 from tgraphs.graph import Graph, path_graph
 from tgraphs.harness import random_relabel
+from tgraphs.interval import MarkedContext, MarkedIntervalGraph, marked_union
 from tgraphs.iso import is_isomorphic
 from tgraphs.perm import Perm, PermGroup
 from tgraphs.setfamily import (
@@ -300,12 +301,14 @@ class TestRefine:
             return group
 
         monkeypatch.setattr(tgraphs.interval, "family_autgroup", recording)
+        # a path's decision reads root codes, so its level bucket is built here
+        path_bucket(path_graph(21), 1).group
+        assert orders == [8]
         # a centre 0 with three arms of five vertices
         spider = Graph(16, [(5 * a + k if k else 0, 5 * a + k + 1) for a in range(3) for k in range(5)])
-        for g, d, want in ((path_graph(21), 2, [8]), (spider, 3, [72, 720, 720, 720, 720])):
-            orders.clear()
-            assert is_isomorphic(g, random_relabel(g, 1)[0], d).witness is not None
-            assert orders == want
+        orders.clear()
+        assert is_isomorphic(spider, random_relabel(spider, 1)[0], 3).witness is not None
+        assert orders == [72, 720, 720, 720, 720]
 
 
 
@@ -332,8 +335,21 @@ def spider_graph(*arms):
     return Graph(nxt, edges)
 
 
+def path_bucket(g, seed):
+    """The marked context of the level bucket holding interval graph g and a
+    relabelled copy, as a decision of depth 1 would build it."""
+    hosts = [MarkedIntervalGraph(h, []) for h in (g, random_relabel(g, seed)[0])]
+    return MarkedContext(marked_union(hosts)[0])
+
+
 def decision_groups(monkeypatch, g, d):
     """Per family group a decision of g against a relabelling builds: the
+    family, the group and the number of Schreier generators its chain formed."""
+    return family_groups(monkeypatch, lambda: is_isomorphic(g, random_relabel(g, 3)[0], d).witness is not None)
+
+
+def family_groups(monkeypatch, build):
+    """Per family group that build() makes, which must return True: the
     family, the group and the number of Schreier generators its chain formed."""
     built, formed = [], []
     inner = tgraphs.interval.family_autgroup
@@ -351,7 +367,7 @@ def decision_groups(monkeypatch, g, d):
 
     monkeypatch.setattr(PermGroup, "_queue_schreier_generators", counting)
     monkeypatch.setattr(tgraphs.interval, "family_autgroup", recording)
-    assert is_isomorphic(g, random_relabel(g, 3)[0], d).witness is not None
+    assert build()
     monkeypatch.undo()
     return built
 
@@ -378,12 +394,16 @@ class TestChainFromSearch:
         self.assert_chain_from_search(fam, family_autgroup(fam, len(fam.sets)))
 
     @pytest.mark.parametrize(
-        "g, d",
-        [(path_graph(21), 2), (spider_graph(5, 5, 5), 3), (spider_graph(2, 2, 2, 2), 4)],
+        "groups",
+        [
+            lambda mp: family_groups(mp, lambda: path_bucket(path_graph(21), 3).group.order() > 1),
+            lambda mp: decision_groups(mp, spider_graph(5, 5, 5), 3),
+            lambda mp: decision_groups(mp, spider_graph(2, 2, 2, 2), 4),
+        ],
         ids=["path21", "3x5", "4x2"],
     )
-    def test_decision_encodings(self, monkeypatch, g, d):
-        built = decision_groups(monkeypatch, g, d)
+    def test_decision_encodings(self, monkeypatch, groups):
+        built = groups(monkeypatch)
         assert built
         for family, group, _formed in built:
             self.assert_chain_from_search(family, group)
