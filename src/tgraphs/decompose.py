@@ -414,7 +414,8 @@ def canonical_decomposition(g: Graph, d: int) -> Decomposition:
     if g.n == 0:
         return Decomposition(g, (), ())
     if not g.is_connected():
-        return _merge_component_decompositions(g, d)
+        parts = [(canonical_decomposition(g.subgraph(comp)[0], d), sorted(comp)) for comp in g.components()]
+        return merge_decompositions(g, parts)
 
     levels: list[list[Fragment]] = []
     terminal_sets: list[TerminalSet] = []
@@ -479,13 +480,16 @@ def _distribute_shards(active: list[dict], fragments: list[Fragment], terminal_s
                 entry["remaining"] -= shard
 
 
-def _merge_component_decompositions(g: Graph, d: int) -> Decomposition:
+def merge_decompositions(g: Graph, parts: Sequence[tuple[Decomposition, Sequence[int]]]) -> Decomposition:
+    """The decomposition of g from those of its parts, merged by level index.
+
+    Each part is a decomposition and its vertex map into g (`back[v]` is the
+    g vertex of the part's v), increasing, so completion labels keep their
+    order; the parts must partition g's vertices into unions of components.
+    """
     levels: dict[int, list[Fragment]] = {}
     terminal_sets: list[TerminalSet] = []
-    for comp in g.components():
-        sub, idx = g.subgraph(comp)
-        back = {i: v for v, i in idx.items()}
-        dec = canonical_decomposition(sub, d)
+    for dec, back in parts:
         frag_renumber: dict[tuple[int, int], int] = {}
         for lv in dec.levels:
             for f in lv:

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .errors import TooLarge
@@ -146,27 +144,53 @@ def _pruefer_tree(n: int, seq: Sequence[int]) -> Graph:
     return Graph(n, edges)
 
 
+def _pruefer_walk(n: int, distinct: int, seq: tuple = (), used: int = 0, once: int = 0) -> Iterator[tuple]:
+    """In lexicographic order, the Prüfer sequences over range(n) that extend seq
+    (`used` symbols, `once` of them used once) and use exactly `distinct`
+    symbols, each at least twice."""
+    if len(seq) == n - 2:
+        yield seq
+        return
+    for x in range(n):
+        k = seq.count(x)
+        u, o = used + (k == 0), once + (k == 0) - (k == 1)
+        if u <= distinct and o + 2 * (distinct - u) <= n - 3 - len(seq):  # completable in the slots left
+            yield from _pruefer_walk(n, distinct, seq + (x,), u, o)
+
+
+def _centre_code(t: Graph) -> tuple:
+    """The AHU code of a tree (Aho, Hopcroft and Ullman 1974) rooted at a centre,
+    the least over its centres: equal on two trees exactly when they are isomorphic."""
+    degree = [t.degree(v) for v in t.vertices()]
+    layer, left = [v for v in t.vertices() if degree[v] <= 1], t.n
+    while left > 2:  # peel the leaves until the one or two centres remain
+        left, peeled, layer = left - len(layer), layer, []
+        for w in (w for v in peeled for w in t.adj[v]):
+            degree[w] -= 1
+            if degree[w] == 1:
+                layer.append(w)
+    code = lambda v, parent: tuple(sorted(code(w, v) for w in t.adj[v] if w != parent))
+    return min(code(c, -1) for c in layer)
+
+
 def tree_catalog(d: int) -> list[Graph]:
     """All trees with exactly d leaves and no degree-2 vertices, up to isomorphism.
 
-    Such trees have at most 2d-2 vertices; the catalog is deduplicated by
-    brute-force isomorphism and cached.
+    Such trees have at most 2d-2 vertices, and a Prüfer symbol used k times is a
+    vertex of degree k + 1; the first tree of each AHU code is kept, and cached.
     """
     if d < 2:
         raise ValueError("need d >= 2")
     if d in _TREE_CATALOG_CACHE:
         return _TREE_CATALOG_CACHE[d]
     found: list[Graph] = []
-    for n in range(2, 2 * d - 1):
-        for seq in product(range(n), repeat=n - 2):
-            # vertex v has degree 1 + seq.count(v): the leaves are the d absent
-            # vertices, and a vertex present exactly once would have degree 2
-            if n - len(set(seq)) != d or 1 in Counter(seq).values():
-                continue
+    seen: set[tuple] = set()
+    for n in range(d, 2 * d - 1):  # n - d symbols, so n >= d
+        for seq in _pruefer_walk(n, n - d):
             t = _pruefer_tree(n, seq)
-            if any(brute_force_isomorphism(t, s) is not None for s in found if s.n == n):
-                continue
-            found.append(t)
+            if (code := _centre_code(t)) not in seen:
+                seen.add(code)
+                found.append(t)
     _TREE_CATALOG_CACHE[d] = found
     return found
 

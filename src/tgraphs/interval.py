@@ -416,6 +416,12 @@ def _canonical_forms(tree: PQTree) -> tuple[list[tuple], list[tuple[int, ...]]]:
     return codes, orders
 
 
+def root_code(tree: PQTree) -> tuple:
+    """The root's canonical code: equal on two trees exactly when their graphs are isomorphic."""
+    codes, _orders = _canonical_forms(tree)
+    return codes[tree.root.nid]
+
+
 def pq_tree_isomorphism(t1: PQTree, t2: PQTree) -> Optional[tuple[int, ...]]:
     """An isomorphism from t1's graph onto t2's, as each t1 vertex's image;
     None when their root codes differ, that is, when there is none."""

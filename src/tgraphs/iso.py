@@ -8,16 +8,17 @@ isomorphisms and verified edge-by-edge.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import factorial
 from typing import Optional
 
 from .chordal import is_chordal
-from .decompose import Completion, canonical_decomposition
+from .decompose import Completion, Decomposition, canonical_decomposition, merge_decompositions
 from .errors import NotTGraph
 from .graph import Graph
-from .interval import MarkedContext, MarkedIntervalGraph, PQTree, marked_union, pq_tree_isomorphism
+from .interval import MarkedContext, MarkedIntervalGraph, PQTree, marked_union, pq_tree_isomorphism, root_code
 from .perm import (
     MembershipPredicate,
     Perm,
@@ -107,12 +108,14 @@ def _fragment_marked(cf: CFragment, fam_terms: list[list[CTerminal]]):
     cf.shards = fam_terms
 
 
-def combine(g1: Graph, g2: Graph, d: int) -> Optional[CombinedDecomposition]:
-    """The canonical decomposition of G1 ⊎ G2, G2's vertices shifted by g1.n;
-    None when the two sides' depths differ."""
-    n1 = g1.n
-    h = g1.union_disjoint(g2)
-    dec = canonical_decomposition(h, d)
+def combine(dec1: Decomposition, dec2: Decomposition) -> Optional[CombinedDecomposition]:
+    """The decomposition of G1 ⊎ G2 merged from G1's and G2's, G2's vertices
+    shifted by g1.n; None when the two sides' depths differ."""
+    if dec1.depth != dec2.depth:
+        return None
+    n1, n2 = dec1.graph.n, dec2.graph.n
+    h = dec1.graph.union_disjoint(dec2.graph)
+    dec = merge_decompositions(h, [(dec1, range(n1)), (dec2, range(n1, n1 + n2))])
     fragments: list[CFragment] = []
     frag_gid: dict[tuple[int, int], int] = {}
     for level in dec.levels:
@@ -124,9 +127,6 @@ def combine(g1: Graph, g2: Graph, d: int) -> Optional[CombinedDecomposition]:
                     len(fragments), f.level, side, f.vertices, f.provenance, f.attachments, f.completion, tree=f.tree
                 )
             )
-    depths = [max((cf.level for cf in fragments if cf.side == side), default=0) for side in (0, 1)]
-    if depths[0] != depths[1]:
-        return None
     terminals = [
         CTerminal(
             tid,
@@ -401,32 +401,38 @@ def _verify_witness(g1: Graph, g2: Graph, witness: tuple[int, ...]) -> bool:
     return all(g2.has_edge(witness[u], witness[v]) for u, v in g1.edges)
 
 
-def _connected_isomorphism(g1: Graph, g2: Graph, d: int) -> Optional[tuple[int, ...]]:
-    """Witness bijection between connected chordal graphs, or None; raises NotTGraph."""
-    cd = combine(g1, g2, d)
-    if cd is None:
+def _invariant(dec: Decomposition) -> tuple:
+    """Per level, the sorted (provenance, size, attachment sizes, root code of the
+    completion or residual tree) of its fragments. The decomposition commutes
+    with relabelling and root codes are isomorphism invariants, so isomorphic
+    graphs have equal invariants."""
+
+    def key(f):
+        tree = f.tree if f.completion is None else f.completion.tree
+        return f.provenance, len(f.vertices), tuple(map(len, f.attachments)), root_code(tree)
+
+    return tuple(tuple(sorted(map(key, level))) for level in dec.levels)
+
+
+def _connected_isomorphism(part1: tuple, part2: tuple) -> Optional[tuple[int, ...]]:
+    """Witness bijection between connected chordal graphs, or None, from each
+    one's (decomposition, invariant or None at depth 1); raises NotTGraph."""
+    (dec1, inv1), (dec2, inv2) = part1, part2
+    if dec1.depth != dec2.depth or inv1 != inv2:
         return None
-    if cd.depth == 1:  # each side is one interval residue: its tree's root code decides
-        f1, f2 = sorted(cd.fragments, key=lambda cf: cf.side)
-        images = pq_tree_isomorphism(f1.tree, f2.tree)
-        if images is None:
+    if dec1.depth == 1:  # each side is one interval residue, numbered as its graph: root codes decide
+        witness = pq_tree_isomorphism(dec1.levels[0][0].tree, dec2.levels[0][0].tree)
+        if witness is None:
             return None
-        ids1, ids2 = sorted(f1.vertices), sorted(f2.vertices)  # the trees number them in this order
-        lifted = dict(zip(ids1, (ids2[j] - cd.n1 for j in images)))
-        witness = tuple(lifted[v] for v in range(g1.n))
     else:
-        for level in range(1, cd.depth + 1):
-            left = sum(1 for cf in cd.fragments if cf.level == level and cf.side == 0)
-            right = sum(1 for cf in cd.fragments if cf.level == level and cf.side == 1)
-            if left != right:
-                return None
+        cd = combine(dec1, dec2)
         group = decomposition_autgroup(cd)
         swap = find_block_swap(group, cd.side_points(0), cd.side_points(1))
         if swap is None:
             return None
         sigma = lift_to_vertices(cd, swap)
-        witness = tuple(sigma(v) - cd.n1 for v in range(g1.n))
-    if not _verify_witness(g1, g2, witness):
+        witness = tuple(sigma(v) - cd.n1 for v in range(cd.n1))
+    if not _verify_witness(dec1.graph, dec2.graph, witness):
         raise AssertionError("witness failed edge verification")
     return witness
 
@@ -460,7 +466,9 @@ def _component_matching(g1: Graph, g2: Graph, d: int) -> Verdict:
     Isomorphism is an equivalence relation, so the compatible pairs form
     disjoint complete bipartite blocks and a greedy match is complete. A
     connected input is the one-component case, the empty graph the
-    zero-component case.
+    zero-component case. Each distinct component graph is decomposed once,
+    when a pair first needs it, so the first NotTGraph comes from the first
+    component that raises it in the greedy order.
     """
     key = lambda sub: (sub.n, sub.m, tuple(sorted(map(sub.degree, sub.vertices()))))
     subs1 = [g1.subgraph(c) for c in g1.components()]
@@ -469,16 +477,29 @@ def _component_matching(g1: Graph, g2: Graph, d: int) -> Verdict:
     keys2 = [key(sub) for sub, _ in subs2]
     if sorted(keys1) != sorted(keys2):
         return Verdict(NOT_ISOMORPHIC, d)
+    decomposed: dict[Graph, tuple[Decomposition, Optional[tuple]]] = {}
+    uses = Counter(sub for sub, _ in subs1 + subs2)  # an entry is dropped once no pair can read it
+
+    def part(sub: Graph) -> tuple[Decomposition, Optional[tuple]]:
+        if sub not in decomposed:
+            dec = canonical_decomposition(sub, d)
+            decomposed[sub] = (dec, _invariant(dec) if dec.depth > 1 else None)
+        return decomposed[sub]
+
     free = list(range(len(subs2)))
     images = [-1] * g1.n
     for (sub1, idx1), key1 in zip(subs1, keys1):
         for j in free:
             sub2, idx2 = subs2[j]
-            if keys2[j] == key1 and (wit := _connected_isomorphism(sub1, sub2, d)) is not None:
+            if keys2[j] == key1 and (wit := _connected_isomorphism(part(sub1), part(sub2))) is not None:
                 break
         else:
             return Verdict(NOT_ISOMORPHIC, d)
         free.remove(j)
+        for sub in (sub1, sub2):
+            uses[sub] -= 1
+            if not uses[sub]:
+                decomposed.pop(sub, None)
         back2 = {local: v for v, local in idx2.items()}
         for v, local in idx1.items():
             images[v] = back2[wit[local]]

@@ -177,7 +177,7 @@ def _projection(cfg) -> Check:
         else:
             g2 = g1
         seed += 1
-        cd = combine(g1, g2, d)
+        cd = combine(canonical_decomposition(g1, d), canonical_decomposition(g2, d))
         if cd is None:
             continue
         count += 1
