@@ -24,8 +24,9 @@ def _label_key(label: Hashable):
 class Completion:
     """A fragment plus its separator, the rest contracted to l with pendant tail l'.
 
-    `tree` is the PQ-tree of `graph`, built once with the completion; None
-    when the completion is not a connected interval graph.
+    `tree` is the PQ-tree of `graph`, built once per distinct completion graph
+    of a decomposition, so equal completions share it; None when the
+    completion is not a connected interval graph.
     """
 
     graph: Graph
@@ -104,6 +105,14 @@ def _relations(g: Graph, cliques: list[frozenset[int]]) -> list[list[set[int]]]:
     return witnesses
 
 
+def _pq_tree(g: Graph, trees: dict) -> Optional[PQTree]:
+    """The PQ-tree of g, built once per distinct graph among the calls sharing `trees`."""
+    key = (g.n, g.edges)
+    if key not in trees:
+        trees[key] = build_pq_tree(g)
+    return trees[key]
+
+
 def _build_completion(
     g: Graph,
     labels: Sequence[Hashable],
@@ -111,6 +120,7 @@ def _build_completion(
     sep: frozenset[int],
     aux_tag: tuple,
     allow_trivial_rest: bool,
+    trees: dict,
 ) -> Completion:
     rest = [v for v in g.vertices() if v not in frag and v not in sep]
     if not rest and not allow_trivial_rest:
@@ -137,7 +147,7 @@ def _build_completion(
         l_id,
         frozenset(index[v] for v in frag),
         frozenset(index[v] for v in sep),
-        build_pq_tree(comp_graph),
+        _pq_tree(comp_graph, trees),
     )
 
 
@@ -163,7 +173,7 @@ def completion(g: Graph, frag: Iterable[int], sep: Iterable[int]) -> Completion:
     nbhd = frozenset(w for v in frag for w in g.adj[v]) - frag
     if nbhd != sep:
         raise BadSeparator("separator must be exactly the fragment's neighborhood")
-    return _build_completion(g, tuple(range(g.n)), frag, sep, ("aux", 0, 0), allow_trivial_rest=False)
+    return _build_completion(g, tuple(range(g.n)), frag, sep, ("aux", 0, 0), allow_trivial_rest=False, trees={})
 
 
 def attachment_sets(g: Graph, frag: Iterable[int], sep: Iterable[int]) -> tuple[frozenset[int], ...]:
@@ -182,8 +192,11 @@ def attachment_sets(g: Graph, frag: Iterable[int], sep: Iterable[int]) -> tuple[
     return tuple(chain)
 
 
-def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int) -> list[ExtractedFragment]:
-    """Procedure for one fragment collection on a connected chordal labeled graph."""
+def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int, trees: dict) -> list[ExtractedFragment]:
+    """Procedure for one fragment collection on a connected chordal labeled graph.
+
+    `trees` maps each completion graph built so far to its PQ-tree (`_pq_tree`).
+    """
     if depth > budget:
         raise NotTGraph("fragment extraction recursion exceeded its depth budget", depth=depth)
     if g.n == 0:
@@ -220,7 +233,7 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int) -> list[E
             if not f:
                 raise NotTGraph("leaf clique without simplicial vertices")
             sep = clique - f
-            comp = _build_completion(g, labels, f, sep, ("aux", depth, idx), allow_trivial_rest=True)
+            comp = _build_completion(g, labels, f, sep, ("aux", depth, idx), allow_trivial_rest=True, trees=trees)
             chain = (frozenset(labels[v] for v in sep),) if sep else ()
             frags.append(
                 ExtractedFragment(
@@ -279,9 +292,10 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int) -> list[E
             if zf == z and not all(z <= g.adj[v] for v in comp):
                 c0_prime.append((comp, z))
     c0_prime.sort(key=lambda fz: sorted(fz[0]))
-    completions = []
-    for idx, (f, z) in enumerate(c0_prime):
-        completions.append(_build_completion(g, labels, f, z, ("aux", depth, idx), allow_trivial_rest=True))
+    completions = [
+        _build_completion(g, labels, f, z, ("aux", depth, idx), allow_trivial_rest=True, trees=trees)
+        for idx, (f, z) in enumerate(c0_prime)
+    ]
     c1 = [
         (f, z, comp)
         for (f, z), comp in zip(c0_prime, completions)
@@ -308,7 +322,7 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int) -> list[E
     out: list[ExtractedFragment] = []
     for (f, _z), comp in zip(c0_prime, completions):
         f_labels = frozenset(labels[v] for v in f)
-        sub = _extract(comp.graph, comp.labels, d, depth + 1, budget)
+        sub = _extract(comp.graph, comp.labels, d, depth + 1, budget, trees)
         for frag in sub:
             if frag.vertices <= f_labels:
                 out.append(frag)
@@ -327,7 +341,7 @@ def extract_fragments(g: Graph, d: int) -> list[ExtractedFragment]:
         raise ValueError("need a nonempty graph")
     if not g.is_connected():
         raise Disconnected("extraction requires a connected graph")
-    frags = _extract(g, tuple(range(g.n)), d, 0, g.n + 2)
+    frags = _extract(g, tuple(range(g.n)), d, 0, g.n + 2, {})
     return sorted(frags, key=lambda fr: sorted(fr.vertices))
 
 
@@ -421,6 +435,7 @@ def canonical_decomposition(g: Graph, d: int) -> Decomposition:
     terminal_sets: list[TerminalSet] = []
     active: list[dict] = []  # origin_level, origin_fragment, position, remaining
     residue: list[int] = list(range(g.n))
+    trees: dict = {}  # completion graph -> PQ-tree, shared by every level's extraction
     level = 0
     while residue:
         sub, idx = g.subgraph(residue)
@@ -434,7 +449,7 @@ def canonical_decomposition(g: Graph, d: int) -> Decomposition:
             levels.append(fragments)
             _distribute_shards(active, fragments, terminal_sets)
             break
-        extracted = _extract(sub, tuple(back[i] for i in range(sub.n)), d, 0, g.n + 2)
+        extracted = _extract(sub, tuple(back[i] for i in range(sub.n)), d, 0, g.n + 2, trees)
         extracted.sort(key=lambda fr: sorted(fr.vertices))
         fragments = [
             Fragment(level, i, frozenset(fr.vertices), fr.provenance, fr.attachments, fr.completion)

@@ -1,8 +1,10 @@
 """Set families over finite ground sets: Venn signatures and automorphism groups.
 
 Families are multisets: duplicate member sets keep distinct indices. The
-automorphism group is found by individualisation-refinement on intersection
-sizes, each leaf checked against the cardinality Venn diagram.
+automorphism group is found by refinement on intersection sizes: rigid
+intersection components are matched by their colours and Venn cells, and
+the other sets are searched by individualisation-refinement, each leaf
+checked against the cardinality Venn diagram.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
+from math import factorial
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import IndexBoundExceeded
@@ -184,6 +187,13 @@ def _refine(colour: list[int], rows: list[tuple[tuple[int, int], ...]], splitter
     return colour
 
 
+def _stable_colouring(family: SetFamily) -> tuple[list[tuple[tuple[int, int], ...]], list[int]]:
+    """The family's intersection rows and its initial colouring refined to stability."""
+    rows = _intersections(family)
+    initial = _initial_colour(family)
+    return rows, _refine(initial, rows, initial)
+
+
 def _individualise(colour: list[int], v: int) -> list[int]:
     """Individualise v: v alone at its cell's start p, the rest of that cell at p+1.
 
@@ -210,12 +220,77 @@ def _target_cell(colour: list[int]) -> list[int]:
     return min((cell for cell in cells.values() if len(cell) > 1), key=lambda cell: (len(cell), colour[cell[0]]))
 
 
+def _components(rows: list[tuple[tuple[int, int], ...]]) -> list[list[int]]:
+    """Intersection components: sets linked by nonempty intersections, each
+    ascending, in order of their least set. An empty set is a component alone."""
+    seen = [False] * len(rows)
+    comps = []
+    for i in range(len(rows)):
+        if seen[i]:
+            continue
+        seen[i] = True
+        comp, stack = [i], [i]
+        while stack:
+            for j, _size in rows[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+                    stack.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _rigid_classes(
+    family: SetFamily, rows: list[tuple[tuple[int, int], ...]], colour: list[int]
+) -> tuple[list[list[list[int]]], list[int]]:
+    """Classes of isomorphic rigid intersection components, and the other sets.
+
+    `colour` is the family's stable colouring. Refinement keys count only
+    nonzero intersections, so its restriction to a component is that
+    component's own stable colouring, and automorphisms preserve it. A
+    component is rigid when its sets have pairwise distinct colours. Two rigid
+    components are then isomorphic iff the map matching equal colours carries
+    the Venn cells of one onto the other's (colours fix only the pairwise
+    intersection sizes), so a class is keyed by the colours and the cells
+    written in colours. Each block of a class lists its component's sets in
+    colour order; blocks and classes go in order of their least set, and the
+    other sets ascend.
+    """
+    comps = _components(rows)
+    where = [0] * len(rows)
+    for c, comp in enumerate(comps):
+        for i in comp:
+            where[i] = c
+    cells: list[list[tuple[frozenset[int], int]]] = [[] for _ in comps]
+    for pattern, count in cell_signature(family).items():
+        if pattern:  # every member of a nonempty pattern lies in one component
+            cells[where[next(iter(pattern))]].append((frozenset(colour[i] for i in pattern), count))
+    classes: dict[tuple, list[list[int]]] = {}
+    rest: list[int] = []
+    for comp, venn in zip(comps, cells):
+        block = sorted(comp, key=colour.__getitem__)
+        colours = tuple(colour[i] for i in block)
+        if len(set(colours)) < len(block):
+            rest.extend(comp)
+        else:
+            classes.setdefault((colours, frozenset(venn)), []).append(block)
+    return list(classes.values()), sorted(rest)
+
+
 def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
     """Automorphism group of the family on member-set indices.
 
-    Individualisation-refinement (McKay-Piperno, Practical graph isomorphism
-    II, 2014): colour the sets by annotation and size and refine on
-    intersection sizes; individualise a member of the first smallest
+    The sets are coloured by annotation and size and refined on intersection
+    sizes once, and the family splits into intersection components. Rigid
+    components (pairwise distinct colours) are matched by their colours and
+    Venn cells (`_rigid_classes`); a class of k matched blocks contributes
+    its k-1 adjacent block transpositions, the first set of its blocks
+    0..k-2 to the base, and k! to the order. Only the other sets go to the
+    search, on their own sub-family, or on the family itself when no
+    component is rigid.
+
+    The search is individualisation-refinement (McKay-Piperno, Practical
+    graph isomorphism II, 2014): individualise a member of the first smallest
     non-singleton cell and refine again, down to a discrete first leaf. Then,
     from the bottom of that first path up, search the subtree of each member
     of the node's target cell that lies outside the orbits of the generators
@@ -224,13 +299,14 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
     kept if it preserves the cardinality Venn diagram. Colours refine the
     annotations, so only annotation-preserving permutations are admitted.
 
-    The stabiliser chain comes from the search: its base is the first path's
-    individualised sets, and the generators found at depth i and below fix
-    the first i of them and generate their pointwise stabiliser. So the orbit
-    of base point i under them, the union-find class of the target cell's
-    first member read once depth i is done, is the i-th basic orbit, and the
-    product of these class sizes is the group order. The chain is built to
-    that known order, which orbit closure alone reaches.
+    The search's generators found at depth i and below fix the first i
+    individualised sets of the first path and generate their pointwise
+    stabiliser. So the orbit of base point i under them, the union-find class
+    of the target cell's first member read once depth i is done, is the i-th
+    basic orbit, and the product of these class sizes is the search group's
+    order. The chain's base is the block points, then the search's first
+    path, and it is built to the product of the k! and the search's order,
+    which orbit closure alone reaches.
     """
     m = len(family.sets)
     if m == 0:
@@ -243,9 +319,41 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
                 bound=antichain_bound,
                 stage="antichain-promise",
             )
-    rows = _intersections(family)
-    initial = _initial_colour(family)
-    path = [_refine(initial, rows, initial)]
+    rows, root = _stable_colouring(family)
+    classes, rest = _rigid_classes(family, rows, root)
+    if not classes:
+        return PermGroup(m, *_search(family, rows, root))
+    gens: list[Perm] = []
+    base: list[int] = []
+    order = 1
+    for blocks in classes:
+        for a, b in zip(blocks, blocks[1:]):
+            images = list(range(m))
+            for i, j in zip(a, b):
+                images[i], images[j] = j, i
+            gens.append(Perm._raw(tuple(images)))
+        base += [block[0] for block in blocks[:-1]]
+        order *= factorial(len(blocks))
+    if rest:
+        sub = SetFamily(family.ground, [family.sets[i] for i in rest], [family.annotations[i] for i in rest])
+        sub_gens, sub_base, sub_order = _search(sub, *_stable_colouring(sub))
+        for p in sub_gens:
+            images = list(range(m))
+            for k, i in enumerate(rest):
+                images[i] = rest[p(k)]
+            gens.append(Perm._raw(tuple(images)))
+        base += [rest[k] for k in sub_base]
+        order *= sub_order
+    return PermGroup(m, gens, base, order)
+
+
+def _search(
+    family: SetFamily, rows: list[tuple[tuple[int, int], ...]], root: list[int]
+) -> tuple[list[Perm], list[int], int]:
+    """The generators, base and order of the automorphism group found by
+    individualisation-refinement below the stable colouring `root`."""
+    m = len(family.sets)
+    path = [root]
     cells: list[list[int]] = []
     while len(set(path[-1])) < m:
         cells.append(_target_cell(path[-1]))
@@ -294,4 +402,4 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
                         parent[a] = b
                         size[b] += size[a]
         order *= size[find(cells[depth][0])]
-    return PermGroup(m, gens, base=[cell[0] for cell in cells], order=order)
+    return gens, [cell[0] for cell in cells], order

@@ -237,8 +237,8 @@ def branch_graph_with_pendants():
 
 
 class TestTreeReuse:
-    """Each fragment's PQ-tree is built once, by the decomposition, and the
-    level groups and the lift read it from there."""
+    """Each fragment's PQ-tree is built by the decomposition, once per distinct
+    fragment graph of a side, and the level groups and the lift read it from there."""
 
     @staticmethod
     def record_builds(monkeypatch) -> list:
@@ -279,7 +279,14 @@ class TestTreeReuse:
         lift_to_vertices(cd, find_block_swap(group, cd.side_points(0), cd.side_points(1)))
         assert len(built) == decomposed  # the level groups and the lift build none
         own = {cf.gid: cf.tree if cf.completion is None else cf.completion.tree for cf in cd.fragments}
-        assert len({id(tree) for tree in own.values()}) == len(cd.fragments)
+        for side in (0, 1):
+            trees = [own[cf.gid] for cf in cd.fragments if cf.side == side]
+            # equal completions share their tree, and distinct graphs have their own
+            assert len({id(tree) for tree in trees}) == len({(t.graph.n, t.graph.edges) for t in trees})
+            assert len({id(tree) for tree in trees}) < len(trees)
+        for cf in cd.fragments:
+            if cf.completion is not None:
+                assert own[cf.gid].graph.edges == cf.completion.graph.edges
         for bucket in (b for buckets in cd.buckets.values() for b in buckets):
             assert len(bucket.context.enc.trees) == len(bucket.frags)
             for tree, cf in zip(bucket.context.enc.trees, bucket.frags):
@@ -460,8 +467,9 @@ class TestIsIsomorphic:
         h, _ = random_relabel(g, 3)
         assert is_isomorphic(g, h, 3).kind == ISOMORPHIC
         assert calls["is_chordal"] == 2
-        # one elimination pass per input test, clique query and PQ-tree
-        assert calls["mcs"] == 44
+        # one elimination pass per input test, clique query and PQ-tree; each side
+        # builds one tree per distinct completion graph (12 completions share one)
+        assert calls["mcs"] == 22
 
     def test_verdict_json(self):
         verdict = is_isomorphic(path_graph(3), path_graph(3), 2)

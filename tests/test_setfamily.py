@@ -4,6 +4,8 @@ from itertools import combinations, permutations
 import pytest
 
 import tgraphs.interval
+import tgraphs.iso
+import tgraphs.setfamily
 from tgraphs.errors import IndexBoundExceeded
 from tgraphs.graph import Graph, path_graph
 from tgraphs.harness import random_relabel
@@ -17,6 +19,9 @@ from tgraphs.setfamily import (
     _initial_colour,
     _intersections,
     _refine,
+    _rigid_classes,
+    _search,
+    _stable_colouring,
     _target_cell,
     cell_signature,
     family_autgroup,
@@ -47,6 +52,48 @@ def random_family(rng, max_sets=4, max_ground=6, annotated=False):
     for _ in range(m):
         sets.append([z for z in range(ground) if rng.random() < 0.5])
     return SetFamily(ground, sets, [rng.randint(0, 1) for _ in range(m)] if annotated else None)
+
+
+def random_union(rng, copies, max_sets, max_ground, annotated=False):
+    """Relabelled copies of one random family (with an empty set now and then)
+    beside one more random family, the sets shuffled."""
+    parts = [random_family(rng, max_sets, max_ground, annotated)] * copies
+    parts.append(random_family(rng, max_sets, max_ground, annotated))
+    sets, annotations, ground = [], [], 0
+    for fam in parts:
+        zeta = list(range(fam.ground))
+        rng.shuffle(zeta)
+        sets += [[ground + zeta[z] for z in s] for s in fam.sets]
+        annotations += fam.annotations
+        ground += fam.ground
+    if rng.random() < 0.3:
+        sets.append([])
+        annotations.append(rng.randint(0, 1) if annotated else None)
+    order = list(range(len(sets)))
+    rng.shuffle(order)
+    return SetFamily(ground, [sets[i] for i in order], [annotations[i] for i in order])
+
+
+def small_union(seed):
+    """A union of 2 or 3 copies and one more family with at most 7 sets, odd seeds annotated."""
+    rng = random.Random(seed)
+    copies = rng.randint(2, 3)
+    return random_union(rng, copies, 6 // copies - 1, 4, annotated=seed % 2 == 1)
+
+
+def root_classes(family):
+    """`_rigid_classes` of the family's stable colouring."""
+    return _rigid_classes(family, *_stable_colouring(family))
+
+
+def exhaustive_automorphisms(family):
+    """Every annotation-preserving index permutation preserving the Venn diagram."""
+    ann = family.annotations
+    return [
+        Perm(images)
+        for images in permutations(range(len(family.sets)))
+        if all(ann[i] == ann[j] for i, j in enumerate(images)) and is_family_automorphism(family, Perm(images))
+    ]
 
 
 class TestCellSignature:
@@ -203,6 +250,66 @@ class TestFamilyAutgroup:
         assert group.order() == len(want)
         for p in want:
             assert group.contains(p)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_unions_match_exhaustive_filter(self, seed):
+        fam = small_union(seed)
+        group = family_autgroup(fam, len(fam.sets))
+        want = exhaustive_automorphisms(fam)
+        assert group.order() == len(want)
+        for p in want:
+            assert group.contains(p)
+
+    def test_union_seeds_cover_blocks_search_and_empty_sets(self):
+        fams = [small_union(seed) for seed in range(60)]
+        splits = [root_classes(fam) for fam in fams]
+        assert any(any(len(blocks) > 1 for blocks in classes) and rest for classes, rest in splits)
+        assert any(any(len(blocks) > 2 for blocks in classes) for classes, _ in splits)
+        assert any(not classes for classes, _ in splits)
+        assert any(frozenset() in fam.sets and len(set(fam.annotations)) > 1 for fam in fams)
+
+    def test_venn_cells_tell_a_star_from_a_triangle(self):
+        # a star (one point in all three sets) and a triangle have the same annotated
+        # sizes and pairwise intersection sizes, so every set of each gets its own
+        # colour; only the Venn cells keep the triangle from matching the stars
+        star = [[0, 1], [0, 2], [0, 3]]
+        triangle = [[4, 5], [5, 6], [4, 6]]
+        star2 = [[7, 8], [7, 9], [7, 10]]
+        fam = SetFamily(11, star + triangle + star2, ["x", "y", "z"] * 3)
+        group = family_autgroup(fam, len(fam.sets))
+        assert group.order() == 2
+        assert group.contains(Perm([6, 7, 8, 3, 4, 5, 0, 1, 2]))
+        assert root_classes(fam) == ([[[0, 1, 2], [6, 7, 8]], [[3, 4, 5]]], [])
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_search_only_group(self, seed):
+        rng = random.Random(3000 + seed)
+        fam = random_union(rng, rng.randint(1, 6), 4, 5, annotated=seed % 2 == 1)
+        group = family_autgroup(fam, len(fam.sets))
+        searched = PermGroup(len(fam.sets), *_search(fam, *_stable_colouring(fam)))
+        assert group.order() == searched.order()
+        assert all(searched.contains(g) for g in group.generators)
+        assert all(group.contains(g) for g in searched.generators)
+
+    def test_spider_searches_only_its_residual_level(self, monkeypatch):
+        searched, levels = [], []
+        inner_search, inner_level = tgraphs.setfamily._search, tgraphs.iso.level_group
+
+        def level_group(cd, level):
+            levels.append((level, cd.depth))
+            return inner_level(cd, level)
+
+        def search(family, rows, root):
+            searched.append(levels[-1])
+            return inner_search(family, rows, root)
+
+        monkeypatch.setattr(tgraphs.iso, "level_group", level_group)
+        monkeypatch.setattr(tgraphs.setfamily, "_search", search)
+        spider = spider_graph(5, 5, 5)
+        assert is_isomorphic(spider, random_relabel(spider, 1)[0], 3).witness is not None
+        depth = levels[0][1]
+        assert depth > 1 and {level for level, _ in levels} == set(range(1, depth + 1))
+        assert searched == [(depth, depth)]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_generators_compose_to_automorphisms(self, seed):
@@ -372,9 +479,19 @@ def family_groups(monkeypatch, build):
     return built
 
 
+def chain_base(family):
+    """The first set of every matched block but each class's last, then the sets
+    individualised along the search's first path on the other sets."""
+    classes, rest = root_classes(family)
+    if not classes:
+        return first_path_points(family)
+    sub = SetFamily(family.ground, [family.sets[i] for i in rest], [family.annotations[i] for i in rest])
+    return [block[0] for blocks in classes for block in blocks[:-1]] + [rest[k] for k in first_path_points(sub)]
+
+
 class TestChainFromSearch:
     def assert_chain_from_search(self, family, group):
-        assert list(group.base) == first_path_points(family)
+        assert list(group.base) == chain_base(family)
         for i, lvl in enumerate(group._levels):
             assert all(g(b) == b for g in lvl.gens for b in group.base[:i])
             orbit, stack = {lvl.point}, [lvl.point]
@@ -391,6 +508,11 @@ class TestChainFromSearch:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_families(self, seed):
         fam = random_family(random.Random(900 + seed), max_sets=7, max_ground=5, annotated=seed % 2 == 1)
+        self.assert_chain_from_search(fam, family_autgroup(fam, len(fam.sets)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_unions(self, seed):
+        fam = random_union(random.Random(4000 + seed), 1 + seed % 4, 4, 5, annotated=seed % 2 == 1)
         self.assert_chain_from_search(fam, family_autgroup(fam, len(fam.sets)))
 
     @pytest.mark.parametrize(
