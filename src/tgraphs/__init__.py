@@ -21,18 +21,12 @@ from .errors import (
 )
 from .graph import Graph, format_graph_text, parse_graph_text, separates
 from .chordal import (
-    CliqueTree,
     EliminationOrdering,
-    Separator,
-    WeightedCliqueGraph,
-    classify_edges,
-    clique_tree,
     is_chordal,
     leaf_cliques,
     maximal_cliques,
     minimal_separators,
     simplicial_vertices,
-    weighted_clique_graph,
 )
 from .perm import (
     MembershipPredicate,
@@ -111,15 +105,9 @@ __all__ = [
     "format_graph_text",
     "separates",
     "EliminationOrdering",
-    "WeightedCliqueGraph",
-    "CliqueTree",
-    "Separator",
     "is_chordal",
     "simplicial_vertices",
     "maximal_cliques",
-    "weighted_clique_graph",
-    "clique_tree",
-    "classify_edges",
     "leaf_cliques",
     "minimal_separators",
     # permutation groups

@@ -1,7 +1,8 @@
-"""Chordal-graph primitives: recognition, cliques, clique trees, edge classes, separators.
+"""Chordal-graph primitives: recognition, maximal cliques, leaf cliques, minimal separators.
 
-`is_chordal` and `maximal_cliques` read one elimination pass. The engine tests
-chordality only where a graph enters it (`iso.is_isomorphic`).
+`is_chordal`, `maximal_cliques` and `minimal_separators` read one elimination
+pass. The engine tests chordality only where a graph enters it
+(`iso.is_isomorphic`).
 """
 
 from __future__ import annotations
@@ -19,34 +20,6 @@ class EliminationOrdering:
     """Perfect elimination ordering: later neighbors of each vertex form a clique."""
 
     order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class WeightedCliqueGraph:
-    """Maximal cliques with intersection-weighted edges (weight > 0 only)."""
-
-    nodes: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int, int], ...]  # (i, j, weight), i < j
-
-
-@dataclass(frozen=True)
-class CliqueTree:
-    """Maximum-weight spanning tree of the weighted clique graph."""
-
-    nodes: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]  # (i, j), i < j
-
-
-INDISPENSABLE = "indispensable"
-UNNECESSARY = "unnecessary"
-OPTIONAL = "optional"
-
-
-@dataclass(frozen=True)
-class Separator:
-    """Minimal vertex separator."""
-
-    vertices: tuple[int, ...]
 
 
 def maximum_cardinality_search(g: Graph) -> list[int]:
@@ -89,31 +62,39 @@ def maximum_cardinality_search(g: Graph) -> list[int]:
     return order
 
 
-def _eliminate(g: Graph) -> Optional[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """The reverse of g's MCS order and g's maximal cliques, or None when g is not chordal.
+def _eliminate(g: Graph) -> Optional[tuple[tuple[int, ...], list[tuple[int, ...]], list[list[int]]]]:
+    """The reverse of g's MCS order, g's maximal cliques and its separator lists; None when g is not chordal.
 
-    Walking the MCS order, u's later neighbours (in the reverse order) are the
-    visited ones; v is the earliest. The order is perfect iff the rest are
-    adjacent to v (Tarjan and Yannakakis, SIAM J. Comput. 1984), and v plus its
-    later neighbours lies in another clique iff some such u has one more
-    (Fulkerson and Gross, Pacific J. Math. 1965).
+    Walking the MCS order, u's visited neighbours are its later neighbours in
+    the reverse order, and v, the last visited of them, is the earliest. The
+    order is perfect iff the rest are adjacent to v (Tarjan and Yannakakis,
+    SIAM J. Comput. 1984). When u has no more visited neighbours than p, the
+    vertex visited just before it, p and its visited neighbours close a maximal
+    clique and u's visited neighbours are a minimal separator; the last vertex
+    closes the last clique (Blair and Peyton, An introduction to chordal graphs
+    and clique trees, 1993). In a connected graph the separator lists are the
+    intersections along the edges of one clique tree, so a separator may repeat.
     """
     mcs = maximum_cardinality_search(g)
     rank = [-1] * g.n  # MCS step of each vertex visited so far
-    later: list[list[int]] = [[] for _ in g.vertices()]
-    covered = [False] * g.n
+    cliques = []
+    separators = []
+    prev: list[int] = []  # the visited neighbours of mcs[i - 1]
     for i, u in enumerate(mcs):
-        lu = later[u] = [w for w in g.adj[u] if rank[w] >= 0]
+        lu = [w for w in g.adj[u] if rank[w] >= 0]
         rank[u] = i
-        if not lu:
-            continue
-        v = max(lu, key=rank.__getitem__)
-        if any(w not in g.adj[v] for w in lu if w != v):
-            return None
-        if len(lu) == len(later[v]) + 1:
-            covered[v] = True
-    cliques = sorted(tuple(sorted([v] + later[v])) for v in g.vertices() if not covered[v])
-    return tuple(reversed(mcs)), cliques
+        if lu:
+            v = max(lu, key=rank.__getitem__)
+            if any(w not in g.adj[v] for w in lu if w != v):
+                return None
+        if i and len(lu) <= len(prev):
+            cliques.append(tuple(sorted(prev + [mcs[i - 1]])))
+            separators.append(lu)
+        prev = lu
+    if mcs:
+        cliques.append(tuple(sorted(prev + [mcs[-1]])))
+    cliques.sort()
+    return tuple(reversed(mcs)), cliques, separators
 
 
 def is_chordal(g: Graph) -> Optional[EliminationOrdering]:
@@ -133,139 +114,6 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     if found is None:
         raise NotChordal("maximal_cliques requires a chordal graph")
     return found[1]
-
-
-def weighted_clique_graph(g: Graph) -> WeightedCliqueGraph:
-    """Clique graph with |C_i ∩ C_j| edge weights (edges only for nonempty intersections)."""
-    nodes = tuple(maximal_cliques(g))
-    sets = [frozenset(c) for c in nodes]
-    edges = []
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            w = len(sets[i] & sets[j])
-            if w > 0:
-                edges.append((i, j, w))
-    return WeightedCliqueGraph(nodes, tuple(edges))
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def clique_tree(g: Graph, wcg: Optional[WeightedCliqueGraph] = None) -> CliqueTree:
-    """Deterministic maximum-weight spanning tree of the clique graph.
-
-    Ties are broken by lexicographically smallest (i, j) node-index pair,
-    with nodes in the canonical sorted-clique order.
-    """
-    if not g.is_connected():
-        raise Disconnected("clique_tree requires a connected graph")
-    if wcg is None:
-        wcg = weighted_clique_graph(g)
-    k = len(wcg.nodes)
-    uf = _UnionFind(k)
-    chosen = []
-    for i, j, _w in sorted(wcg.edges, key=lambda e: (-e[2], e[0], e[1])):
-        if uf.union(i, j):
-            chosen.append((i, j))
-    if len(chosen) != k - 1:
-        raise Disconnected("clique graph is disconnected")
-    return CliqueTree(wcg.nodes, tuple(sorted(chosen)))
-
-
-def classify_edges(wcg: WeightedCliqueGraph) -> dict[tuple[int, int], str]:
-    """Classify clique-graph edges against maximum-weight spanning trees.
-
-    An edge is unnecessary iff its endpoints are connected by strictly
-    heavier edges; indispensable iff it is a bridge once same-or-heavier
-    edges are added to the strictly-heavier skeleton.
-    """
-    k = len(wcg.nodes)
-    result: dict[tuple[int, int], str] = {}
-    by_weight: dict[int, list[tuple[int, int]]] = {}
-    for i, j, w in wcg.edges:
-        by_weight.setdefault(w, []).append((i, j))
-    uf = _UnionFind(k)
-    for w in sorted(by_weight, reverse=True):
-        group = by_weight[w]
-        # components of the strictly-heavier subgraph
-        comp = {x: uf.find(x) for pair in group for x in pair}
-        live = []
-        for i, j in group:
-            if comp[i] == comp[j]:
-                result[(i, j)] = UNNECESSARY
-            else:
-                live.append((i, j))
-        # bridges of the contracted weight-class multigraph are indispensable
-        bridges = _multigraph_bridges(live, comp)
-        for e in live:
-            result[e] = INDISPENSABLE if e in bridges else OPTIONAL
-        for i, j in live:
-            uf.union(i, j)
-    return result
-
-
-def _multigraph_bridges(edges, comp):
-    """Bridges among `edges` after contracting endpoints by comp[]; parallel edges never qualify."""
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for e in edges:
-        a, b = comp[e[0]], comp[e[1]]
-        adj.setdefault(a, []).append((b, e))
-        adj.setdefault(b, []).append((a, e))
-    bridges: set[tuple[int, int]] = set()
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    counter = [0]
-    for root in adj:
-        if root in index:
-            continue
-        # iterative DFS with per-edge tracking so parallel edges are handled
-        stack = [(root, None, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            node, in_edge, it = stack[-1]
-            advanced = False
-            for nxt, e in it:
-                if e is in_edge:
-                    continue
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append((nxt, e, iter(adj[nxt])))
-                    advanced = True
-                    break
-                low[node] = min(low[node], index[nxt])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                    if low[node] > index[parent]:
-                        bridges.add(in_edge)
-        # parallel edges: both copies connect the same contracted pair, never bridges
-    seen_pairs: dict[tuple[int, int], int] = {}
-    for e in edges:
-        a, b = comp[e[0]], comp[e[1]]
-        pair = (min(a, b), max(a, b))
-        seen_pairs[pair] = seen_pairs.get(pair, 0) + 1
-    return {e for e in bridges if seen_pairs[(min(comp[e[0]], comp[e[1]]), max(comp[e[0]], comp[e[1]]))] == 1}
 
 
 def leaf_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -295,16 +143,16 @@ def leaf_cliques(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def minimal_separators(g: Graph) -> list[Separator]:
-    """All minimal vertex separators of a connected chordal graph.
+def minimal_separators(g: Graph) -> list[tuple[int, ...]]:
+    """All minimal vertex separators of a connected chordal graph, each a sorted clique, sorted.
 
-    Realized as deduplicated intersections of adjacent cliques along a
-    clique tree; each is a clique.
+    Disconnected if g is disconnected, NotChordal if it is not chordal.
     """
     if g.n == 0:
         return []
     if not g.is_connected():
         raise Disconnected("minimal_separators requires a connected graph")
-    tree = clique_tree(g)
-    keys = {tuple(sorted(frozenset(tree.nodes[i]) & frozenset(tree.nodes[j]))) for i, j in tree.edges}
-    return [Separator(key) for key in sorted(keys) if key]
+    found = _eliminate(g)
+    if found is None:
+        raise NotChordal("minimal_separators requires a chordal graph")
+    return sorted({tuple(sorted(s)) for s in found[2]})

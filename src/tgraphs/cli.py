@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .chordal import is_chordal, leaf_cliques, maximal_cliques, minimal_separators, weighted_clique_graph, classify_edges
+from .chordal import is_chordal, leaf_cliques, maximal_cliques, minimal_separators
 from .decompose import canonical_decomposition
 from .errors import NotChordal, NotTGraph, TGraphsError
 from .graph import Graph, format_graph_text, parse_graph_text
@@ -94,22 +94,16 @@ def cmd_analyze(args) -> int:
     report: dict = {"n": g.n, "m": g.m, "chordal": peo is not None, "connected": g.is_connected()}
     if peo is not None:
         report["maximal_cliques"] = [list(c) for c in maximal_cliques(g)]
-        if g.is_connected():
-            report["minimal_separators"] = [list(s.vertices) for s in minimal_separators(g)]
+        if report["connected"]:
+            report["minimal_separators"] = [list(s) for s in minimal_separators(g)]
             report["leaf_cliques"] = [list(c) for c in leaf_cliques(g)]
-            wcg = weighted_clique_graph(g)
-            classes = classify_edges(wcg)
-            report["edge_classes"] = [
-                {"cliques": [list(wcg.nodes[i]), list(wcg.nodes[j])], "weight": w, "class": classes[(i, j)]}
-                for i, j, w in wcg.edges
-            ]
     if args.json:
         print(json.dumps(report))
     else:
         print(f"n={report['n']} m={report['m']} chordal={report['chordal']} connected={report['connected']}")
         if peo is not None:
             print(f"maximal cliques ({len(report['maximal_cliques'])}): {report['maximal_cliques']}")
-            if g.is_connected():
+            if report["connected"]:
                 print(f"minimal separators: {report['minimal_separators']}")
                 print(f"leaf cliques: {report['leaf_cliques']}")
     return 0

@@ -249,7 +249,7 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int, trees: di
     # their symmetric difference from some third clique of l0.
     pairs = [(i, j) for i in range(len(l0)) for j in range(i + 1, len(l0)) if approx[i][j]]
     qualifying: dict[tuple[int, int], list[frozenset[int]]] = {pair: [] for pair in pairs}
-    for z in (frozenset(s.vertices) for s in minimal_separators(g)):
+    for z in map(frozenset, minimal_separators(g)):
         inside = [(i, j) for i, j in pairs if z <= l0[i] & l0[j]]
         if not inside:
             continue

@@ -5,18 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tgraphs.chordal import (
-    INDISPENSABLE,
-    OPTIONAL,
-    UNNECESSARY,
-    classify_edges,
-    clique_tree,
     is_chordal,
     leaf_cliques,
     maximal_cliques,
     maximum_cardinality_search,
     minimal_separators,
     simplicial_vertices,
-    weighted_clique_graph,
 )
 from tgraphs.errors import Disconnected, NotChordal
 from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, separates, star_graph
@@ -74,11 +68,22 @@ def spanning_trees(k, edges):
             yield chosen
 
 
-def max_weight_spanning_trees(wcg):
-    k = len(wcg.nodes)
+def clique_graph(g):
+    """Maximal cliques of g and the pairs (i, j, |C_i & C_j|), i < j, of cliques that meet."""
+    nodes = maximal_cliques(g)
+    edges = []
+    for i, j in combinations(range(len(nodes)), 2):
+        w = len(set(nodes[i]) & set(nodes[j]))
+        if w:
+            edges.append((i, j, w))
+    return nodes, edges
+
+
+def max_weight_spanning_trees(nodes, edges):
+    k = len(nodes)
     if k == 1:
         return [()]
-    trees = list(spanning_trees(k, wcg.edges))
+    trees = list(spanning_trees(k, edges))
     best = max(sum(w for _i, _j, w in t) for t in trees)
     return [t for t in trees if sum(w for _i, _j, w in t) == best]
 
@@ -230,98 +235,6 @@ class TestMaximalCliques:
             assert maximal_cliques(g) == expected
 
 
-class TestWeightedCliqueGraph:
-    def test_path4(self):
-        wcg = weighted_clique_graph(path_graph(4))
-        assert wcg.nodes == ((0, 1), (1, 2), (2, 3))
-        assert wcg.edges == ((0, 1, 1), (1, 2, 1))
-
-    def test_claw_triangle(self):
-        wcg = weighted_clique_graph(star_graph(3))
-        assert len(wcg.edges) == 3
-        assert all(w == 1 for _i, _j, w in wcg.edges)
-
-    def test_weights_are_intersections(self):
-        g = random_chordal(9, 7)
-        wcg = weighted_clique_graph(g)
-        for i, j, w in wcg.edges:
-            assert w == len(set(wcg.nodes[i]) & set(wcg.nodes[j]))
-
-
-class TestCliqueTree:
-    def test_path4_unique(self):
-        t = clique_tree(path_graph(4))
-        assert t.edges == ((0, 1), (1, 2))
-
-    def test_claw_lexicographic(self):
-        t = clique_tree(star_graph(3))
-        assert t.edges == ((0, 1), (0, 2))
-
-    def test_disconnected_raises(self):
-        with pytest.raises(Disconnected):
-            clique_tree(Graph(4, [(0, 1), (2, 3)]))
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_max_weight_and_subtree_property(self, seed):
-        g = random_chordal(7, 200 + seed)
-        wcg = weighted_clique_graph(g)
-        if len(wcg.nodes) > 7:
-            pytest.skip("keep brute enumeration small")
-        t = clique_tree(g)
-        weights = {(i, j): w for i, j, w in wcg.edges}
-        got = sum(weights[e] for e in t.edges)
-        best = max(
-            sum(w for _i, _j, w in tree) for tree in spanning_trees(len(wcg.nodes), wcg.edges)
-        ) if len(wcg.nodes) > 1 else 0
-        assert got == best
-        # clique-intersection property: cliques containing v form a subtree
-        adj = {i: set() for i in range(len(t.nodes))}
-        for i, j in t.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        for v in g.vertices():
-            holder = [i for i, c in enumerate(t.nodes) if v in c]
-            seen = {holder[0]}
-            stack = [holder[0]]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y in set(holder) and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            assert seen == set(holder)
-
-
-class TestClassifyEdges:
-    def test_path4_all_indispensable(self):
-        wcg = weighted_clique_graph(path_graph(4))
-        classes = classify_edges(wcg)
-        assert all(c == INDISPENSABLE for c in classes.values())
-
-    def test_claw_all_optional(self):
-        wcg = weighted_clique_graph(star_graph(3))
-        classes = classify_edges(wcg)
-        assert all(c == OPTIONAL for c in classes.values())
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_spanning_tree_enumeration(self, seed):
-        g = random_chordal(7, 300 + seed)
-        wcg = weighted_clique_graph(g)
-        if not (2 <= len(wcg.nodes) <= 7):
-            pytest.skip("keep brute enumeration small")
-        classes = classify_edges(wcg)
-        trees = max_weight_spanning_trees(wcg)
-        for i, j, w in wcg.edges:
-            appearances = sum(1 for t in trees if (i, j, w) in t)
-            if appearances == len(trees):
-                expected = INDISPENSABLE
-            elif appearances == 0:
-                expected = UNNECESSARY
-            else:
-                expected = OPTIONAL
-            assert classes[(i, j)] == expected, (wcg.nodes, (i, j, w))
-
-
 class TestLeafCliques:
     def test_path4_endpoints(self):
         assert leaf_cliques(path_graph(4)) == [(0, 1), (2, 3)]
@@ -339,32 +252,32 @@ class TestLeafCliques:
         edges += [(3, 8), (4, 5), (4, 6), (4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (7, 8)]
         g = Graph(9, edges)
         assert leaf_cliques(g) == [(0, 4, 7), (1, 7), (2, 3, 5, 7, 8), (4, 6, 7)]
-        assert set(leaf_cliques(g)) == brute_leaf_cliques(weighted_clique_graph(g))
+        assert set(leaf_cliques(g)) == brute_leaf_cliques(g)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_leaf_of_some_tree(self, seed):
         compared = 0
         for n in (7, 9):
             g = random_chordal(n, 400 + seed)
-            wcg = weighted_clique_graph(g)
-            if not (2 <= len(wcg.nodes) <= 7):
+            if not (2 <= len(maximal_cliques(g)) <= 7):
                 continue  # keep brute enumeration small
-            assert set(leaf_cliques(g)) == brute_leaf_cliques(wcg)
+            assert set(leaf_cliques(g)) == brute_leaf_cliques(g)
             compared += 1
         if not compared:
             pytest.skip("keep brute enumeration small")
 
 
-def brute_leaf_cliques(wcg):
-    """Cliques of degree at most 1 in some maximum-weight spanning tree."""
-    k = len(wcg.nodes)
+def brute_leaf_cliques(g):
+    """Cliques of degree at most 1 in some maximum-weight spanning tree of the clique graph."""
+    nodes, edges = clique_graph(g)
+    k = len(nodes)
     out = set()
-    for tree in max_weight_spanning_trees(wcg):
+    for tree in max_weight_spanning_trees(nodes, edges):
         deg = [0] * k
         for i, j, _w in tree:
             deg[i] += 1
             deg[j] += 1
-        out.update(wcg.nodes[i] for i in range(k) if deg[i] <= 1)
+        out.update(nodes[i] for i in range(k) if deg[i] <= 1)
     return out
 
 
@@ -385,21 +298,54 @@ def brute_minimal_separators(g):
     return out
 
 
+def full_component_separators(g):
+    """Vertex sets S such that g - S has at least two components whose neighbourhood is all of S."""
+    out = []
+    for size in range(g.n - 1):
+        for s in combinations(range(g.n), size):
+            rest = frozenset(range(g.n)) - set(s)
+            full, seen = 0, set()
+            for v in sorted(rest):
+                if v in seen:
+                    continue
+                comp = g.connected_in(rest, v)
+                seen |= comp
+                if all(any(g.has_edge(x, w) for w in comp) for x in s):
+                    full += 1
+            if full >= 2:
+                out.append(s)
+    return sorted(out)
+
+
 class TestMinimalSeparators:
     def test_path3(self):
-        seps = minimal_separators(path_graph(3))
-        assert [s.vertices for s in seps] == [(1,)]
+        assert minimal_separators(path_graph(3)) == [(1,)]
 
     def test_complete(self):
         assert minimal_separators(complete_graph(5)) == []
 
+    def test_not_chordal_raises(self):
+        with pytest.raises(NotChordal):
+            minimal_separators(cycle_graph(5))
+
+    def test_disconnected_raises(self):
+        with pytest.raises(Disconnected):
+            minimal_separators(Graph(4, [(0, 1), (2, 3)]))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_exhaustive_scan(self, seed):
         g = random_chordal(8, 500 + seed)
-        got = {s.vertices for s in minimal_separators(g)}
+        got = set(minimal_separators(g))
         assert got == brute_minimal_separators(g)
         for s in minimal_separators(g):
-            assert g.is_clique(s.vertices)
+            assert g.is_clique(s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_graph)
+    def test_matches_full_component_oracle(self, g):
+        if not g.is_connected() or not brute_is_chordal(g):
+            return
+        assert minimal_separators(g) == full_component_separators(g)
 
 
 class TestSeparates:

@@ -143,6 +143,20 @@ class TestAnalyze:
         assert data["chordal"] is True
         assert len(data["leaf_cliques"]) == 2
 
+    @pytest.mark.parametrize(
+        "g, keys",
+        [
+            (path_graph(4), {"n", "m", "chordal", "connected", "maximal_cliques", "minimal_separators", "leaf_cliques"}),
+            (Graph(5, [(0, 1), (1, 2), (3, 4)]), {"n", "m", "chordal", "connected", "maximal_cliques"}),
+            (cycle_graph(4), {"n", "m", "chordal", "connected"}),
+        ],
+        ids=["p4", "disconnected", "c4"],
+    )
+    def test_json_keys(self, tmp_path, capsys, g, keys):
+        p = write_graph(tmp_path, "g.graph", g)
+        assert main(["analyze", p, "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == keys
+
     def test_k4_report(self, tmp_path, capsys):
         from tgraphs.graph import complete_graph
 
