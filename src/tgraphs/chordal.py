@@ -1,8 +1,8 @@
 """Chordal-graph primitives: recognition, maximal cliques, leaf cliques, minimal separators.
 
-`is_chordal`, `maximal_cliques` and `minimal_separators` read one elimination
-pass. The engine tests chordality only where a graph enters it
-(`iso.is_isomorphic`).
+`is_chordal`, `maximal_cliques`, `leaf_cliques` and `minimal_separators` read
+one elimination pass, made once per graph and kept on it. The engine tests
+chordality only where a graph enters it (`iso.is_isomorphic`).
 """
 
 from __future__ import annotations
@@ -62,7 +62,17 @@ def maximum_cardinality_search(g: Graph) -> list[int]:
     return order
 
 
-def _eliminate(g: Graph) -> Optional[tuple[tuple[int, ...], list[tuple[int, ...]], list[list[int]]]]:
+_Elimination = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+
+
+def _eliminate(g: Graph) -> Optional[_Elimination]:
+    """g's elimination pass (`_elimination_pass`), run once per graph and kept on it."""
+    if g._elimination is None:
+        g._elimination = _elimination_pass(g) or False  # False: g is not chordal
+    return g._elimination or None
+
+
+def _elimination_pass(g: Graph) -> Optional[_Elimination]:
     """The reverse of g's MCS order, g's maximal cliques and its separator lists; None when g is not chordal.
 
     Walking the MCS order, u's visited neighbours are its later neighbours in
@@ -89,12 +99,12 @@ def _eliminate(g: Graph) -> Optional[tuple[tuple[int, ...], list[tuple[int, ...]
                 return None
         if i and len(lu) <= len(prev):
             cliques.append(tuple(sorted(prev + [mcs[i - 1]])))
-            separators.append(lu)
+            separators.append(tuple(lu))
         prev = lu
     if mcs:
         cliques.append(tuple(sorted(prev + [mcs[-1]])))
     cliques.sort()
-    return tuple(reversed(mcs)), cliques, separators
+    return tuple(reversed(mcs)), tuple(cliques), tuple(separators)
 
 
 def is_chordal(g: Graph) -> Optional[EliminationOrdering]:
@@ -113,7 +123,7 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     found = _eliminate(g)
     if found is None:
         raise NotChordal("maximal_cliques requires a chordal graph")
-    return found[1]
+    return list(found[1])
 
 
 def leaf_cliques(g: Graph) -> list[tuple[int, ...]]:

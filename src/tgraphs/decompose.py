@@ -192,7 +192,24 @@ def attachment_sets(g: Graph, frag: Iterable[int], sep: Iterable[int]) -> tuple[
     return tuple(chain)
 
 
-def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int, trees: dict) -> list[ExtractedFragment]:
+@dataclass
+class _Bounds:
+    """The leaf count d an extraction runs at, and the least d >= 2 that passes
+    every size bound checked so far. The extraction reads d only in these
+    bounds, so it is the same at every d that passes them."""
+
+    d: int
+    least: int = 2
+
+    def check(self, count: int, per_leaf: int, reason: str) -> None:
+        """NotTGraph when count exceeds per_leaf * d."""
+        need = -(-count // per_leaf)
+        self.least = max(self.least, need)
+        if need > self.d:
+            raise NotTGraph(reason, count=count, d=self.d)
+
+
+def _extract(g: Graph, labels: tuple, bounds: _Bounds, depth: int, budget: int, trees: dict) -> list[ExtractedFragment]:
     """Procedure for one fragment collection on a connected chordal labeled graph.
 
     `trees` maps each completion graph built so far to its PQ-tree (`_pq_tree`).
@@ -223,8 +240,7 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int, trees: di
         for i in range(len(l0))
         if not any(approx[i][j] for j in range(len(l0)) if j != i)
     ]
-    if len(l1) > d:
-        raise NotTGraph("more incomparable leaf cliques than leaves", count=len(l1), d=d)
+    bounds.check(len(l1), 1, "more incomparable leaf cliques than leaves")
     if l1:
         frags = []
         for idx, clique in enumerate(sorted(l1, key=lambda c: sorted(_label_key(labels[v]) for v in c))):
@@ -277,8 +293,7 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int, trees: di
     if not c0:
         raise NotTGraph("no component is incident to a single joint separator", joint=len(joint))
     z0 = sorted({z for _comp, z in c0}, key=sorted)
-    if len(z0) > d:
-        raise NotTGraph("more active joint separators than leaves", count=len(z0), d=d)
+    bounds.check(len(z0), 1, "more active joint separators than leaves")
     # Step 6: merge fully-adjacent components per separator
     c0_prime: list[tuple[frozenset[int], frozenset[int]]] = []
     for z in z0:
@@ -303,8 +318,7 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int, trees: di
     ]
     if c1:
         # Step 7: the interval completions are the fragment collection
-        if len(c1) > 2 * d:
-            raise NotTGraph("fragment collection exceeds its size bound", count=len(c1), d=d)
+        bounds.check(len(c1), 2, "fragment collection exceeds its size bound")
         frags = []
         for f, z, comp in c1:
             chain_local = attachment_sets(g, f, z)
@@ -322,14 +336,13 @@ def _extract(g: Graph, labels: tuple, d: int, depth: int, budget: int, trees: di
     out: list[ExtractedFragment] = []
     for (f, _z), comp in zip(c0_prime, completions):
         f_labels = frozenset(labels[v] for v in f)
-        sub = _extract(comp.graph, comp.labels, d, depth + 1, budget, trees)
+        sub = _extract(comp.graph, comp.labels, bounds, depth + 1, budget, trees)
         for frag in sub:
             if frag.vertices <= f_labels:
                 out.append(frag)
     if not out:
         raise NotTGraph("recursive extraction produced no fragments inside components")
-    if len(out) > 2 * d:
-        raise NotTGraph("fragment collection exceeds its size bound", count=len(out), d=d)
+    bounds.check(len(out), 2, "fragment collection exceeds its size bound")
     return out
 
 
@@ -341,7 +354,7 @@ def extract_fragments(g: Graph, d: int) -> list[ExtractedFragment]:
         raise ValueError("need a nonempty graph")
     if not g.is_connected():
         raise Disconnected("extraction requires a connected graph")
-    frags = _extract(g, tuple(range(g.n)), d, 0, g.n + 2, {})
+    frags = _extract(g, tuple(range(g.n)), _Bounds(d), 0, g.n + 2, {})
     return sorted(frags, key=lambda fr: sorted(fr.vertices))
 
 
@@ -376,9 +389,14 @@ class TerminalSet:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """`least_d` is the least leaf count d >= 2 whose size bounds the
+    decomposition passes: `canonical_decomposition` returns this same
+    decomposition at every d from `least_d` up and raises NotTGraph below it."""
+
     graph: Graph
     levels: tuple[tuple[Fragment, ...], ...]
     terminal_sets: tuple[TerminalSet, ...]
+    least_d: int = 2
 
     @property
     def depth(self) -> int:
@@ -436,6 +454,7 @@ def canonical_decomposition(g: Graph, d: int) -> Decomposition:
     active: list[dict] = []  # origin_level, origin_fragment, position, remaining
     residue: list[int] = list(range(g.n))
     trees: dict = {}  # completion graph -> PQ-tree, shared by every level's extraction
+    bounds = _Bounds(d)
     level = 0
     while residue:
         sub, idx = g.subgraph(residue)
@@ -449,7 +468,7 @@ def canonical_decomposition(g: Graph, d: int) -> Decomposition:
             levels.append(fragments)
             _distribute_shards(active, fragments, terminal_sets)
             break
-        extracted = _extract(sub, tuple(back[i] for i in range(sub.n)), d, 0, g.n + 2, trees)
+        extracted = _extract(sub, tuple(back[i] for i in range(sub.n)), bounds, 0, g.n + 2, trees)
         extracted.sort(key=lambda fr: sorted(fr.vertices))
         fragments = [
             Fragment(level, i, frozenset(fr.vertices), fr.provenance, fr.attachments, fr.completion)
@@ -472,7 +491,7 @@ def canonical_decomposition(g: Graph, d: int) -> Decomposition:
     for entry in active:
         if entry["remaining"]:
             raise AssertionError("terminal shards not fully distributed")
-    return Decomposition(g, tuple(tuple(lv) for lv in levels), tuple(terminal_sets))
+    return Decomposition(g, tuple(tuple(lv) for lv in levels), tuple(terminal_sets), bounds.least)
 
 
 def _distribute_shards(active: list[dict], fragments: list[Fragment], terminal_sets: list[TerminalSet]):
@@ -537,4 +556,4 @@ def merge_decompositions(g: Graph, parts: Sequence[tuple[Decomposition, Sequence
                 )
             )
     ordered = tuple(tuple(levels[k]) for k in sorted(levels))
-    return Decomposition(g, ordered, tuple(terminal_sets))
+    return Decomposition(g, ordered, tuple(terminal_sets), max((dec.least_d for dec, _back in parts), default=2))

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 
 class Graph:
-    """Immutable simple undirected graph with frozenset adjacency."""
+    """Immutable simple undirected graph with frozenset adjacency.
 
-    __slots__ = ("n", "adj", "_edges")
+    Two slots memoise what is derived from the whole graph, each computed on
+    first use: `_components` by `components` and `is_connected`, and
+    `_elimination` by `chordal._eliminate`, which every clique and
+    chordality query reads. A graph never changes, so both stay valid.
+    """
+
+    __slots__ = ("n", "adj", "_edges", "_components", "_elimination")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -24,6 +30,8 @@ class Graph:
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
         self._edges = tuple(sorted((u, v) for u in range(n) for v in adj[u] if u < v))
+        self._components: Optional[tuple[frozenset[int], ...]] = None
+        self._elimination = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -62,25 +70,15 @@ class Graph:
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, sorted by minimum vertex."""
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return sorted(comps, key=min)
+        return list(self._component_tuple())
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or len(self._component_tuple()) == 1
+
+    def _component_tuple(self) -> tuple[frozenset[int], ...]:
+        if self._components is None:
+            self._components = _search_components(self)
+        return self._components
 
     def connected_in(self, allowed: frozenset[int], start: int) -> set[int]:
         """Vertices reachable from start using only allowed vertices."""
@@ -115,6 +113,26 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _search_components(g: Graph) -> tuple[frozenset[int], ...]:
+    """Connected components of g, in order of their least vertex."""
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        stack, comp = [s], []
+        seen[s] = True
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in g.adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    return tuple(comps)
 
 
 def separates(g: Graph, z: Iterable[int], a: Iterable[int], b: Iterable[int]) -> bool:

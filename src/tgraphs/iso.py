@@ -9,7 +9,7 @@ isomorphisms and verified edge-by-edge.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from math import factorial
 from typing import Optional
@@ -381,10 +381,16 @@ NOT_T_GRAPH = "not_t_graph"
 
 @dataclass(frozen=True)
 class Verdict:
+    """The outcome of a decision at leaf count d. A decisive verdict also
+    records `least_d`, the least leaf count at which the engine reaches it: the
+    decompositions it read pass every size bound from there up. It is None for
+    NOT_T_GRAPH and is not part of the JSON form."""
+
     kind: str
     d: int
     witness: Optional[tuple[int, ...]] = None
     evidence: Optional[dict] = None
+    least_d: Optional[int] = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -453,37 +459,45 @@ def is_isomorphic(g1: Graph, g2: Graph, d: int) -> Verdict:
                 evidence={"reason": "input graph is not chordal"},
             )
         if g1.n != g2.n or g1.m != g2.m:
-            return Verdict(NOT_ISOMORPHIC, d)
-        return _component_matching(g1, g2, d)
+            return Verdict(NOT_ISOMORPHIC, d, least_d=2)
+        witness, least = _component_matching(g1, g2, d)
     except NotTGraph as e:
         return Verdict(NOT_T_GRAPH, d, evidence=e.evidence())
+    return Verdict(ISOMORPHIC if witness is not None else NOT_ISOMORPHIC, d, witness=witness, least_d=least)
 
 
-def _component_matching(g1: Graph, g2: Graph, d: int) -> Verdict:
+def _component_matching(g1: Graph, g2: Graph, d: int) -> tuple[Optional[tuple[int, ...]], int]:
     """Pair components greedily: each of g1's takes the first free g2 component
-    with its (n, m, degree sequence) key that is isomorphic to it.
+    with its (n, m, degree sequence) key that is isomorphic to it. Returns the
+    witness (None when the graphs are not isomorphic) and the least leaf count
+    that every decomposition read passes (`Decomposition.least_d`), at least 2.
 
     Isomorphism is an equivalence relation, so the compatible pairs form
     disjoint complete bipartite blocks and a greedy match is complete. A
     connected input is the one-component case, the empty graph the
     zero-component case. Each distinct component graph is decomposed once,
     when a pair first needs it, so the first NotTGraph comes from the first
-    component that raises it in the greedy order.
+    component that raises it in the greedy order. At any leaf count from the
+    least one up every decomposition read is the same, so the match takes the
+    same course; below it, the first decomposition that fails a bound raises.
     """
     key = lambda sub: (sub.n, sub.m, tuple(sorted(map(sub.degree, sub.vertices()))))
     subs1 = [g1.subgraph(c) for c in g1.components()]
     subs2 = [g2.subgraph(c) for c in g2.components()]
     keys1 = [key(sub) for sub, _ in subs1]
     keys2 = [key(sub) for sub, _ in subs2]
+    least = 2
     if sorted(keys1) != sorted(keys2):
-        return Verdict(NOT_ISOMORPHIC, d)
+        return None, least
     decomposed: dict[Graph, tuple[Decomposition, Optional[tuple]]] = {}
     uses = Counter(sub for sub, _ in subs1 + subs2)  # an entry is dropped once no pair can read it
 
     def part(sub: Graph) -> tuple[Decomposition, Optional[tuple]]:
+        nonlocal least
         if sub not in decomposed:
             dec = canonical_decomposition(sub, d)
             decomposed[sub] = (dec, _invariant(dec) if dec.depth > 1 else None)
+            least = max(least, dec.least_d)
         return decomposed[sub]
 
     free = list(range(len(subs2)))
@@ -494,7 +508,7 @@ def _component_matching(g1: Graph, g2: Graph, d: int) -> Verdict:
             if keys2[j] == key1 and (wit := _connected_isomorphism(part(sub1), part(sub2))) is not None:
                 break
         else:
-            return Verdict(NOT_ISOMORPHIC, d)
+            return None, least
         free.remove(j)
         for sub in (sub1, sub2):
             uses[sub] -= 1
@@ -506,17 +520,16 @@ def _component_matching(g1: Graph, g2: Graph, d: int) -> Verdict:
     witness = tuple(images)
     if not _verify_witness(g1, g2, witness):
         raise AssertionError("assembled component witness failed verification")
-    return Verdict(ISOMORPHIC, d, witness=witness)
+    return witness, least
 
 
 def decide_up_to(g1: Graph, g2: Graph, d_max: int) -> Verdict:
-    """Try leaf counts 2..d_max, returning the first decisive verdict."""
+    """The first decisive verdict over leaf counts 2..d_max, else d_max's NOT_T_GRAPH.
+
+    One decision at d_max: a decisive verdict is the same at every leaf count
+    from its `least_d` up and NOT_T_GRAPH below, so it is reported at `least_d`.
+    """
     if d_max < 2:
         raise ValueError("need d_max >= 2")
-    last = None
-    for d in range(2, d_max + 1):
-        verdict = is_isomorphic(g1, g2, d)
-        if verdict.kind != NOT_T_GRAPH:
-            return verdict
-        last = verdict
-    return last
+    verdict = is_isomorphic(g1, g2, d_max)
+    return verdict if verdict.least_d is None else replace(verdict, d=verdict.least_d)

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tgraphs.chordal as chordal_mod
 from tgraphs.chordal import (
     is_chordal,
     leaf_cliques,
@@ -141,6 +142,25 @@ class TestEliminationPass:
         else:
             with pytest.raises(NotChordal):
                 maximal_cliques(g)
+
+    @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(5)], ids=["p5", "c5"])
+    def test_one_pass_per_graph(self, g, monkeypatch):
+        passes = []
+        monkeypatch.setattr(chordal_mod, "maximum_cardinality_search", lambda h: passes.append(h) or quadratic_mcs(h))
+        for _ in range(2):
+            assert (is_chordal(g) is None) == (g.m == g.n)
+        if g.m < g.n:
+            for query in (maximal_cliques, leaf_cliques, minimal_separators):
+                query(g)
+        assert passes == [g]
+
+    def test_results_do_not_share_the_memo(self):
+        g = path_graph(4)
+        for query in (Graph.components, maximal_cliques, leaf_cliques, minimal_separators):
+            first = query(g)
+            expected = list(first)
+            first.clear()
+            assert query(g) == expected, query.__name__
 
 
 def quadratic_mcs(g):

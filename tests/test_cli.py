@@ -143,6 +143,29 @@ class TestAnalyze:
         assert data["chordal"] is True
         assert len(data["leaf_cliques"]) == 2
 
+    def test_one_elimination_pass_and_one_component_search(self, tmp_path, capsys, monkeypatch):
+        import tgraphs.chordal as chordal
+        import tgraphs.graph as graph
+
+        calls = {"mcs": 0, "components": 0}
+
+        def counting(name, fn):
+            def wrapper(g):
+                calls[name] += 1
+                return fn(g)
+
+            return wrapper
+
+        monkeypatch.setattr(chordal, "maximum_cardinality_search", counting("mcs", chordal.maximum_cardinality_search))
+        monkeypatch.setattr(graph, "_search_components", counting("components", graph._search_components))
+        p = write_graph(tmp_path, "p4.graph", path_graph(4))
+        assert main(["analyze", p, "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"n": 4, "m": 3, "chordal": true, "connected": true, "maximal_cliques": [[0, 1], [1, 2], [2, 3]], '
+            '"minimal_separators": [[1], [2]], "leaf_cliques": [[0, 1], [2, 3]]}\n'
+        )
+        assert calls == {"mcs": 1, "components": 1}
+
     @pytest.mark.parametrize(
         "g, keys",
         [

@@ -350,6 +350,28 @@ class TestCanonicalDecomposition:
         assert level3 == {(2, 3, 4), (6, 7, 8), (10, 11, 12)}
 
 
+class TestLeastD:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_same_decomposition_from_least_d_up(self, seed):
+        rng = random.Random(seed)
+        g, _ = random_t_graph(rng.choice([3, 4]), rng.randint(8, 30), 8300 + seed)
+        dec = canonical_decomposition(g, 6)
+        for d in range(dec.least_d, 6):
+            assert canonical_decomposition(g, d).to_json_dict() == dec.to_json_dict()
+        if dec.least_d > 2:
+            with pytest.raises(NotTGraph):
+                canonical_decomposition(g, dec.least_d - 1)
+
+    def test_a_bound_of_2d_needs_half_its_count(self):
+        bounds = decompose._Bounds(3)
+        bounds.check(5, 2, "too many")
+        assert bounds.least == 3
+        with pytest.raises(NotTGraph) as raised:
+            bounds.check(7, 2, "too many")
+        assert raised.value.evidence() == {"reason": "too many", "count": 7, "d": 3}
+        assert bounds.least == 4
+
+
 def assert_relabel_commutes(g, h, p, d):
     """p maps g's decomposition onto h's, level by level, as sets."""
     dec_g = canonical_decomposition(g, d)

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 import tgraphs.chordal as chordal
+import tgraphs.graph as graph
 import tgraphs.iso as iso
 from tgraphs.decompose import canonical_decomposition
 from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
@@ -412,6 +413,53 @@ class TestIsIsomorphic:
         verdict = decide_up_to(g, h, 4)
         assert verdict.kind == ISOMORPHIC
 
+    def test_decide_up_to_tests_chordality_once_per_input(self, monkeypatch):
+        passes = []
+        real = chordal.maximum_cardinality_search
+        monkeypatch.setattr(chordal, "maximum_cardinality_search", lambda g: passes.append(g) or real(g))
+        verdict = decide_up_to(cycle_graph(5), cycle_graph(5), 10**4)
+        assert len(passes) <= 2
+        assert (verdict.kind, verdict.d, verdict.witness) == (NOT_T_GRAPH, 10**4, None)
+        assert verdict.evidence == {"reason": "input graph is not chordal"}
+
+    def test_decide_up_to_matches_the_per_d_loop(self):
+        def per_d(g1, g2, d_max):
+            """The first decisive verdict over d = 2..d_max, else d_max's, one decision per d."""
+            last = None
+            for d in range(2, d_max + 1):
+                last = is_isomorphic(g1, g2, d)
+                if last.kind != NOT_T_GRAPH:
+                    break
+            return last
+
+        reported = defaultdict(int)
+        for seed in range(12):
+            rng = random.Random(seed)
+            d = rng.choice([2, 3, 4])
+            g, _ = random_t_graph(d, rng.randint(2, 14), 8100 + seed)
+            other, _ = random_t_graph(d, g.n, 8200 + seed)
+            arms = sorted(rng.randint(1, 3) for _ in range(rng.choice([4, 5])))
+            s = spider(*arms)
+            moved = spider(arms[0] + 1, *arms[1:-1], arms[-1] - 1)  # same n and m
+            cycle = cycle_graph(rng.randint(4, 6))
+            pairs = [
+                (g, random_relabel(g, seed)[0]),
+                (g, other),
+                (s, random_relabel(s, seed)[0]),
+                (s, moved),
+                (g.union_disjoint(s), random_relabel(s.union_disjoint(g), seed)[0]),
+                (g.union_disjoint(s), other.union_disjoint(moved)),
+                (g.union_disjoint(cycle), random_relabel(cycle.union_disjoint(g), seed)[0]),
+            ]
+            for g1, g2 in pairs:
+                for d_max in range(2, 7):
+                    got, want = decide_up_to(g1, g2, d_max), per_d(g1, g2, d_max)
+                    assert (got.kind, got.d, got.witness, got.evidence) == (want.kind, want.d, want.witness, want.evidence)
+                    reported[got.kind, got.d == d_max, got.d > 2] += 1
+        # the stream reaches verdicts below d_max above 2, and NOT_T_GRAPH
+        assert reported[ISOMORPHIC, False, True] and reported[NOT_ISOMORPHIC, False, True]
+        assert reported[NOT_T_GRAPH, True, True]
+
     @pytest.mark.parametrize("d_max", [1, 0, -5])
     def test_decide_up_to_rejects_d_max_below_2(self, d_max):
         g = path_graph(3)
@@ -448,7 +496,7 @@ class TestIsIsomorphic:
 
     def test_chordality_is_tested_once_per_input(self, monkeypatch):
         # every module binding of is_chordal is wrapped, as bench/spans.py does
-        calls = {"is_chordal": 0, "mcs": 0}
+        calls = {"is_chordal": 0, "mcs": 0, "components": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -463,13 +511,16 @@ class TestIsIsomorphic:
                 monkeypatch.setattr(mod, "is_chordal", counting("is_chordal", original))
         mcs = counting("mcs", chordal.maximum_cardinality_search)
         monkeypatch.setattr(chordal, "maximum_cardinality_search", mcs)
+        monkeypatch.setattr(graph, "_search_components", counting("components", graph._search_components))
         g = spider(5, 5, 6)
         h, _ = random_relabel(g, 3)
         assert is_isomorphic(g, h, 3).kind == ISOMORPHIC
         assert calls["is_chordal"] == 2
-        # one elimination pass per input test, clique query and PQ-tree; each side
-        # builds one tree per distinct completion graph (12 completions share one)
-        assert calls["mcs"] == 22
+        # one elimination pass and one component search per distinct graph, kept on
+        # it: per side the input, its four smaller residues and the one completion
+        # graph that all 12 completions share
+        assert calls["mcs"] == 12
+        assert calls["components"] == 12
 
     def test_verdict_json(self):
         verdict = is_isomorphic(path_graph(3), path_graph(3), 2)
