@@ -8,7 +8,6 @@ the two inputs, with brute-force oracles for desk-scale verification.
 """
 
 from .errors import (
-    BadSeparator,
     Disconnected,
     DomainMismatch,
     IndexBoundExceeded,
@@ -21,12 +20,10 @@ from .errors import (
 )
 from .graph import Graph, format_graph_text, parse_graph_text, separates
 from .chordal import (
-    EliminationOrdering,
     is_chordal,
     leaf_cliques,
     maximal_cliques,
     minimal_separators,
-    simplicial_vertices,
 )
 from .perm import (
     MembershipPredicate,
@@ -61,9 +58,6 @@ from .decompose import (
     TerminalSet,
     attachment_sets,
     canonical_decomposition,
-    clique_approx,
-    clique_preceq,
-    completion,
     extract_fragments,
 )
 from .iso import (
@@ -97,16 +91,13 @@ __all__ = [
     "NotAPartition",
     "IndexBoundExceeded",
     "NotClosed",
-    "BadSeparator",
     "TooLarge",
     # graphs and chordal structure
     "Graph",
     "parse_graph_text",
     "format_graph_text",
     "separates",
-    "EliminationOrdering",
     "is_chordal",
-    "simplicial_vertices",
     "maximal_cliques",
     "leaf_cliques",
     "minimal_separators",
@@ -138,10 +129,7 @@ __all__ = [
     "Fragment",
     "TerminalSet",
     "Decomposition",
-    "clique_preceq",
-    "clique_approx",
     "extract_fragments",
-    "completion",
     "attachment_sets",
     "canonical_decomposition",
     # decision engine

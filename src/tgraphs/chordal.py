@@ -7,19 +7,11 @@ chordality only where a graph enters it (`iso.is_isomorphic`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional
 
 from .errors import Disconnected, NotChordal
 from .graph import Graph
-
-
-@dataclass(frozen=True)
-class EliminationOrdering:
-    """Perfect elimination ordering: later neighbors of each vertex form a clique."""
-
-    order: tuple[int, ...]
 
 
 def maximum_cardinality_search(g: Graph) -> list[int]:
@@ -107,15 +99,11 @@ def _elimination_pass(g: Graph) -> Optional[_Elimination]:
     return tuple(reversed(mcs)), tuple(cliques), tuple(separators)
 
 
-def is_chordal(g: Graph) -> Optional[EliminationOrdering]:
-    """A perfect elimination ordering of g, or None when g is not chordal."""
+def is_chordal(g: Graph) -> Optional[tuple[int, ...]]:
+    """A perfect elimination ordering of g (the later neighbours of each vertex
+    form a clique), or None when g is not chordal. The empty graph's is ()."""
     found = _eliminate(g)
-    return None if found is None else EliminationOrdering(found[0])
-
-
-def simplicial_vertices(g: Graph) -> frozenset[int]:
-    """Vertices whose neighborhood induces a clique."""
-    return frozenset(v for v in g.vertices() if g.is_clique(g.adj[v]))
+    return None if found is None else found[0]
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:

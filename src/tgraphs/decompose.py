@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .chordal import leaf_cliques, minimal_separators
-from .errors import BadSeparator, Disconnected, NotTGraph
+from .errors import Disconnected, NotTGraph
 from .graph import Graph
 from .interval import PQTree, build_pq_tree
 
@@ -46,22 +46,6 @@ class ExtractedFragment:
     provenance: str  # "simplicial" | "separator"
     attachments: tuple[frozenset, ...]  # inclusion chain, ascending
     completion: Completion
-
-
-def clique_preceq(g: Graph, cliques: Sequence[Iterable[int]], i: int, j: int) -> Optional[int]:
-    """Smallest witness k for cliques[i] below cliques[j] in the separation preorder.
-
-    cliques[j] must separate cliques[i] from cliques[k] in g; None when no
-    witness in the ambient collection works.
-    """
-    witnesses = _relations(g, [frozenset(c) for c in cliques])[i][j]
-    return min(witnesses) if witnesses else None
-
-
-def clique_approx(g: Graph, cliques: Sequence[Iterable[int]], i: int, j: int) -> bool:
-    """Both separation directions hold with one common witness."""
-    witnesses = _relations(g, [frozenset(c) for c in cliques])
-    return bool(witnesses[i][j] & witnesses[j][i])
 
 
 def _component_ids(g: Graph, removed: frozenset[int]) -> list[int]:
@@ -119,12 +103,11 @@ def _build_completion(
     frag: frozenset[int],
     sep: frozenset[int],
     aux_tag: tuple,
-    allow_trivial_rest: bool,
     trees: dict,
 ) -> Completion:
-    rest = [v for v in g.vertices() if v not in frag and v not in sep]
-    if not rest and not allow_trivial_rest:
-        raise BadSeparator("nothing to contract: fragment plus separator covers the graph")
+    """The completion of frag over its separator sep: frag, then sep, each in label
+    order, then the contracted vertex l, adjacent to sep, and its pendant tail l'.
+    l stands for the rest of g, which may be empty; `trees` caches PQ-trees (`_pq_tree`)."""
     order = sorted(frag, key=lambda v: _label_key(labels[v])) + sorted(
         sep, key=lambda v: _label_key(labels[v])
     )
@@ -149,31 +132,6 @@ def _build_completion(
         frozenset(index[v] for v in sep),
         _pq_tree(comp_graph, trees),
     )
-
-
-def completion(g: Graph, frag: Iterable[int], sep: Iterable[int]) -> Completion:
-    """Completion of a component union over its minimal separator.
-
-    Validates the separator/component relationship; the contracted rest must
-    be nonempty.
-    """
-    frag = frozenset(frag)
-    sep = frozenset(sep)
-    if not frag or frag & sep:
-        raise BadSeparator("fragment must be nonempty and disjoint from the separator")
-    allowed = frozenset(v for v in g.vertices() if v not in sep)
-    covered: set[int] = set()
-    for v in frag:
-        if v in covered:
-            continue
-        comp = g.connected_in(allowed, v)
-        if not comp <= frag:
-            raise BadSeparator("fragment is not a union of components of g - separator")
-        covered |= comp
-    nbhd = frozenset(w for v in frag for w in g.adj[v]) - frag
-    if nbhd != sep:
-        raise BadSeparator("separator must be exactly the fragment's neighborhood")
-    return _build_completion(g, tuple(range(g.n)), frag, sep, ("aux", 0, 0), allow_trivial_rest=False, trees={})
 
 
 def attachment_sets(g: Graph, frag: Iterable[int], sep: Iterable[int]) -> tuple[frozenset[int], ...]:
@@ -249,7 +207,7 @@ def _extract(g: Graph, labels: tuple, bounds: _Bounds, depth: int, budget: int, 
             if not f:
                 raise NotTGraph("leaf clique without simplicial vertices")
             sep = clique - f
-            comp = _build_completion(g, labels, f, sep, ("aux", depth, idx), allow_trivial_rest=True, trees=trees)
+            comp = _build_completion(g, labels, f, sep, ("aux", depth, idx), trees=trees)
             chain = (frozenset(labels[v] for v in sep),) if sep else ()
             frags.append(
                 ExtractedFragment(
@@ -308,7 +266,7 @@ def _extract(g: Graph, labels: tuple, bounds: _Bounds, depth: int, budget: int, 
                 c0_prime.append((comp, z))
     c0_prime.sort(key=lambda fz: sorted(fz[0]))
     completions = [
-        _build_completion(g, labels, f, z, ("aux", depth, idx), allow_trivial_rest=True, trees=trees)
+        _build_completion(g, labels, f, z, ("aux", depth, idx), trees=trees)
         for idx, (f, z) in enumerate(c0_prime)
     ]
     c1 = [

@@ -54,9 +54,5 @@ class NotClosed(TGraphsError):
     """A membership predicate rejects the identity, so it defines no subgroup."""
 
 
-class BadSeparator(TGraphsError):
-    """Separator/component pair does not satisfy the completion preconditions."""
-
-
 class TooLarge(TGraphsError):
     """Input exceeds a brute-force oracle guard."""

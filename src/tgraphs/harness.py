@@ -96,11 +96,15 @@ class TRepresentation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TRepresentation":
+        """The representation `to_json_dict` wrote; ValueError on a non-pair edge or a negative id."""
+        if any(not isinstance(e, (list, tuple)) or len(e) != 2 for e in data["tree_edges"]):
+            raise ValueError("every tree edge must be a pair of node ids")
         edges = tuple((int(a), int(b)) for a, b in data["tree_edges"])
-        tree_n = max((max(e) for e in edges), default=-1) + 1
         models = tuple(frozenset(int(x) for x in m) for m in data["models"])
-        tree_n = max(tree_n, max((max(m, default=-1) for m in models), default=-1) + 1)
-        return cls(tree_n, edges, models)
+        ids = [x for e in edges for x in e] + [x for m in models for x in m]
+        if any(x < 0 for x in ids):
+            raise ValueError("node ids must be nonnegative")
+        return cls(max(ids, default=-1) + 1, edges, models)
 
 
 def verify_t_representation(g: Graph, rep: TRepresentation) -> bool:
@@ -271,22 +275,3 @@ def random_relabel(g: Graph, seed: int) -> tuple[Graph, Perm]:
     p = Perm(images)
     return g.relabel(images), p
 
-
-def tree_path_contains(tree: Graph, u: int, v: int, w: int) -> bool:
-    """Whether w lies on the unique u-v path of a tree."""
-    dist = _tree_dists(tree, u)
-    dist_w = _tree_dists(tree, w)
-    return dist[w] + dist_w[v] == dist[v]
-
-
-def _tree_dists(tree: Graph, s: int) -> list[int]:
-    dist = [-1] * tree.n
-    dist[s] = 0
-    queue = [s]
-    while queue:
-        u = queue.pop(0)
-        for x in tree.adj[u]:
-            if dist[x] == -1:
-                dist[x] = dist[u] + 1
-                queue.append(x)
-    return dist

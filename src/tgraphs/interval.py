@@ -24,7 +24,7 @@ from .setfamily import SetFamily, family_autgroup
 
 
 class PQNode:
-    __slots__ = ("kind", "children", "clique", "nid", "leaf_set", "depth", "parent")
+    __slots__ = ("kind", "children", "clique", "nid", "leaf_set", "parent")
 
     def __init__(self, kind: str, children: Optional[list["PQNode"]] = None, clique: Optional[int] = None):
         self.kind = kind  # "P", "Q", or "L"
@@ -32,7 +32,6 @@ class PQNode:
         self.clique = clique  # clique index for leaves
         self.nid = -1
         self.leaf_set: frozenset[int] = frozenset()
-        self.depth = 0
         self.parent: Optional[PQNode] = None
 
 
@@ -245,19 +244,18 @@ def _finalize(tree: PQTree) -> Optional[PQTree]:
     """Assign ids/leaf sets and the MPQ vertex mapping; None if alignment fails."""
     nodes: list[PQNode] = []
 
-    def visit(node: PQNode, depth: int, parent: Optional[PQNode]):
+    def visit(node: PQNode, parent: Optional[PQNode]):
         node.nid = len(nodes)
-        node.depth = depth
         node.parent = parent
         nodes.append(node)
         if node.kind == "L":
             node.leaf_set = frozenset([node.clique])
             return
         for c in node.children:
-            visit(c, depth + 1, node)
+            visit(c, node)
         node.leaf_set = frozenset().union(*(c.leaf_set for c in node.children))
 
-    visit(tree.root, 0, None)
+    visit(tree.root, None)
     tree.nodes = tuple(nodes)
     held: dict[PQNode, list[int]] = {}
     for v, kv in enumerate(tree.vertex_cliques):
@@ -834,8 +832,7 @@ class MarkedContext:
     def group(self) -> PermGroup:
         """Automorphisms of the encoded family, acting on encoded-set indices."""
         if self._group is None:
-            # no antichain outgrows the family, and the context declares no promise of its own
-            self._group = family_autgroup(self.enc.family, len(self.enc.family.sets))
+            self._group = family_autgroup(self.enc.family)
         return self._group
 
     def action_group(self) -> PermGroup:

@@ -25,7 +25,7 @@ from .harness import (
 from .interval import MarkedIntervalGraph, brute_marked_autgroup, build_pq_tree, marked_action_group
 from .iso import ISOMORPHIC, NOT_T_GRAPH, combine, decomposition_autgroup, is_isomorphic, project_automorphism
 from .perm import MembershipPredicate, Perm, PermGroup, fhl_subgroup, symmetric_on_classes, tower_of_groups
-from .setfamily import SetFamily, family_autgroup, is_family_automorphism, max_antichain_size
+from .setfamily import SetFamily, family_autgroup, is_family_automorphism
 
 
 @dataclass
@@ -252,7 +252,7 @@ def _set_families(cfg) -> Check:
         )
     for seed in range(cfg["family_groups"]):
         fam = _random_family(random.Random(SEED_BASES["family-groups"] + seed), 6)
-        group = family_autgroup(fam, max(max_antichain_size(fam), 1))
+        group = family_autgroup(fam)
         perms = permutations(range(len(fam.sets)))
         mismatches += group.order() != sum(1 for images in perms if is_family_automorphism(fam, Perm(images)))
     detail = f"{cfg['families']} automorphism tests + {cfg['family_groups']} group orders, {mismatches} mismatches"

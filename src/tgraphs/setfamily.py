@@ -15,7 +15,6 @@ from itertools import chain
 from math import factorial
 from typing import Any, Iterable, Optional, Sequence
 
-from .errors import IndexBoundExceeded
 from .perm import Perm, PermGroup
 
 
@@ -277,8 +276,9 @@ def _rigid_classes(
     return list(classes.values()), sorted(rest)
 
 
-def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
-    """Automorphism group of the family on member-set indices.
+def family_autgroup(family: SetFamily) -> PermGroup:
+    """Automorphism group of the family on member-set indices, for any family:
+    it assumes no bound on the family's antichains.
 
     The sets are coloured by annotation and size and refined on intersection
     sizes once, and the family splits into intersection components. Rigid
@@ -311,14 +311,6 @@ def family_autgroup(family: SetFamily, antichain_bound: int) -> PermGroup:
     m = len(family.sets)
     if m == 0:
         return PermGroup(0, [])
-    if antichain_bound < m:  # no antichain outgrows the family, so a bound of m holds vacuously
-        actual = max_antichain_size(family)
-        if actual > antichain_bound:
-            raise IndexBoundExceeded(
-                f"antichain promise violated: {actual} > {antichain_bound}",
-                bound=antichain_bound,
-                stage="antichain-promise",
-            )
     rows, root = _stable_colouring(family)
     classes, rest = _rigid_classes(family, rows, root)
     if not classes:

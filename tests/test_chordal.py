@@ -11,11 +11,10 @@ from tgraphs.chordal import (
     maximal_cliques,
     maximum_cardinality_search,
     minimal_separators,
-    simplicial_vertices,
 )
 from tgraphs.errors import Disconnected, NotChordal
 from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, separates, star_graph
-from tgraphs.harness import random_t_graph, random_tree, tree_path_contains
+from tgraphs.harness import random_t_graph, random_tree
 
 
 def brute_is_chordal(g):
@@ -105,7 +104,10 @@ class TestIsChordal:
     def test_k4_is_chordal(self):
         peo = is_chordal(complete_graph(4))
         assert peo is not None
-        assert sorted(peo.order) == [0, 1, 2, 3]
+        assert sorted(peo) == [0, 1, 2, 3]
+
+    def test_empty_graph_ordering_is_empty(self):
+        assert is_chordal(Graph(0)) == ()
 
     def test_generator_output_is_chordal(self):
         g, _ = random_t_graph(3, 12, 1)
@@ -114,7 +116,7 @@ class TestIsChordal:
 
     def test_peo_invariant(self):
         g = random_chordal(9, 3)
-        order = is_chordal(g).order
+        order = is_chordal(g)
         pos = {v: i for i, v in enumerate(order)}
         for v in g.vertices():
             later = [w for w in g.adj[v] if pos[w] > pos[v]]
@@ -200,17 +202,6 @@ class TestMaximumCardinalitySearch:
         assert is_chordal(g) is not None
 
 
-class TestSimplicial:
-    def test_path(self):
-        assert simplicial_vertices(path_graph(3)) == {0, 2}
-
-    def test_complete(self):
-        assert simplicial_vertices(complete_graph(5)) == set(range(5))
-
-    def test_c4(self):
-        assert simplicial_vertices(cycle_graph(4)) == frozenset()
-
-
 class TestMaximalCliques:
     def test_path(self):
         assert maximal_cliques(path_graph(3)) == [(0, 1), (1, 2)]
@@ -248,7 +239,7 @@ class TestMaximalCliques:
         rng = random.Random(77)
         for seed in range(200):
             g, _ = random_t_graph(rng.randint(2, 5), rng.randint(1, 40), 7000 + seed)
-            order = is_chordal(g).order
+            order = is_chordal(g)
             pos = {v: i for i, v in enumerate(order)}
             candidates = {frozenset([v] + [w for w in g.adj[v] if pos[w] > pos[v]]) for v in order}
             expected = sorted(tuple(sorted(c)) for c in candidates if not any(c < o for o in candidates))
@@ -380,6 +371,26 @@ class TestSeparates:
     def test_vacuous(self):
         g = path_graph(4)
         assert separates(g, [0, 1], [0], [3])
+
+
+def tree_dists(tree, s):
+    """Distances from s in a tree, by breadth-first search."""
+    dist = [-1] * tree.n
+    dist[s] = 0
+    queue = [s]
+    while queue:
+        u = queue.pop(0)
+        for x in tree.adj[u]:
+            if dist[x] == -1:
+                dist[x] = dist[u] + 1
+                queue.append(x)
+    return dist
+
+
+def tree_path_contains(tree, u, v, w):
+    """Whether w lies on the unique u-v path of a tree."""
+    dist = tree_dists(tree, u)
+    return dist[w] + tree_dists(tree, w)[v] == dist[v]
 
 
 class TestMarkedTreeObservation:

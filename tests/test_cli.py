@@ -134,6 +134,22 @@ class TestGen:
         rep = TRepresentation.from_json_dict(json.loads((tmp_path / "g.rep.json").read_text()))
         assert verify_t_representation(g, rep)
 
+    def test_certificate_with_a_negative_node_id_is_rejected(self):
+        from tgraphs.harness import TRepresentation
+
+        # node -1 would alias the last tree node when the certificate is verified
+        with pytest.raises(ValueError, match="nonnegative"):
+            TRepresentation.from_json_dict({"tree_edges": [[0, 1]], "models": [[-1]]})
+        with pytest.raises(ValueError, match="nonnegative"):
+            TRepresentation.from_json_dict({"tree_edges": [[-1, 0]], "models": [[0]]})
+
+    @pytest.mark.parametrize("edge", [[0], [0, 1, 2], 0], ids=["one-id", "three-ids", "not-a-list"])
+    def test_certificate_with_an_edge_that_is_not_a_pair_is_rejected(self, edge):
+        from tgraphs.harness import TRepresentation
+
+        with pytest.raises(ValueError, match="pair"):
+            TRepresentation.from_json_dict({"tree_edges": [[0, 1], edge], "models": [[0]]})
+
 
 class TestAnalyze:
     def test_p4_report(self, tmp_path, capsys):

@@ -7,12 +7,9 @@ from tgraphs.chordal import is_chordal, maximal_cliques
 from tgraphs.decompose import (
     attachment_sets,
     canonical_decomposition,
-    clique_approx,
-    clique_preceq,
-    completion,
     extract_fragments,
 )
-from tgraphs.errors import BadSeparator, NotChordal, NotTGraph
+from tgraphs.errors import NotChordal, NotTGraph
 from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, separates, star_graph
 from tgraphs.harness import random_relabel, random_t_graph, random_tree
 from tgraphs.iso import ISOMORPHIC, NOT_ISOMORPHIC, NOT_T_GRAPH, is_isomorphic
@@ -38,46 +35,48 @@ def figure_branch_graph():
     return Graph(13, edges)
 
 
+def relations(g):
+    """`_relations` over g's maximal cliques."""
+    return decompose._relations(g, [frozenset(c) for c in maximal_cliques(g)])
+
+
+def approx(witnesses, i, j):
+    return bool(witnesses[i][j] & witnesses[j][i])
+
+
 class TestCliqueRelations:
     def test_path_of_three_cliques(self):
-        g = path_graph(4)
-        cliques = maximal_cliques(g)  # (0,1), (1,2), (2,3)
+        witnesses = relations(path_graph(4))  # cliques (0,1), (1,2), (2,3)
         # (0,1) below (1,2), witnessed by (2,3)
-        assert clique_preceq(g, cliques, 0, 1) == 2
-        assert clique_preceq(g, cliques, 1, 0) is None
+        assert witnesses[0][1] == {2}
+        assert witnesses[1][0] == set()
 
     def test_claw_preceq_holds_with_witness(self):
         # removing one 2-clique of the claw isolates the other leaves
-        g = star_graph(3)
-        cliques = maximal_cliques(g)
-        assert clique_preceq(g, cliques, 0, 1) == 2
-        assert clique_preceq(g, cliques, 1, 0) == 2
+        witnesses = relations(star_graph(3))
+        assert witnesses[0][1] == {2}
+        assert witnesses[1][0] == {2}
 
     def test_claw_approx_everywhere(self):
-        g = star_graph(3)
-        cliques = maximal_cliques(g)
+        witnesses = relations(star_graph(3))
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert clique_approx(g, cliques, i, j)
+                    assert approx(witnesses, i, j)
 
     def test_approx_symmetric(self):
-        g = figure_branch_graph()
-        cliques = maximal_cliques(g)
-        for i in range(len(cliques)):
-            for j in range(len(cliques)):
-                assert clique_approx(g, cliques, i, j) == clique_approx(g, cliques, j, i)
+        witnesses = relations(figure_branch_graph())
+        for i in range(len(witnesses)):
+            for j in range(len(witnesses)):
+                assert approx(witnesses, i, j) == approx(witnesses, j, i)
 
     def test_path_approx_false(self):
-        g = path_graph(4)
-        cliques = maximal_cliques(g)
-        assert not clique_approx(g, cliques, 0, 1)
+        assert not approx(relations(path_graph(4)), 0, 1)
 
     def test_caterpillar_approx_true(self):
         # two maximal cliques stacked on a shared cutvertex, third clique behind it
         g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (0, 3), (0, 4)])
-        cliques = maximal_cliques(g)  # (0,1,2), (0,2,3), (0,4)
-        assert clique_approx(g, cliques, 0, 1)
+        assert approx(relations(g), 0, 1)  # cliques (0,1,2), (0,2,3), (0,4)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_preceq_transitive(self, seed):
@@ -88,25 +87,20 @@ class TestCliqueRelations:
                 g = cand
                 break
         assert g is not None
-        cliques = maximal_cliques(g)
-        m = len(cliques)
-        rel = [[clique_preceq(g, cliques, i, j) is not None for j in range(m)] for i in range(m)]
+        sets = [frozenset(c) for c in maximal_cliques(g)]
+        m = len(sets)
+        witnesses = relations(g)
         # oracle: the irreflexive per-pair definition, one separates call per candidate witness
-        sets = [frozenset(c) for c in cliques]
-        witnesses = [
-            [{k for k in range(m) if i != j and k not in (i, j) and separates(g, sets[j], sets[i], sets[k])}
-             for j in range(m)]
-            for i in range(m)
-        ]
         for i in range(m):
             for j in range(m):
-                assert clique_preceq(g, cliques, i, j) == (min(witnesses[i][j]) if witnesses[i][j] else None)
-                assert clique_approx(g, cliques, i, j) == bool(witnesses[i][j] & witnesses[j][i])
+                assert witnesses[i][j] == {
+                    k for k in range(m) if i != j and k not in (i, j) and separates(g, sets[j], sets[i], sets[k])
+                }
         for i in range(m):
             for j in range(m):
                 for k in range(m):
-                    if i != j and j != k and i != k and rel[i][j] and rel[j][k]:
-                        assert rel[i][k]
+                    if i != j and j != k and i != k and witnesses[i][j] and witnesses[j][k]:
+                        assert witnesses[i][k]
 
 
 class TestExtractFragments:
@@ -180,23 +174,16 @@ class TestExtractFragments:
 
 class TestCompletion:
     def test_p3_explicit(self):
-        g = path_graph(3)
-        comp = completion(g, [0], [1])
-        # a-b plus l adjacent to b, tail adjacent to l
-        assert comp.graph.n == 4
-        assert comp.graph.degree(comp.tail) == 1
-        l = comp.contracted
-        assert set(comp.graph.adj[l]) == comp.sep_ids | {comp.tail}
-
-    def test_whole_rest_is_error(self):
-        g = star_graph(3)
-        with pytest.raises(BadSeparator):
-            completion(g, [1, 2, 3], [0])
-
-    def test_bad_fragment(self):
-        g = path_graph(4)
-        with pytest.raises(BadSeparator):
-            completion(g, [0, 2], [1])  # {2} is not a full component of g - {1}
+        frags = extract_fragments(path_graph(3), 2)  # the simplicial tips {0} and {2}, each over {1}
+        assert len(frags) == 2
+        for f in frags:
+            comp = f.completion
+            # tip-1 plus l adjacent to 1, tail adjacent to l
+            assert comp.graph.n == 4
+            assert comp.graph.degree(comp.tail) == 1
+            l = comp.contracted
+            assert len(comp.sep_ids) == 1
+            assert set(comp.graph.adj[l]) == comp.sep_ids | {comp.tail}
 
     def test_chordal_preserved(self):
         g, _ = random_t_graph(3, 9, 11)

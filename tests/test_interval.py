@@ -20,7 +20,7 @@ from tgraphs.interval import (
     pq_tree_to_text,
     reduce_clean,
 )
-from tgraphs.setfamily import family_autgroup, max_antichain_size
+from tgraphs.setfamily import max_antichain_size
 
 
 def brute_valid_orders(g):
@@ -123,7 +123,7 @@ class TestBuildPQTree:
         g, _ = random_t_graph(rng.choice([2, 3]), n, seed)
         if not g.is_connected():
             g = random_connected_interval(n, seed)
-        if len(maximal_cliques(g)) > 7 if is_chordal(g) else False:
+        if is_chordal(g) is not None and len(maximal_cliques(g)) > 7:
             pytest.skip("too many cliques for the oracle")
         tree = build_pq_tree(g)
         assert (tree is not None) == is_interval(g)
@@ -511,26 +511,8 @@ class TestMarkedIsomorphism:
         for seed in (4, 6, 7):
             calls.clear()
             MarkedContext(random_marked(6, seed)).group
-            # the context's bound is the family size, which no antichain exceeds,
-            # so the promise check is skipped
+            # the family group assumes no antichain bound, so it never computes one
             assert len(calls) == 0
-
-    def test_real_bound_computes_antichain_once(self, monkeypatch):
-        calls = []
-
-        def counting(family):
-            calls.append(len(family))
-            return max_antichain_size(family)
-
-        for seed in (4, 6, 7):
-            family = MarkedContext(random_marked(6, seed)).enc.family
-            bound = max_antichain_size(family)
-            assert bound < len(family.sets)
-            with monkeypatch.context() as patch:
-                patch.setattr(tgraphs.setfamily, "max_antichain_size", counting)
-                calls.clear()
-                family_autgroup(family, bound)
-                assert len(calls) == 1
 
 
 class TestRealizeChecks:

@@ -6,7 +6,6 @@ import pytest
 import tgraphs.interval
 import tgraphs.iso
 import tgraphs.setfamily
-from tgraphs.errors import IndexBoundExceeded
 from tgraphs.graph import Graph, path_graph
 from tgraphs.harness import random_relabel
 from tgraphs.interval import MarkedContext, MarkedIntervalGraph, marked_union
@@ -196,17 +195,17 @@ class TestMaxAntichain:
 class TestFamilyAutgroup:
     def test_chain_is_rigid(self):
         fam = SetFamily(3, [[0], [0, 1], [0, 1, 2]])
-        assert family_autgroup(fam, 1).order() == 1
+        assert family_autgroup(fam).order() == 1
 
     def test_identical_copies(self):
         fam = SetFamily(3, [[0, 2], [0, 2], [0, 2], [0, 2]])
-        assert family_autgroup(fam, 1).order() == 24
+        assert family_autgroup(fam).order() == 24
 
     def test_annotations_block_swaps(self):
         fam = SetFamily(2, [[0], [1]], annotations=["a", "b"])
-        assert family_autgroup(fam, 2).order() == 1
+        assert family_autgroup(fam).order() == 1
         fam2 = SetFamily(2, [[0], [1]], annotations=["a", "a"])
-        assert family_autgroup(fam2, 2).order() == 2
+        assert family_autgroup(fam2).order() == 2
 
     def test_klein_four_regular_action(self):
         # each pair of the four sets shares a private block of 1, 2 or 3 points;
@@ -220,15 +219,10 @@ class TestFamilyAutgroup:
                 sets[p].append(z)
                 sets[q].append(z)
             ground += w
-        group = family_autgroup(SetFamily(ground, sets), 4)
+        group = family_autgroup(SetFamily(ground, sets))
         assert group.order() == 4
         for images in ([1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]):
             assert group.contains(Perm(images))
-
-    def test_antichain_promise_violated(self):
-        fam = SetFamily(6, [[0, 1], [2, 3], [4, 5]])
-        with pytest.raises(IndexBoundExceeded):
-            family_autgroup(fam, 2)
 
     # seeds 30 to 999 draw families whose largest antichain has 3, 4 or 5 sets;
     # seeds from 2000 draw families annotated with 0 or 1 (2032 to 2097: the
@@ -239,8 +233,7 @@ class TestFamilyAutgroup:
     def test_matches_exhaustive_filter(self, seed):
         rng = random.Random(seed)
         fam = random_family(rng, max_sets=6, max_ground=6, annotated=seed >= 2000)
-        bound = max_antichain_size(fam)
-        group = family_autgroup(fam, max(bound, 1))
+        group = family_autgroup(fam)
         ann = fam.annotations
         want = [
             Perm(images)
@@ -254,7 +247,7 @@ class TestFamilyAutgroup:
     @pytest.mark.parametrize("seed", range(60))
     def test_unions_match_exhaustive_filter(self, seed):
         fam = small_union(seed)
-        group = family_autgroup(fam, len(fam.sets))
+        group = family_autgroup(fam)
         want = exhaustive_automorphisms(fam)
         assert group.order() == len(want)
         for p in want:
@@ -276,7 +269,7 @@ class TestFamilyAutgroup:
         triangle = [[4, 5], [5, 6], [4, 6]]
         star2 = [[7, 8], [7, 9], [7, 10]]
         fam = SetFamily(11, star + triangle + star2, ["x", "y", "z"] * 3)
-        group = family_autgroup(fam, len(fam.sets))
+        group = family_autgroup(fam)
         assert group.order() == 2
         assert group.contains(Perm([6, 7, 8, 3, 4, 5, 0, 1, 2]))
         assert root_classes(fam) == ([[[0, 1, 2], [6, 7, 8]], [[3, 4, 5]]], [])
@@ -285,7 +278,7 @@ class TestFamilyAutgroup:
     def test_matches_search_only_group(self, seed):
         rng = random.Random(3000 + seed)
         fam = random_union(rng, rng.randint(1, 6), 4, 5, annotated=seed % 2 == 1)
-        group = family_autgroup(fam, len(fam.sets))
+        group = family_autgroup(fam)
         searched = PermGroup(len(fam.sets), *_search(fam, *_stable_colouring(fam)))
         assert group.order() == searched.order()
         assert all(searched.contains(g) for g in group.generators)
@@ -315,7 +308,7 @@ class TestFamilyAutgroup:
     def test_generators_compose_to_automorphisms(self, seed):
         rng = random.Random(700 + seed)
         fam = random_family(rng, max_sets=6, max_ground=6)
-        group = family_autgroup(fam, max(max_antichain_size(fam), 1))
+        group = family_autgroup(fam)
         gens = list(group.generators)
         for a in gens:
             for b in gens:
@@ -402,8 +395,8 @@ class TestRefine:
         orders = []
         inner = tgraphs.interval.family_autgroup
 
-        def recording(family, bound):
-            group = inner(family, bound)
+        def recording(family):
+            group = inner(family)
             orders.append(group.order())
             return group
 
@@ -466,9 +459,9 @@ def family_groups(monkeypatch, build):
         formed.append(len(self._levels[i].pending))
         return queue_schreier(self, i, queue)
 
-    def recording(family, bound):
+    def recording(family):
         formed.clear()
-        group = inner(family, bound)
+        group = inner(family)
         built.append((family, group, sum(formed)))
         return group
 
@@ -508,12 +501,12 @@ class TestChainFromSearch:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_families(self, seed):
         fam = random_family(random.Random(900 + seed), max_sets=7, max_ground=5, annotated=seed % 2 == 1)
-        self.assert_chain_from_search(fam, family_autgroup(fam, len(fam.sets)))
+        self.assert_chain_from_search(fam, family_autgroup(fam))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_unions(self, seed):
         fam = random_union(random.Random(4000 + seed), 1 + seed % 4, 4, 5, annotated=seed % 2 == 1)
-        self.assert_chain_from_search(fam, family_autgroup(fam, len(fam.sets)))
+        self.assert_chain_from_search(fam, family_autgroup(fam))
 
     @pytest.mark.parametrize(
         "groups",
