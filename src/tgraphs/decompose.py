@@ -32,9 +32,6 @@ class Completion:
     graph: Graph
     labels: tuple[Hashable, ...]
     tail: int
-    contracted: int
-    frag_ids: frozenset[int]
-    sep_ids: frozenset[int]
     tree: Optional[PQTree] = field(default=None, compare=False, repr=False)
 
 
@@ -127,9 +124,6 @@ def _build_completion(
         comp_graph,
         new_labels,
         tail_id,
-        l_id,
-        frozenset(index[v] for v in frag),
-        frozenset(index[v] for v in sep),
         _pq_tree(comp_graph, trees),
     )
 
@@ -359,9 +353,6 @@ class Decomposition:
     @property
     def depth(self) -> int:
         return len(self.levels)
-
-    def fragment(self, level: int, index: int) -> Fragment:
-        return self.levels[level - 1][index]
 
     def to_json_dict(self) -> dict:
         return {

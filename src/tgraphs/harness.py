@@ -116,7 +116,7 @@ def verify_t_representation(g: Graph, rep: TRepresentation) -> bool:
     if tree.n == 0 or tree.m != tree.n - 1 or not tree.is_connected():
         return False
     for model in rep.models:
-        if not model:
+        if not model or not all(0 <= x < tree.n for x in model):
             return False
         start = min(model)
         if tree.connected_in(model, start) != set(model):

@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate, chain
-from typing import Any, Optional, Sequence
+from math import factorial
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .chordal import maximal_cliques
 from .errors import NotChordal, TooLarge
@@ -46,6 +47,13 @@ class PQTree:
     nodes: tuple[PQNode, ...] = ()
     vertex_run: dict[int, tuple[int, int]] = field(default_factory=dict)
     node_vertices: dict[PQNode, frozenset[int]] = field(default_factory=dict)
+    _forms: Optional[tuple[list[tuple], list[tuple[int, ...]]]] = field(default=None, repr=False, compare=False)
+
+    def canonical_forms(self) -> tuple[list[tuple], list[tuple[int, ...]]]:
+        """`_canonical_forms` of this tree, computed on first use and kept."""
+        if self._forms is None:
+            self._forms = _canonical_forms(self)
+        return self._forms
 
     def assigned_vertices(self, node: PQNode) -> frozenset[int]:
         """Vertices whose minimal covering node is `node` (leaf privates included)."""
@@ -60,8 +68,6 @@ class PQTree:
 
     def order_count(self) -> int:
         """Number of permissible reorderings (clique paths)."""
-        from math import factorial
-
         total = 1
         for node in self.nodes:
             if node.kind == "P":
@@ -416,14 +422,14 @@ def _canonical_forms(tree: PQTree) -> tuple[list[tuple], list[tuple[int, ...]]]:
 
 def root_code(tree: PQTree) -> tuple:
     """The root's canonical code: equal on two trees exactly when their graphs are isomorphic."""
-    codes, _orders = _canonical_forms(tree)
+    codes, _orders = tree.canonical_forms()
     return codes[tree.root.nid]
 
 
 def pq_tree_isomorphism(t1: PQTree, t2: PQTree) -> Optional[tuple[int, ...]]:
     """An isomorphism from t1's graph onto t2's, as each t1 vertex's image;
     None when their root codes differ, that is, when there is none."""
-    (codes1, orders1), (codes2, orders2) = _canonical_forms(t1), _canonical_forms(t2)
+    (codes1, orders1), (codes2, orders2) = t1.canonical_forms(), t2.canonical_forms()
     root1, root2 = t1.root.nid, t2.root.nid
     if codes1[root1] != codes2[root2]:
         return None
@@ -446,11 +452,11 @@ def reduce_clean(tree: PQTree, marked: frozenset[int]) -> CleanReduction:
     """Discard maximal clean subtrees, annotating their parents with codes.
 
     A subtree is clean when no vertex assigned inside it is marked. Codes and
-    canonical orders come from one pass (`_canonical_forms`); the reduction
+    canonical orders are the tree's kept `canonical_forms`; the reduction
     keeps the orders, from which realization pairs two matched clean subtrees
     and the encoding reads each retained node's layer set.
     """
-    codes, orders = _canonical_forms(tree)
+    codes, orders = tree.canonical_forms()
     retained: list[PQNode] = []
     discarded: dict[int, tuple[tuple[int, tuple], ...]] = {}
 
@@ -474,6 +480,82 @@ def reduce_clean(tree: PQTree, marked: frozenset[int]) -> CleanReduction:
         else:
             annotations[node.nid] = ("node", node.kind, tuple(sorted(code for _pos, code in drops)))
     return CleanReduction(tree, tuple(retained), discarded, annotations, orders)
+
+
+@dataclass
+class _ColouredForms:
+    """`_canonical_forms` over a reduction's retained nodes, with vertex
+    colours, and the symmetries the coloured codes show."""
+
+    red: CleanReduction
+    codes: dict[int, tuple]  # retained nid -> coloured code
+    orders: dict[int, tuple[int, ...]]  # retained nid -> the subtree's assigned vertices, colours aligned
+    # per retained node, in preorder: ("children", node, a class of 2+ equal-code
+    # retained P-children), ("flip", node, its order read reversed) for a Q-node
+    # whose reversal keeps the colours, ("twins", node, a class of 2+ coloured
+    # vertices of one run and one colour)
+    symmetries: list[tuple[str, PQNode, Sequence]]
+
+    def code(self, node: PQNode) -> tuple:
+        """The coloured code of any child of a retained node; a clean one keeps its plain code."""
+        return self.codes[node.nid] if node.nid in self.codes else self.red.tree.canonical_forms()[0][node.nid]
+
+    def order(self, node: PQNode) -> tuple[int, ...]:
+        return self.orders[node.nid] if node.nid in self.orders else self.red.orders[node.nid]
+
+
+def _classes(keyed: Iterable[tuple[Any, Any]]) -> list[list]:
+    """The items sharing a key, for each key held by two or more, in first-seen order."""
+    out: dict[Any, list] = {}
+    for key, item in keyed:
+        out.setdefault(key, []).append(item)
+    return [members for members in out.values() if len(members) > 1]
+
+
+def _coloured_forms(red: CleanReduction, colour: Sequence[tuple]) -> _ColouredForms:
+    """Codes and orders of the retained nodes, children first, as `_canonical_forms`
+    computes them but with each assigned vertex's colour read beside its run.
+
+    Own vertices enter as their sorted (run, colour) or colour sequence. A
+    clean child has no coloured vertex inside, so its plain code and order
+    serve; a retained code starts with "R", so the two never tie. Zipping the
+    coloured orders of two equal-code subtrees is an isomorphism of their
+    belonging subgraphs that keeps every colour.
+    """
+    tree = red.tree
+    plain = tree.canonical_forms()[0]
+    out = _ColouredForms(red, {}, {}, [])
+    found: dict[int, list[tuple[str, PQNode, Sequence]]] = {}
+    for node in reversed(red.retained):
+        own = tree.assigned_vertices(node)
+        children = node.children
+        here = found[node.nid] = []
+        if node.kind == "Q":
+            k = len(children)
+            keyed = sorted((tree.vertex_run[v], colour[v], v) for v in own)
+            mirrored = sorted(((k - 1 - hi, k - 1 - lo), c, v) for (lo, hi), c, v in keyed)
+            fwd = (tuple(map(out.code, children)), tuple(r[:2] for r in keyed))
+            bwd = (fwd[0][::-1], tuple(r[:2] for r in mirrored))
+            body = min(fwd, bwd)
+            if fwd == bwd:
+                flipped = chain((v for *_r, v in mirrored), *map(out.order, children[::-1]))
+                here.append(("flip", node, tuple(flipped)))
+            elif bwd < fwd:
+                keyed, children = mirrored, children[::-1]
+            own_order = [v for *_r, v in keyed]
+        else:
+            if node.kind == "P":
+                children = sorted(children, key=lambda c: (out.code(c), c.nid))
+                retained = ((out.codes[c.nid], c) for c in children if c.nid in out.codes)
+                here += (("children", node, members) for members in _classes(retained))
+            keyed = sorted((None, colour[v], v) for v in own)
+            own_order = [v for *_r, v in keyed]
+            body = (tuple(map(out.code, children)), tuple(r[1] for r in keyed))
+        here += (("twins", node, members) for members in _classes((r[:2], r[2]) for r in keyed if r[1]))
+        out.codes[node.nid] = ("R",) + plain[node.nid][:3] + body
+        out.orders[node.nid] = tuple(chain(own_order, *map(out.order, children)))
+    out.symmetries = [symmetry for node in red.retained for symmetry in found[node.nid]]
+    return out
 
 
 @dataclass
@@ -540,6 +622,7 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
 
     trees = []
     reductions = []
+    reduced: dict[tuple[int, frozenset[int]], CleanReduction] = {}  # components sharing a tree and marks share one
     b_index: dict[tuple[int, int], int] = {}
     q_columns: dict[tuple[int, int], list[int]] = {}
     for ti, (tree, back) in enumerate(tree_comps):
@@ -547,7 +630,9 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
         local_marked = frozenset(
             i for i, hv in enumerate(back) if hv in marked
         )
-        red = reduce_clean(tree, local_marked)
+        red = reduced.get((id(tree), local_marked))
+        if red is None:
+            red = reduced[(id(tree), local_marked)] = reduce_clean(tree, local_marked)
         reductions.append(red)
         retained_ids = {n.nid for n in red.retained}
         for node in red.retained:
@@ -597,6 +682,133 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
         q_columns,
         comp_of,
     )
+
+
+def _singleton_group(enc: _Encoding) -> PermGroup:
+    """`family_autgroup(enc.family)` for a host whose marked sets have at most
+    one vertex each, read off its components' PQ-trees (Colbourn and Booth,
+    SIAM J. Comput. 1981).
+
+    Such marks only colour vertices: a vertex's colour lists the families
+    holding it as a set (with repeats) and whether it is the tail. The family
+    group is then generated by host automorphisms that keep the colours, each
+    acting on the sets keyed by (set, annotation), plus the swaps of equal
+    keys. One pass over the coloured codes of the retained nodes gives them:
+    - equal-code components swap, as do equal-code retained children of a P-node
+    - a Q-node reverses when its reversed coloured code is equal
+    - coloured twins (one node, one run, one colour) swap
+
+    Clean subtrees move no encoded set, and an unmarked vertex lies in no
+    singleton, so the other automorphisms act trivially on the keys. Each
+    symmetry is a factor of the order: k! for k equal components, children,
+    twins or keys, 2 for a reversal. The generators come top-down, each with
+    a point it moves that the earlier ones fix leading the base, so orbit
+    closure reaches the order without a Schreier generator. A class's swaps
+    chain its members in the order of the least index each one moves. So
+    when `find_element` rebuilds the chain on a sorted base, orbits close
+    there too; without that order, the rebuilds of the equal-arm spiders'
+    bucket groups formed hundreds of Schreier generators.
+    """
+    m = enc.marked
+    colour_of: list[list[int]] = [[] for _ in m.host.vertices()]  # family indices ascending, then -1 for the tail
+    for j, fam in enumerate(m.families):
+        for s in fam:
+            for v in s:
+                colour_of[v].append(j)
+    if m.tail is not None:
+        colour_of[m.tail].append(-1)
+    colours = list(map(tuple, colour_of))
+    # the family's sets open with the marked ones, the tail last
+    marked_sets = enc.family.sets[: sum(map(len, m.families)) + (m.tail is not None)]
+    singleton_at: dict[int, int] = {}
+    for i, s in enumerate(marked_sets):
+        for v in s:
+            singleton_at.setdefault(v, i)
+    ann_ids: dict[Any, int] = {}  # an id per annotation, so that keys hash without re-hashing codes
+    keys = [(s, ann_ids.setdefault(a, len(ann_ids))) for s, a in zip(enc.family.sets, enc.family.annotations)]
+    equal: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        equal.setdefault(key, []).append(i)
+    rank = [0] * len(keys)
+    for members in equal.values():
+        for r, i in enumerate(members):
+            rank[i] = r
+    in_tree: list[list[int]] = [[] for _ in enc.trees]
+    for i, ti in enumerate(enc.component_of_index):
+        if ti >= 0:
+            in_tree[ti].append(i)
+
+    def on_keys(moved: dict[int, int], trees: Iterable[int]) -> Perm:
+        """The index action of a host automorphism, given by the vertices it
+        moves, all in the given components."""
+        images = list(range(len(keys)))
+        for i in chain.from_iterable(in_tree[ti] for ti in trees):
+            s, a = keys[i]
+            if not moved.keys().isdisjoint(s):
+                target = equal.get((frozenset(map(moved.get, s, s)), a))
+                if target is None:
+                    raise AssertionError("a coloured symmetry maps an encoded set off the family")
+                images[i] = target[rank[i]]
+        return Perm._raw(tuple(images))
+
+    gens: list[Perm] = []
+    base: list[int] = []
+    order = 1
+
+    def swaps(classes: Iterable[list], swap: Callable[[Any, Any], tuple[Perm, int]]):
+        """A generator and its base point per adjacent pair of each class; k! per class."""
+        nonlocal order
+        for members in classes:
+            order *= factorial(len(members))
+            for a, b in zip(members, members[1:]):
+                gen, point = swap(a, b)
+                gens.append(gen)
+                base.append(point)
+
+    forms: list[_ColouredForms] = []
+    coloured: dict[tuple, _ColouredForms] = {}  # components sharing a reduction and colours share one
+    for red, back in zip(enc.reductions, enc.backs):
+        colour = tuple(colours[hv] for hv in back)
+        cforms = coloured.get((id(red), colour))
+        if cforms is None:
+            cforms = coloured[(id(red), colour)] = _coloured_forms(red, colour)
+        forms.append(cforms)
+
+    def subtree_swap(a: tuple[int, PQNode], b: tuple[int, PQNode]) -> tuple[Perm, int]:
+        (ta, x), (tb, y) = a, b
+        moved = dict(zip(map(enc.backs[ta].__getitem__, forms[ta].order(x)),
+                         map(enc.backs[tb].__getitem__, forms[tb].order(y))))
+        moved.update([(w, u) for u, w in moved.items()])
+        return on_keys(moved, {ta, tb}), enc.b_index[(ta, x.nid)]
+
+    def lead(member: tuple[int, PQNode]) -> tuple[int, int]:
+        """Where a subtree's swaps fall in a sorted base: its least singleton, then its belonging set."""
+        ti, x = member
+        back = enc.backs[ti]
+        inside = (singleton_at.get(back[v], len(keys)) for v in forms[ti].order(x))
+        return min(inside, default=len(keys)), enc.b_index[(ti, x.nid)]
+
+    def key_swap(i: int, j: int) -> tuple[Perm, int]:
+        images = list(range(len(keys)))
+        images[i], images[j] = j, i
+        return Perm._raw(tuple(images)), i
+
+    roots = [(forms[ti].codes[red.tree.root.nid], (ti, red.tree.root)) for ti, red in enumerate(enc.reductions)]
+    swaps([sorted(members, key=lead) for members in _classes(roots)], subtree_swap)
+    for ti, (cforms, back) in enumerate(zip(forms, enc.backs)):
+        for kind, node, members in cforms.symmetries:
+            if kind == "children":
+                swaps([sorted(((ti, c) for c in members), key=lead)], subtree_swap)
+            elif kind == "flip":
+                order *= 2
+                moved = {back[u]: back[w] for u, w in zip(cforms.orders[node.nid], members) if u != w}
+                gens.append(on_keys(moved, [ti]))
+                base.append(enc.q_columns[(ti, node.nid)][0])
+            else:
+                twins = sorted((back[v] for v in members), key=singleton_at.__getitem__)
+                swaps([twins], lambda u, w: (on_keys({u: w, w: u}, [ti]), singleton_at[u]))
+    swaps([members for members in equal.values() if len(members) > 1], key_swap)
+    return PermGroup(len(keys), gens, base, order)
 
 
 def marked_action_group(m: MarkedIntervalGraph) -> PermGroup:
@@ -832,8 +1044,12 @@ class MarkedContext:
     def group(self) -> PermGroup:
         """Automorphisms of the encoded family, acting on encoded-set indices."""
         if self._group is None:
-            self._group = family_autgroup(self.enc.family)
+            self._group = _singleton_group(self.enc) if self.singleton_marks() else family_autgroup(self.enc.family)
         return self._group
+
+    def singleton_marks(self) -> bool:
+        """Whether every marked set has at most one vertex, so that `group` is read off the PQ-trees."""
+        return all(len(s) <= 1 for fam in self.m.families for s in fam)
 
     def action_group(self) -> PermGroup:
         order = [i for fam in self.enc.a_indices for i in fam]

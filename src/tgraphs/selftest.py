@@ -22,7 +22,7 @@ from .harness import (
     random_t_graph,
     verify_t_representation,
 )
-from .interval import MarkedIntervalGraph, brute_marked_autgroup, build_pq_tree, marked_action_group
+from .interval import MarkedContext, MarkedIntervalGraph, brute_marked_autgroup, build_pq_tree
 from .iso import ISOMORPHIC, NOT_T_GRAPH, combine, decomposition_autgroup, is_isomorphic, project_automorphism
 from .perm import MembershipPredicate, Perm, PermGroup, fhl_subgroup, symmetric_on_classes, tower_of_groups
 from .setfamily import SetFamily, family_autgroup, is_family_automorphism
@@ -283,7 +283,7 @@ def _interval_pq(cfg) -> Check:
             continue
         pq_cases += 1
         mismatches += (build_pq_tree(sub) is not None) != _has_interval_order(sub)
-    marked_cases = seed = 0
+    marked_cases = singleton_cases = seed = 0
     while marked_cases < cfg["marked"]:
         rng = random.Random(seed)
         n = rng.randint(2, 9)
@@ -309,12 +309,16 @@ def _interval_pq(cfg) -> Check:
             leaves = [v for v in range(g.n) if g.degree(v) == 1]
             if leaves:
                 tail = rng.choice(leaves)
-        m = MarkedIntervalGraph(g, fams, tail=tail)
+        context = MarkedContext(MarkedIntervalGraph(g, fams, tail=tail))
         marked_cases += 1
-        got = marked_action_group(m)
-        want = brute_marked_autgroup(m)
+        singleton_cases += context.singleton_marks()
+        got = context.action_group()
+        want = brute_marked_autgroup(context.m)
         mismatches += got.order() != want.order() or not all(got.contains(x) for x in want.generators)
-    detail = f"{pq_cases} presence checks + {marked_cases} marked action groups, {mismatches} mismatches"
+    detail = (
+        f"{pq_cases} presence checks + {marked_cases} marked action groups "
+        f"({singleton_cases} on the singleton-mark path), {mismatches} mismatches"
+    )
     yield CheckResult("interval-pq", mismatches == 0, detail)
 
 

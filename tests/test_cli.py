@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 
@@ -238,6 +239,13 @@ class TestSelftest:
             "canonicity",
             "projection-equivalence",
         }
+
+    def test_quick_profile_checks_the_singleton_mark_path(self, quick_selftest):
+        """The quick criterion-7 stream checks some groups read off the PQ-trees against brute force."""
+        _status, data = quick_selftest
+        (detail,) = [c["detail"] for c in data["checks"] if c["name"] == "interval-pq"]
+        found = re.search(r"\((\d+) on the singleton-mark path\)", detail)
+        assert found is not None and int(found.group(1)) >= 1, detail
 
     def test_injected_fault_fails(self):
         text, expected = ANALYZE_FIXTURE

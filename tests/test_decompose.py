@@ -181,9 +181,10 @@ class TestCompletion:
             # tip-1 plus l adjacent to 1, tail adjacent to l
             assert comp.graph.n == 4
             assert comp.graph.degree(comp.tail) == 1
-            l = comp.contracted
-            assert len(comp.sep_ids) == 1
-            assert set(comp.graph.adj[l]) == comp.sep_ids | {comp.tail}
+            (l,) = comp.graph.adj[comp.tail]  # the contracted vertex
+            sep = {i for i, label in enumerate(comp.labels) if i not in (l, comp.tail) and label not in f.vertices}
+            assert len(sep) == 1
+            assert set(comp.graph.adj[l]) == sep | {comp.tail}
 
     def test_chordal_preserved(self):
         g, _ = random_t_graph(3, 9, 11)
@@ -277,9 +278,9 @@ class TestCanonicalDecomposition:
             dec = canonical_decomposition(g, 3)
             for t in dec.terminal_sets:
                 assert t.origin_level < t.host_level
-                host = dec.fragment(t.host_level, t.host_fragment)
+                host = dec.levels[t.host_level - 1][t.host_fragment]
                 assert t.vertices <= host.vertices
-                origin = dec.fragment(t.origin_level, t.origin_fragment)
+                origin = dec.levels[t.origin_level - 1][t.origin_fragment]
                 att = origin.attachments[t.position - 1]
                 assert t.vertices <= att
 
@@ -315,7 +316,7 @@ class TestCanonicalDecomposition:
         assert len(completed) == 3  # the claw's three tips
         for f in completed:
             c = f.completion
-            assert {c.labels[i] for i in c.frag_ids} == f.vertices
+            assert set(c.labels[: len(f.vertices)]) == f.vertices  # the fragment leads the completion
 
     def test_outer_simplicial_levels_then_separator_level(self):
         """Pendant paths peel off as simplicial levels before the branch level."""

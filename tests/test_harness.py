@@ -72,6 +72,12 @@ class TestGenerator:
         broken = TRepresentation(rep.tree_n, rep.tree_edges, rep.models[:-1] + (frozenset(),))
         assert not verify_t_representation(g, broken)
 
+    @pytest.mark.parametrize("node", [-1, 2, 5])
+    def test_model_node_outside_the_tree_fails(self, node):
+        """A node id outside 0..tree_n-1 neither aliases a tree node nor raises."""
+        rep = TRepresentation(2, ((0, 1),), (frozenset({node}),))
+        assert not verify_t_representation(Graph(1), rep)
+
     def test_extra_edge_fails(self):
         g, rep = random_t_graph(3, 8, 8)
         non_edges = [

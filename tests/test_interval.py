@@ -5,6 +5,7 @@ import sys
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tgraphs
 from tgraphs.chordal import is_chordal, maximal_cliques
@@ -16,11 +17,14 @@ from tgraphs.interval import (
     brute_marked_autgroup,
     build_pq_tree,
     marked_action_group,
+    _marked_encoding,
+    _singleton_group,
     marked_isomorphism,
+    marked_union,
     pq_tree_to_text,
     reduce_clean,
 )
-from tgraphs.setfamily import max_antichain_size
+from tgraphs.setfamily import family_autgroup, max_antichain_size
 
 
 def brute_valid_orders(g):
@@ -418,6 +422,78 @@ class TestMarkedActionGroup:
             for i in range(len(flat)):
                 assert fam_of[gen(i)] == fam_of[i]
                 assert len(flat[gen(i)]) == len(flat[i])
+
+
+@st.composite
+def singleton_marked(draw):
+    """A marked interval host whose marked sets have at most one vertex: one
+    connected host, or the union of up to four, often of one graph with the
+    same marks so that components swap; 1-3 families and an optional tail."""
+    families = draw(st.integers(1, 3))
+    with_tail = draw(st.booleans())
+    first = draw(st.integers(1, 9)), draw(st.integers(0, 10**6))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        n, seed = first if draw(st.booleans()) else (draw(st.integers(1, 9)), draw(st.integers(0, 10**6)))
+        g = random_connected_interval(n, seed) if n > 1 else Graph(1, [])
+        vertex = st.integers(0, g.n - 1).map(lambda v: frozenset([v]))
+        marked = st.one_of(vertex, vertex, vertex, st.just(frozenset()))
+        fams = [draw(st.lists(marked, max_size=4)) for _ in range(families)]
+        leaves = [v for v in g.vertices() if g.degree(v) == 1]
+        tail = draw(st.sampled_from(leaves)) if with_tail and leaves else None
+        part = MarkedIntervalGraph(g, fams, tail=tail)
+        parts.append(parts[-1] if parts and draw(st.booleans()) else part)
+    if any(part.tail is None for part in parts):
+        parts = [MarkedIntervalGraph(part.host, part.families) for part in parts]
+    return parts[0] if len(parts) == 1 else marked_union(parts)[0]
+
+
+class TestSingletonGroup:
+    """Hosts whose marked sets have at most one vertex read their group off the
+    coloured PQ-trees; `family_autgroup` on the same encoding is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(singleton_marked())
+    def test_equals_the_family_group(self, m):
+        enc = _marked_encoding(m)
+        got, want = _singleton_group(enc), family_autgroup(enc.family)
+        assert not got._sifted  # orbit closure alone completed the chain at the stated order
+        assert got.order() == want.order()
+        assert all(want.contains(gen) for gen in got.generators)
+        assert all(got.contains(gen) for gen in want.generators)
+        ctx = MarkedContext(m)
+        for gen in ctx.group.generators:
+            element, sigma = ctx.realize(dict(enumerate(gen.images)), [])
+            assert element == gen
+            assert all(m.host.has_edge(sigma(u), sigma(v)) for u, v in m.host.edges)
+            for i, s in enumerate(enc.family.sets):
+                assert sigma.image_of_set(s) == enc.family.sets[gen(i)]
+
+    def test_singleton_hosts_take_the_tree_path(self, monkeypatch):
+        paths = []
+        for name in ("family_autgroup", "_singleton_group"):
+            original = getattr(tgraphs.interval, name)
+            monkeypatch.setattr(tgraphs.interval, name, lambda arg, f=original, name=name: paths.append(name) or f(arg))
+        g = path_graph(5)
+        MarkedContext(MarkedIntervalGraph(g, [({1}, set()), ({3},)], tail=0)).group
+        MarkedContext(MarkedIntervalGraph(g, [({1, 2}, {3})])).group
+        assert paths == ["_singleton_group", "family_autgroup"]
+
+    @pytest.mark.parametrize(
+        "m, order",
+        [
+            # a path's reversal swaps the two marks of one family
+            (MarkedIntervalGraph(path_graph(5), [({1}, {3})]), 2),
+            # two equal marked triangles of a union swap; inside each, the two
+            # unmarked vertices are twins that move no encoded set
+            (marked_union([MarkedIntervalGraph(complete_graph(3), [({0},)])] * 2)[0], 2),
+            # twins of a triangle: 0 and 1 swap; 2, listed twice, has a colour
+            # of its own, and its two equal sets swap
+            (MarkedIntervalGraph(complete_graph(3), [({0}, {1}, {2}, {2})]), 4),
+        ],
+    )
+    def test_orders(self, m, order):
+        assert MarkedContext(m).group.order() == order == family_autgroup(_marked_encoding(m).family).order()
 
 
 class TestMarkedIsomorphism:

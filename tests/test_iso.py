@@ -129,20 +129,21 @@ class TestLevelGroup:
         import tgraphs.interval as interval
 
         calls = []
-        original = interval.family_autgroup
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(name):
+            original = getattr(interval, name)
+            return lambda *args: calls.append(name) or original(*args)
 
-        monkeypatch.setattr(interval, "family_autgroup", counting)
+        for name in ("family_autgroup", "_singleton_group"):
+            monkeypatch.setattr(interval, name, counting(name))
         cd = make_cd(subdivided_claw(), subdivided_claw(), 3)
         orders = []
         for level in (1, 2):
             calls.clear()
             orders.append(level_group(cd, level).order())
-            # each level holds one bucket: six tips, then two cores
-            assert len(calls) == 1
+            # each level holds one bucket: six tips, then two cores, all
+            # marked by singletons, so the PQ-tree path builds each group
+            assert calls == ["_singleton_group"]
         assert orders == [720, 72]
 
     def test_origin_fragments_lead_the_base(self):
@@ -292,6 +293,34 @@ class TestTreeReuse:
             assert len(bucket.context.enc.trees) == len(bucket.frags)
             for tree, cf in zip(bucket.context.enc.trees, bucket.frags):
                 assert tree is own[cf.gid]
+
+
+class TestSingletonMarks:
+    """On the 3-arm spiders every bucket's marked sets are singletons, so its
+    group is read off the coloured PQ-trees, and each tree's canonical forms
+    are computed once."""
+
+    @staticmethod
+    def count(monkeypatch, name) -> list:
+        import tgraphs.interval as interval
+
+        calls = []
+        original = getattr(interval, name)
+        monkeypatch.setattr(interval, name, lambda arg: calls.append(arg) or original(arg))
+        return calls
+
+    def test_no_family_search_on_a_spider_pair(self, monkeypatch):
+        searched = self.count(monkeypatch, "family_autgroup")
+        read = self.count(monkeypatch, "_singleton_group")
+        g = spider(6, 6, 6)
+        assert is_isomorphic(g, random_relabel(g, 1)[0], 3).kind == ISOMORPHIC
+        assert (len(searched), len(read)) == (0, 6)
+
+    def test_canonical_forms_once_per_tree(self, monkeypatch):
+        computed = self.count(monkeypatch, "_canonical_forms")
+        g = spider(6, 6, 6)
+        assert is_isomorphic(g, random_relabel(g, 1)[0], 3).kind == ISOMORPHIC
+        assert len(computed) == len({id(tree) for tree in computed}) == 4
 
 
 class TestIsIsomorphic:

@@ -285,24 +285,20 @@ class TestFamilyAutgroup:
         assert all(group.contains(g) for g in searched.generators)
 
     def test_spider_searches_only_its_residual_level(self, monkeypatch):
-        searched, levels = [], []
-        inner_search, inner_level = tgraphs.setfamily._search, tgraphs.iso.level_group
-
-        def level_group(cd, level):
-            levels.append((level, cd.depth))
-            return inner_level(cd, level)
-
-        def search(family, rows, root):
-            searched.append(levels[-1])
-            return inner_search(family, rows, root)
-
-        monkeypatch.setattr(tgraphs.iso, "level_group", level_group)
-        monkeypatch.setattr(tgraphs.setfamily, "_search", search)
         spider = spider_graph(5, 5, 5)
-        assert is_isomorphic(spider, random_relabel(spider, 1)[0], 3).witness is not None
-        depth = levels[0][1]
-        assert depth > 1 and {level for level, _ in levels} == set(range(1, depth + 1))
-        assert searched == [(depth, depth)]
+        built = marked_groups(monkeypatch, lambda: is_isomorphic(spider, random_relabel(spider, 1)[0], 3).witness)
+        depth = built[0][2][1]
+        assert depth > 1 and {level for _f, _g, (level, _d) in built} == set(range(1, depth + 1))
+        # the decision reads every group off the PQ-trees; as the oracle,
+        # family_autgroup searches only the residual level's family
+        calls, searched = [], []
+        inner_search = tgraphs.setfamily._search
+        monkeypatch.setattr(tgraphs.setfamily, "_search", lambda *args: calls.append(1) or inner_search(*args))
+        for family, group, (level, _depth) in built:
+            calls.clear()
+            assert family_autgroup(family).order() == group.order()
+            searched += [level] * len(calls)
+        assert searched == [depth]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_generators_compose_to_automorphisms(self, seed):
@@ -392,24 +388,15 @@ class TestRefine:
             assert colour == [after[i] for i in at]
 
     def test_decision_group_orders_are_pinned(self, monkeypatch):
-        orders = []
-        inner = tgraphs.interval.family_autgroup
-
-        def recording(family):
-            group = inner(family)
-            orders.append(group.order())
-            return group
-
-        monkeypatch.setattr(tgraphs.interval, "family_autgroup", recording)
         # a path's decision reads root codes, so its level bucket is built here
-        path_bucket(path_graph(21), 1).group
-        assert orders == [8]
+        built = marked_groups(monkeypatch, lambda: path_bucket(path_graph(21), 1).group)
+        assert [group.order() for _f, group, _level in built] == [8]
         # a centre 0 with three arms of five vertices
         spider = Graph(16, [(5 * a + k if k else 0, 5 * a + k + 1) for a in range(3) for k in range(5)])
-        orders.clear()
-        assert is_isomorphic(spider, random_relabel(spider, 1)[0], 3).witness is not None
-        assert orders == [72, 720, 720, 720, 720]
-
+        built = marked_groups(monkeypatch, lambda: is_isomorphic(spider, random_relabel(spider, 1)[0], 3).witness)
+        assert [group.order() for _f, group, _level in built] == [72, 720, 720, 720, 720]
+        for family, group, _level in built:
+            assert family_autgroup(family).order() == group.order()
 
 
 def first_path_points(family):
@@ -448,26 +435,52 @@ def decision_groups(monkeypatch, g, d):
     return family_groups(monkeypatch, lambda: is_isomorphic(g, random_relabel(g, 3)[0], d).witness is not None)
 
 
+def marked_groups(monkeypatch, build):
+    """Per marked group that build() makes, which must return True: the
+    encoded family, the group, and the level being built when it was made
+    (None outside `level_group`). Either path may build it: the PQ-tree one
+    for singleton marks, `family_autgroup` for the others."""
+    built, levels = [], []
+    inner_level = tgraphs.iso.level_group
+
+    def level_group(cd, level):
+        levels.append((level, cd.depth))
+        return inner_level(cd, level)
+
+    def recording(name, family_of):
+        inner = getattr(tgraphs.interval, name)
+
+        def record(arg):
+            group = inner(arg)
+            built.append((family_of(arg), group, levels[-1] if levels else None))
+            return group
+
+        return record
+
+    monkeypatch.setattr(tgraphs.iso, "level_group", level_group)
+    monkeypatch.setattr(tgraphs.interval, "family_autgroup", recording("family_autgroup", lambda family: family))
+    monkeypatch.setattr(tgraphs.interval, "_singleton_group", recording("_singleton_group", lambda enc: enc.family))
+    assert build()
+    monkeypatch.undo()
+    return built
+
+
 def family_groups(monkeypatch, build):
-    """Per family group that build() makes, which must return True: the
-    family, the group and the number of Schreier generators its chain formed."""
+    """Per marked group that build() makes, which must return True: the
+    encoded family, `family_autgroup`'s group of it and the number of
+    Schreier generators its chain formed."""
+    families = [family for family, _group, _level in marked_groups(monkeypatch, build)]
     built, formed = [], []
-    inner = tgraphs.interval.family_autgroup
     queue_schreier = PermGroup._queue_schreier_generators
 
     def counting(self, i, queue):
         formed.append(len(self._levels[i].pending))
         return queue_schreier(self, i, queue)
 
-    def recording(family):
-        formed.clear()
-        group = inner(family)
-        built.append((family, group, sum(formed)))
-        return group
-
     monkeypatch.setattr(PermGroup, "_queue_schreier_generators", counting)
-    monkeypatch.setattr(tgraphs.interval, "family_autgroup", recording)
-    assert build()
+    for family in families:
+        formed.clear()
+        built.append((family, family_autgroup(family), sum(formed)))
     monkeypatch.undo()
     return built
 
