@@ -373,51 +373,69 @@ class MarkedIntervalGraph:
         return self.trees if self.trees is not None else _component_trees(self.host)
 
 
-def _canonical_forms(tree: PQTree) -> tuple[list[tuple], list[tuple[int, ...]]]:
+def _forms(
+    tree: PQTree,
+    nodes: Sequence[PQNode],
+    colour: Sequence[tuple],
+    codes: list[tuple],
+    orders: list[tuple[int, ...]],
+    flips: Optional[dict[int, tuple[int, ...]]] = None,
+) -> tuple[list[tuple], list[tuple[int, ...]]]:
     """Per node id, the node's canonical code and its subtree's assigned
-    vertices in canonical order, from one pass that visits children first.
+    vertices in canonical order, written into `codes` and `orders` by one pass
+    over `nodes`, a preorder list, that visits children first. A child
+    outside `nodes` keeps the code and order it has there.
 
     The code is an isomorphism invariant of the subgraph belonging to the
-    node. Vertices assigned inside the subtree are counted structurally;
-    pass-through vertices (assigned above, uniform over the whole subtree)
-    enter only as a count, which completes the isomorphism class. The order
-    lists a node's own vertices, then its children's orders: P-children by
-    code, a Q-node read in the orientation its code takes, with its vertices
-    grouped by oriented run. So zipping the orders of two equal-code subtrees
-    is an isomorphism of their belonging subgraphs, once the pass-through
+    node with its vertices' colours (`()` for none). Vertices assigned
+    inside the subtree enter structurally: a node's own vertices as their
+    sorted colours, at a Q-node as the counts of their (run, colour) keys.
+    Pass-through vertices (assigned above, uniform over the whole subtree)
+    enter only as a count, which completes the isomorphism class. The order lists a node's own vertices, then its children's
+    orders: P-children by code, a Q-node read in the orientation its code
+    takes, with its vertices grouped by oriented run and colour. So zipping
+    the orders of two equal-code subtrees is an isomorphism of their
+    belonging subgraphs that keeps the colours, once the pass-through
     vertices (each in every clique of the subtree) are paired in any way.
     A root has none, so its code decides isomorphism of the whole graph and
     zipping two equal root orders is an isomorphism (Lueker and Booth, J. ACM
-    1979); `pq_tree_isomorphism` reads that off.
+    1979). `flips`, when given, gets the order of each Q-node whose reversed
+    code is equal, read reversed.
     """
-    codes: list[tuple] = [()] * len(tree.nodes)
-    orders: list[tuple[int, ...]] = [()] * len(tree.nodes)
-    for node in reversed(tree.nodes):  # children first (preorder reversed)
-        assigned = tree.assigned_vertices(node)
+    for node in reversed(nodes):  # children first
+        own = sorted(tree.assigned_vertices(node))
         children = node.children
-        own = sorted(assigned)
-        if node.kind == "P":
-            children = sorted(children, key=lambda c: (codes[c.nid], c.nid))
-            body: tuple = (tuple(codes[c.nid] for c in children),)
-        elif node.kind == "Q":
+        if node.kind == "Q":
             k = len(children)
-            run = {v: tree.vertex_run[v] for v in assigned}
-            runs = Counter(run.values())
-            fwd = (tuple(codes[c.nid] for c in children), tuple(sorted(runs.items())))
-            mirrored = {(k - 1 - hi, k - 1 - lo): c for (lo, hi), c in runs.items()}
-            bwd = (fwd[0][::-1], tuple(sorted(mirrored.items())))
-            body = min(fwd, bwd)
-            if bwd < fwd:
-                children = children[::-1]
-                run = {v: (k - 1 - hi, k - 1 - lo) for v, (lo, hi) in run.items()}
-            own.sort(key=lambda v: (run[v], v))
+            key = {v: tree.vertex_run[v] + colour[v] for v in own}  # (lo, hi, *colour)
+            own.sort(key=key.__getitem__)  # stable: by key, then vertex
+            counts = tuple(Counter(map(key.__getitem__, own)).items())
+            body = (tuple([codes[c.nid] for c in children]), counts)
+            bwd = (body[0][::-1], tuple(sorted(((k - 1 - r[1], k - 1 - r[0]) + r[2:], m) for r, m in counts)))
+            if bwd < body or (flips is not None and bwd == body):
+                mirrored = {v: (k - 1 - r[1], k - 1 - r[0]) + r[2:] for v, r in key.items()}
+                flipped = sorted(own, key=mirrored.__getitem__)
+                if bwd < body:
+                    own, children, body = flipped, children[::-1], bwd
+                else:
+                    flips[node.nid] = tuple(chain(flipped, *(orders[c.nid] for c in children[::-1])))
         else:
             body = ()
-        order = tuple(chain(own, *(orders[c.nid] for c in children)))
-        passthrough = len(tree.belongs(node)) - len(order)
-        codes[node.nid] = (node.kind, len(assigned), passthrough) + body
-        orders[node.nid] = order
+            if own:
+                own.sort(key=colour.__getitem__)  # stable: by colour, then vertex
+                body = (tuple(filter(None, map(colour.__getitem__, own))),)  # len(own) counts the rest
+            if node.kind == "P":
+                children = sorted(children, key=lambda c: (codes[c.nid], c.nid))
+                body += (tuple([codes[c.nid] for c in children]),)
+        order = orders[node.nid] = tuple(chain(own, *(orders[c.nid] for c in children)))
+        codes[node.nid] = (node.kind, len(own), len(tree.belongs(node)) - len(order)) + body
     return codes, orders
+
+
+def _canonical_forms(tree: PQTree) -> tuple[list[tuple], list[tuple[int, ...]]]:
+    """The plain forms: `_forms` over every node, with no vertex coloured."""
+    blank: list = [()] * len(tree.nodes)
+    return _forms(tree, tree.nodes, [()] * tree.graph.n, blank, list(blank))
 
 
 def root_code(tree: PQTree) -> tuple:
@@ -444,64 +462,32 @@ class CleanReduction:
     tree: PQTree
     retained: tuple[PQNode, ...]
     discarded: dict[int, tuple[tuple[int, tuple], ...]]  # parent nid -> ((child pos, code), ...)
-    annotations: dict[int, tuple]  # retained nid -> annotation
     orders: Sequence[tuple[int, ...]]  # per nid, the subtree's assigned vertices in canonical order
 
 
 def reduce_clean(tree: PQTree, marked: frozenset[int]) -> CleanReduction:
     """Discard maximal clean subtrees, annotating their parents with codes.
 
-    A subtree is clean when no vertex assigned inside it is marked. Codes and
-    canonical orders are the tree's kept `canonical_forms`; the reduction
-    keeps the orders, from which realization pairs two matched clean subtrees
-    and the encoding reads each retained node's layer set.
+    A subtree is clean when no vertex assigned inside it is marked. A node is
+    retained when it is the root, or when its parent is retained and its
+    subtree is not clean; `tree.nodes` is a preorder, so one filter over it
+    finds them, in that order. Codes and canonical orders are the tree's kept
+    `canonical_forms`; the reduction keeps the orders, from which
+    realization pairs two matched clean subtrees and the encoding reads each
+    retained node's layer set.
     """
     codes, orders = tree.canonical_forms()
-    retained: list[PQNode] = []
-    discarded: dict[int, tuple[tuple[int, tuple], ...]] = {}
-
-    def walk(node: PQNode):
-        retained.append(node)
-        drops = []
-        for pos, c in enumerate(node.children):
-            if marked.isdisjoint(orders[c.nid]):
-                drops.append((pos, codes[c.nid]))
-            else:
-                walk(c)
-        if drops:
-            discarded[node.nid] = tuple(drops)
-
-    walk(tree.root)
-    annotations: dict[int, tuple] = {}
+    kept = [False] * len(tree.nodes)
+    for node in tree.nodes:
+        parent = node.parent
+        kept[node.nid] = parent is None or (kept[parent.nid] and not marked.isdisjoint(orders[node.nid]))
+    retained = tuple(node for node in tree.nodes if kept[node.nid])
+    discarded = {}
     for node in retained:
-        drops = discarded.get(node.nid, ())
-        if node.kind == "Q":
-            annotations[node.nid] = ("node", "Q", ())
-        else:
-            annotations[node.nid] = ("node", node.kind, tuple(sorted(code for _pos, code in drops)))
-    return CleanReduction(tree, tuple(retained), discarded, annotations, orders)
-
-
-@dataclass
-class _ColouredForms:
-    """`_canonical_forms` over a reduction's retained nodes, with vertex
-    colours, and the symmetries the coloured codes show."""
-
-    red: CleanReduction
-    codes: dict[int, tuple]  # retained nid -> coloured code
-    orders: dict[int, tuple[int, ...]]  # retained nid -> the subtree's assigned vertices, colours aligned
-    # per retained node, in preorder: ("children", node, a class of 2+ equal-code
-    # retained P-children), ("flip", node, its order read reversed) for a Q-node
-    # whose reversal keeps the colours, ("twins", node, a class of 2+ coloured
-    # vertices of one run and one colour)
-    symmetries: list[tuple[str, PQNode, Sequence]]
-
-    def code(self, node: PQNode) -> tuple:
-        """The coloured code of any child of a retained node; a clean one keeps its plain code."""
-        return self.codes[node.nid] if node.nid in self.codes else self.red.tree.canonical_forms()[0][node.nid]
-
-    def order(self, node: PQNode) -> tuple[int, ...]:
-        return self.orders[node.nid] if node.nid in self.orders else self.red.orders[node.nid]
+        drops = tuple((pos, codes[c.nid]) for pos, c in enumerate(node.children) if not kept[c.nid])
+        if drops:
+            discarded[node.nid] = drops
+    return CleanReduction(tree, retained, discarded, orders)
 
 
 def _classes(keyed: Iterable[tuple[Any, Any]]) -> list[list]:
@@ -510,52 +496,6 @@ def _classes(keyed: Iterable[tuple[Any, Any]]) -> list[list]:
     for key, item in keyed:
         out.setdefault(key, []).append(item)
     return [members for members in out.values() if len(members) > 1]
-
-
-def _coloured_forms(red: CleanReduction, colour: Sequence[tuple]) -> _ColouredForms:
-    """Codes and orders of the retained nodes, children first, as `_canonical_forms`
-    computes them but with each assigned vertex's colour read beside its run.
-
-    Own vertices enter as their sorted (run, colour) or colour sequence. A
-    clean child has no coloured vertex inside, so its plain code and order
-    serve; a retained code starts with "R", so the two never tie. Zipping the
-    coloured orders of two equal-code subtrees is an isomorphism of their
-    belonging subgraphs that keeps every colour.
-    """
-    tree = red.tree
-    plain = tree.canonical_forms()[0]
-    out = _ColouredForms(red, {}, {}, [])
-    found: dict[int, list[tuple[str, PQNode, Sequence]]] = {}
-    for node in reversed(red.retained):
-        own = tree.assigned_vertices(node)
-        children = node.children
-        here = found[node.nid] = []
-        if node.kind == "Q":
-            k = len(children)
-            keyed = sorted((tree.vertex_run[v], colour[v], v) for v in own)
-            mirrored = sorted(((k - 1 - hi, k - 1 - lo), c, v) for (lo, hi), c, v in keyed)
-            fwd = (tuple(map(out.code, children)), tuple(r[:2] for r in keyed))
-            bwd = (fwd[0][::-1], tuple(r[:2] for r in mirrored))
-            body = min(fwd, bwd)
-            if fwd == bwd:
-                flipped = chain((v for *_r, v in mirrored), *map(out.order, children[::-1]))
-                here.append(("flip", node, tuple(flipped)))
-            elif bwd < fwd:
-                keyed, children = mirrored, children[::-1]
-            own_order = [v for *_r, v in keyed]
-        else:
-            if node.kind == "P":
-                children = sorted(children, key=lambda c: (out.code(c), c.nid))
-                retained = ((out.codes[c.nid], c) for c in children if c.nid in out.codes)
-                here += (("children", node, members) for members in _classes(retained))
-            keyed = sorted((None, colour[v], v) for v in own)
-            own_order = [v for *_r, v in keyed]
-            body = (tuple(map(out.code, children)), tuple(r[1] for r in keyed))
-        here += (("twins", node, members) for members in _classes((r[:2], r[2]) for r in keyed if r[1]))
-        out.codes[node.nid] = ("R",) + plain[node.nid][:3] + body
-        out.orders[node.nid] = tuple(chain(own_order, *map(out.order, children)))
-    out.symmetries = [symmetry for node in red.retained for symmetry in found[node.nid]]
-    return out
 
 
 @dataclass
@@ -634,15 +574,15 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
         if red is None:
             red = reduced[(id(tree), local_marked)] = reduce_clean(tree, local_marked)
         reductions.append(red)
-        retained_ids = {n.nid for n in red.retained}
         for node in red.retained:
             qpos: tuple = ()
-            parent = node.parent
-            if parent is not None and parent.kind == "Q" and parent.nid in retained_ids:
+            parent = node.parent  # retained too, unless node is the root
+            if parent is not None and parent.kind == "Q":
                 k = len(parent.children)
                 pos = parent.children.index(node)
                 qpos = ("qpos", min(pos, k - 1 - pos), k)
-            ann = red.annotations[node.nid] + (qpos,)
+            drops = red.discarded.get(node.nid, ())
+            ann = ("node", node.kind, () if node.kind == "Q" else tuple(sorted(code for _pos, code in drops)), qpos)
             bset = frozenset(back[v] for v in tree.belongs(node))
             b_index[(ti, node.nid)] = add(bset, ann, ti)
             # layer structure: vertices assigned within the subtree (excludes
@@ -693,9 +633,14 @@ def _singleton_group(enc: _Encoding) -> PermGroup:
     holding it as a set (with repeats) and whether it is the tail. The family
     group is then generated by host automorphisms that keep the colours, each
     acting on the sets keyed by (set, annotation), plus the swaps of equal
-    keys. One pass over the coloured codes of the retained nodes gives them:
+    keys. `_forms` over each reduction's retained nodes, started from copies
+    of the tree's plain codes and orders, gives the coloured codes and
+    orders: a clean subtree holds no coloured vertex, so its coloured code is
+    its plain one, and a retained child, which holds one, never ties a clean
+    sibling. The symmetries are read off them, top-down:
     - equal-code components swap, as do equal-code retained children of a P-node
-    - a Q-node reverses when its reversed coloured code is equal
+    - a Q-node reverses when its reversed coloured code is equal (the pass
+      lists these)
     - coloured twins (one node, one run, one colour) swap
 
     Clean subtrees move no encoded set, and an unmarked vertex lies in no
@@ -765,19 +710,23 @@ def _singleton_group(enc: _Encoding) -> PermGroup:
                 gens.append(gen)
                 base.append(point)
 
-    forms: list[_ColouredForms] = []
-    coloured: dict[tuple, _ColouredForms] = {}  # components sharing a reduction and colours share one
+    # per component, the coloured codes, orders and reversible Q-nodes of `_forms`
+    # over the retained nodes; components sharing a reduction and colours share one
+    forms: list[tuple[list[tuple], list[tuple[int, ...]], dict[int, tuple[int, ...]]]] = []
+    coloured: dict[tuple, tuple] = {}
     for red, back in zip(enc.reductions, enc.backs):
         colour = tuple(colours[hv] for hv in back)
-        cforms = coloured.get((id(red), colour))
-        if cforms is None:
-            cforms = coloured[(id(red), colour)] = _coloured_forms(red, colour)
-        forms.append(cforms)
+        if (id(red), colour) not in coloured:
+            codes, orders = red.tree.canonical_forms()
+            flips: dict[int, tuple[int, ...]] = {}
+            coloured[(id(red), colour)] = _forms(red.tree, red.retained, colour, list(codes), list(orders), flips) + (flips,)
+        forms.append(coloured[(id(red), colour)])
+    orders_of = [orders for _codes, orders, _flips in forms]
 
     def subtree_swap(a: tuple[int, PQNode], b: tuple[int, PQNode]) -> tuple[Perm, int]:
         (ta, x), (tb, y) = a, b
-        moved = dict(zip(map(enc.backs[ta].__getitem__, forms[ta].order(x)),
-                         map(enc.backs[tb].__getitem__, forms[tb].order(y))))
+        moved = dict(zip(map(enc.backs[ta].__getitem__, orders_of[ta][x.nid]),
+                         map(enc.backs[tb].__getitem__, orders_of[tb][y.nid])))
         moved.update([(w, u) for u, w in moved.items()])
         return on_keys(moved, {ta, tb}), enc.b_index[(ta, x.nid)]
 
@@ -785,7 +734,7 @@ def _singleton_group(enc: _Encoding) -> PermGroup:
         """Where a subtree's swaps fall in a sorted base: its least singleton, then its belonging set."""
         ti, x = member
         back = enc.backs[ti]
-        inside = (singleton_at.get(back[v], len(keys)) for v in forms[ti].order(x))
+        inside = (singleton_at.get(back[v], len(keys)) for v in orders_of[ti][x.nid])
         return min(inside, default=len(keys)), enc.b_index[(ti, x.nid)]
 
     def key_swap(i: int, j: int) -> tuple[Perm, int]:
@@ -793,20 +742,24 @@ def _singleton_group(enc: _Encoding) -> PermGroup:
         images[i], images[j] = j, i
         return Perm._raw(tuple(images)), i
 
-    roots = [(forms[ti].codes[red.tree.root.nid], (ti, red.tree.root)) for ti, red in enumerate(enc.reductions)]
+    roots = [(forms[ti][0][red.tree.root.nid], (ti, red.tree.root)) for ti, red in enumerate(enc.reductions)]
     swaps([sorted(members, key=lead) for members in _classes(roots)], subtree_swap)
-    for ti, (cforms, back) in enumerate(zip(forms, enc.backs)):
-        for kind, node, members in cforms.symmetries:
-            if kind == "children":
-                swaps([sorted(((ti, c) for c in members), key=lead)], subtree_swap)
-            elif kind == "flip":
+    for ti, (red, (codes, orders, flips), back) in enumerate(zip(enc.reductions, forms, enc.backs)):
+        tree = red.tree
+        for node in red.retained:  # preorder, so top-down
+            if node.kind == "P":
+                dropped = dict(red.discarded.get(node.nid, ()))
+                retained = ((codes[c.nid], (ti, c)) for pos, c in enumerate(node.children) if pos not in dropped)
+                swaps([sorted(members, key=lead) for members in _classes(retained)], subtree_swap)
+            elif node.nid in flips:
                 order *= 2
-                moved = {back[u]: back[w] for u, w in zip(cforms.orders[node.nid], members) if u != w}
+                moved = {back[u]: back[w] for u, w in zip(orders[node.nid], flips[node.nid]) if u != w}
                 gens.append(on_keys(moved, [ti]))
                 base.append(enc.q_columns[(ti, node.nid)][0])
-            else:
-                twins = sorted((back[v] for v in members), key=singleton_at.__getitem__)
-                swaps([twins], lambda u, w: (on_keys({u: w, w: u}, [ti]), singleton_at[u]))
+            own = orders[node.nid][: len(tree.assigned_vertices(node))]
+            twins = _classes(((tree.vertex_run.get(v), colours[back[v]]), back[v]) for v in own if colours[back[v]])
+            swaps([sorted(members, key=singleton_at.__getitem__) for members in twins],
+                  lambda u, w: (on_keys({u: w, w: u}, [ti]), singleton_at[u]))
     swaps([members for members in equal.values() if len(members) > 1], key_swap)
     return PermGroup(len(keys), gens, base, order)
 
@@ -879,9 +832,8 @@ def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
         node_map[key] = set_to_bkey[img]
     # consistency: parents map to parents
     for ti, red in enumerate(enc.reductions):
-        retained_ids = {n.nid for n in red.retained}
         for node in red.retained:
-            if node.parent is not None and node.parent.nid in retained_ids:
+            if node.parent is not None:
                 tj, nj = node_map[(ti, node.nid)]
                 pj = node_map[(ti, node.parent.nid)]
                 mapped = enc.trees[tj].nodes[nj]

@@ -17,6 +17,7 @@ from tgraphs.interval import (
     brute_marked_autgroup,
     build_pq_tree,
     marked_action_group,
+    _forms,
     _marked_encoding,
     _singleton_group,
     marked_isomorphism,
@@ -302,7 +303,6 @@ class TestReduceClean:
     def test_equal_codes_mean_isomorphic_subtrees(self, seed):
         g = random_connected_interval(9, 40 + seed)
         tree = build_pq_tree(g)
-        red = reduce_clean(tree, frozenset())
         # regenerate under a relabeling: root codes must match exactly
         from tgraphs.harness import random_relabel
         from tgraphs.interval import _canonical_forms
@@ -468,6 +468,42 @@ class TestSingletonGroup:
             assert all(m.host.has_edge(sigma(u), sigma(v)) for u, v in m.host.edges)
             for i, s in enumerate(enc.family.sets):
                 assert sigma.image_of_set(s) == enc.family.sets[gen(i)]
+        self.check_reductions(m, enc)
+
+    @staticmethod
+    def check_reductions(m, enc):
+        """Each component's retained nodes match their definition, and the
+        coloured pass over them agrees with one over every node: a clean
+        child keeps its plain code, and no retained child ties a clean sibling."""
+        colour = [
+            tuple(j for j, fam in enumerate(m.families) for s in fam if v in s) + ((-1,) if v == m.tail else ())
+            for v in m.host.vertices()
+        ]
+        marked = m.marked_vertices()
+
+        def below(x, node):
+            while x is not None and x is not node:
+                x = x.parent
+            return x is node
+
+        for red, back in zip(enc.reductions, enc.backs):
+            tree = red.tree
+            # retained: the root, and every node with a marked vertex assigned in its subtree
+            marked_at = [x for x in tree.nodes if any(back[v] in marked for v in tree.assigned_vertices(x))]
+            assert red.retained == tuple(
+                node for node in tree.nodes if node.parent is None or any(below(x, node) for x in marked_at)
+            )
+            local = [colour[hv] for hv in back]
+            plain, orders = tree.canonical_forms()
+            blank = [()] * len(tree.nodes)
+            everywhere, _orders = _forms(tree, tree.nodes, local, list(blank), list(blank))
+            codes, _orders = _forms(tree, red.retained, local, list(plain), list(orders))
+            kept = set(red.retained)
+            for node in red.retained:
+                assert codes[node.nid] == everywhere[node.nid]
+                clean = [c for c in node.children if c not in kept]
+                assert all(everywhere[c.nid] == plain[c.nid] for c in clean)
+                assert not {codes[c.nid] for c in node.children if c in kept} & {codes[c.nid] for c in clean}
 
     def test_singleton_hosts_take_the_tree_path(self, monkeypatch):
         paths = []
