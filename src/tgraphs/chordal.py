@@ -58,14 +58,20 @@ _Elimination = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[i
 
 
 def _eliminate(g: Graph) -> Optional[_Elimination]:
-    """g's elimination pass (`_elimination_pass`), run once per graph and kept on it."""
+    """g's elimination pass (`_elimination_pass`), run once per graph and kept
+    on it, with g's components when none are kept yet."""
     if g._elimination is None:
-        g._elimination = _elimination_pass(g) or False  # False: g is not chordal
+        found, components = _elimination_pass(g)
+        g._elimination = found or False  # False: g is not chordal
+        if g._components is None:
+            g._components = components
     return g._elimination or None
 
 
-def _elimination_pass(g: Graph) -> Optional[_Elimination]:
-    """The reverse of g's MCS order, g's maximal cliques and its separator lists; None when g is not chordal.
+def _elimination_pass(g: Graph) -> tuple[Optional[_Elimination], tuple[frozenset[int], ...]]:
+    """The reverse of g's MCS order, g's maximal cliques and its separator
+    lists, None when g is not chordal; and g's components, in order of their
+    least vertex, either way.
 
     Walking the MCS order, u's visited neighbours are its later neighbours in
     the reverse order, and v, the last visited of them, is the earliest. The
@@ -76,27 +82,43 @@ def _elimination_pass(g: Graph) -> Optional[_Elimination]:
     closes the last clique (Blair and Peyton, An introduction to chordal graphs
     and clique trees, 1993). In a connected graph the separator lists are the
     intersections along the edges of one clique tree, so a separator may repeat.
+    A step that takes a vertex with no visited neighbour starts a component:
+    every unvisited vertex then has weight 0, so the visited ones make up whole
+    components, and the tie-break takes the least vertex left.
     """
     mcs = maximum_cardinality_search(g)
     rank = [-1] * g.n  # MCS step of each vertex visited so far
+    starts = []  # the steps that start a component
+    chordal = True
     cliques = []
     separators = []
     prev: list[int] = []  # the visited neighbours of mcs[i - 1]
     for i, u in enumerate(mcs):
         lu = [w for w in g.adj[u] if rank[w] >= 0]
         rank[u] = i
-        if lu:
+        if not lu:
+            starts.append(i)
+        elif chordal:
             v = max(lu, key=rank.__getitem__)
-            if any(w not in g.adj[v] for w in lu if w != v):
-                return None
-        if i and len(lu) <= len(prev):
+            chordal = all(w in g.adj[v] for w in lu if w != v)
+        if chordal and i and len(lu) <= len(prev):
             cliques.append(tuple(sorted(prev + [mcs[i - 1]])))
             separators.append(tuple(lu))
         prev = lu
+    components = tuple(frozenset(mcs[a:b]) for a, b in zip(starts, starts[1:] + [g.n]))
+    if not chordal:
+        return None, components
     if mcs:
         cliques.append(tuple(sorted(prev + [mcs[-1]])))
     cliques.sort()
-    return tuple(reversed(mcs)), tuple(cliques), tuple(separators)
+    return (tuple(reversed(mcs)), tuple(cliques), tuple(separators)), components
+
+
+def is_connected(g: Graph) -> bool:
+    """Whether g is connected, read off g's elimination pass: a graph that is
+    eliminated anyway needs no separate component search."""
+    _eliminate(g)
+    return g.is_connected()
 
 
 def is_chordal(g: Graph) -> Optional[tuple[int, ...]]:
@@ -126,7 +148,7 @@ def leaf_cliques(g: Graph) -> list[tuple[int, ...]]:
     chordal graph whose maximal cliques are the other cliques; take any clique
     tree of it and hang C off D. A single clique is a leaf.
     """
-    if not g.is_connected():
+    if not is_connected(g):
         raise Disconnected("leaf_cliques requires a connected graph")
     cliques = maximal_cliques(g)
     holders: list[set[int]] = [set() for _ in g.vertices()]  # per vertex, the cliques holding it
@@ -148,7 +170,7 @@ def minimal_separators(g: Graph) -> list[tuple[int, ...]]:
     """
     if g.n == 0:
         return []
-    if not g.is_connected():
+    if not is_connected(g):
         raise Disconnected("minimal_separators requires a connected graph")
     found = _eliminate(g)
     if found is None:

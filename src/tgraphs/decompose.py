@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .chordal import leaf_cliques, minimal_separators
+from .chordal import is_connected, leaf_cliques, minimal_separators
 from .errors import Disconnected, NotTGraph
 from .graph import Graph
 from .interval import PQTree, build_pq_tree
@@ -304,7 +304,7 @@ def extract_fragments(g: Graph, d: int) -> list[ExtractedFragment]:
         raise ValueError("need d >= 2")
     if g.n == 0:
         raise ValueError("need a nonempty graph")
-    if not g.is_connected():
+    if not is_connected(g):
         raise Disconnected("extraction requires a connected graph")
     frags = _extract(g, tuple(range(g.n)), _Bounds(d), 0, g.n + 2, {})
     return sorted(frags, key=lambda fr: sorted(fr.vertices))
@@ -394,7 +394,7 @@ def canonical_decomposition(g: Graph, d: int) -> Decomposition:
         raise ValueError("need d >= 2")
     if g.n == 0:
         return Decomposition(g, (), ())
-    if not g.is_connected():
+    if not is_connected(g):
         parts = [(canonical_decomposition(g.subgraph(comp)[0], d), sorted(comp)) for comp in g.components()]
         return merge_decompositions(g, parts)
 
@@ -408,7 +408,7 @@ def canonical_decomposition(g: Graph, d: int) -> Decomposition:
     while residue:
         sub, idx = g.subgraph(residue)
         back = {i: v for v, i in idx.items()}
-        if not sub.is_connected():
+        if not is_connected(sub):
             raise NotTGraph("residue disconnected during decomposition", level=level + 1)
         level += 1
         tree = build_pq_tree(sub)

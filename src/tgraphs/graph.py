@@ -9,9 +9,10 @@ class Graph:
     """Immutable simple undirected graph with frozenset adjacency.
 
     Two slots memoise what is derived from the whole graph, each computed on
-    first use: `_components` by `components` and `is_connected`, and
-    `_elimination` by `chordal._eliminate`, which every clique and
-    chordality query reads. A graph never changes, so both stay valid.
+    first use: `_elimination` by `chordal._eliminate`, which every clique and
+    chordality query reads, and `_components` by the same pass or, for a graph
+    not eliminated first, by `components` and `is_connected`. A graph never
+    changes, so both stay valid.
     """
 
     __slots__ = ("n", "adj", "_edges", "_components", "_elimination")

@@ -17,7 +17,7 @@ from itertools import accumulate, chain
 from math import factorial
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .chordal import maximal_cliques
+from .chordal import is_connected, maximal_cliques
 from .errors import NotChordal, TooLarge
 from .graph import Graph
 from .perm import Perm, PermGroup, find_element
@@ -292,7 +292,7 @@ def _finalize(tree: PQTree) -> Optional[PQTree]:
 
 def build_pq_tree(g: Graph) -> Optional[PQTree]:
     """PQ-tree of g, or None when g is not a connected interval graph."""
-    if g.n == 0 or not g.is_connected():
+    if g.n == 0 or not is_connected(g):
         return None
     try:
         cliques = tuple(maximal_cliques(g))
@@ -442,6 +442,15 @@ def root_code(tree: PQTree) -> tuple:
     """The root's canonical code: equal on two trees exactly when their graphs are isomorphic."""
     codes, _orders = tree.canonical_forms()
     return codes[tree.root.nid]
+
+
+def coloured_root_form(tree: PQTree, colour: Sequence[tuple]) -> tuple[tuple, tuple[int, ...]]:
+    """The root's code and order of `_forms` with the given vertex colours.
+    Two trees' codes are equal exactly when their graphs are isomorphic by a
+    map keeping the colours, and zipping their orders then gives one."""
+    blank: list = [()] * len(tree.nodes)
+    codes, orders = _forms(tree, tree.nodes, colour, blank, list(blank))
+    return codes[tree.root.nid], orders[tree.root.nid]
 
 
 def pq_tree_isomorphism(t1: PQTree, t2: PQTree) -> Optional[tuple[int, ...]]:

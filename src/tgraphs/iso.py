@@ -18,7 +18,15 @@ from .chordal import is_chordal
 from .decompose import Completion, Decomposition, canonical_decomposition, merge_decompositions
 from .errors import NotTGraph
 from .graph import Graph
-from .interval import MarkedContext, MarkedIntervalGraph, PQTree, marked_union, pq_tree_isomorphism, root_code
+from .interval import (
+    MarkedContext,
+    MarkedIntervalGraph,
+    PQTree,
+    coloured_root_form,
+    marked_union,
+    pq_tree_isomorphism,
+    root_code,
+)
 from .perm import (
     MembershipPredicate,
     Perm,
@@ -74,7 +82,6 @@ class CombinedDecomposition:
     level_degrees: list[int]
     key_to_terminal: dict[tuple[int, int, int], int]
     level_groups: dict[int, PermGroup] = field(default_factory=dict)
-    buckets: dict[int, list["Bucket"]] = field(default_factory=dict)  # per level, set by level_group
 
     @property
     def degree(self) -> int:
@@ -186,17 +193,6 @@ def _class_key(cf: CFragment) -> tuple:
     )
 
 
-@dataclass
-class Bucket:
-    """Fragments of one level sharing a class key, and the marked group of their union."""
-
-    frags: list[CFragment]
-    context: MarkedContext  # over marked_union of the fragments' marked hosts
-    offsets: list[int]  # each fragment's vertex offset in the union
-    parts: list[int]  # per encoded set of the union, the position of its fragment
-    shard_index: dict[int, int]  # terminal id -> its marked-set index in the union
-
-
 def level_group(cd: CombinedDecomposition, level: int) -> PermGroup:
     """The level group: per bucket, the marked automorphisms of the bucket's
     union acting on its fragments and their terminal shards. The level's
@@ -209,7 +205,6 @@ def level_group(cd: CombinedDecomposition, level: int) -> PermGroup:
     for cf in cd.fragments:
         if cf.level == level:
             keyed.setdefault(_class_key(cf), []).append(cf)
-    cd.buckets[level] = []
     gens: list[Perm] = []
     for bucket_frags in keyed.values():
         union, offsets = marked_union([cf.marked for cf in bucket_frags])
@@ -221,7 +216,6 @@ def level_group(cd: CombinedDecomposition, level: int) -> PermGroup:
         for j, indices in enumerate(context.enc.a_indices[: level - 1]):
             shards = [t for cf in bucket_frags for t in cf.shards[j]]
             shard_index.update((t.tid, i) for t, i in zip(shards, indices))
-        cd.buckets[level].append(Bucket(bucket_frags, context, offsets, parts, shard_index))
         # every fragment's sets lie in its one component, so any of them shows its image
         probe = [parts.index(k) for k in range(len(bucket_frags))]
         shard_at = {i: tid for tid, i in shard_index.items()}
@@ -292,61 +286,88 @@ def decomposition_autgroup(cd: CombinedDecomposition) -> PermGroup:
         pairs = [(realize(k), k) for k in kept.generators]
         pairs += [(s, Perm.identity(kept.degree)) for s in fixer.generators]
         gens = [Perm(a.images + tuple(x + lam.degree for x in k.images)) for a, k in pairs]
-        # (a, k) -> k maps the fibre product onto K with kernel the origin fixer
-        group = PermGroup(lam.degree + kept.degree, gens, order=kept.order() * fixer.order())
+        # (a, k) -> k maps the fibre product onto K with kernel the origin fixer; on
+        # K's base, then the fixer's, orbit closure reaches that order
+        base = [b + lam.degree for b in kept.base] + list(fixer.base)
+        group = PermGroup(lam.degree + kept.degree, gens, base=base, order=kept.order() * fixer.order())
     return group
 
 
 def lift_to_vertices(cd: CombinedDecomposition, p: Perm) -> Perm:
     """A graph automorphism of the union acting on fragments and shards as p does.
 
-    Per bucket, one element of the union's marked group takes each fragment's
-    sets onto its image's and each shard onto its image; its host
-    automorphism gives the vertex images. Always verified: edge preservation
-    plus agreement with p on the domain.
+    No search: each fragment F maps onto p(F) by a host isomorphism read off
+    coloured canonical forms. Number p(F)'s shards in the order its marked
+    host lists them. A vertex of p(F)'s host is coloured by the sorted
+    numbers of the shards holding it, a vertex of F's host by those of p's
+    images of its shards, and the tail by -1 on both. Coloured PQ-tree codes
+    decide coloured interval-graph isomorphism (Lueker and Booth, J. ACM
+    1979; Colbourn and Booth, SIAM J. Comput. 1981), so when the two root
+    codes are equal, zipping the root orders gives a host isomorphism. It
+    keeps the tail, so l and the separator, and it maps every shard S onto
+    p(S). Hosts that share a tree and a colouring share one form, so equal
+    fragments of one side cost one. A fragment that p fixes with all its
+    shards maps by the identity. p lies in the group, so unequal codes are
+    an internal failure. Always verified: edge preservation plus agreement
+    with p on the domain.
     """
-    for k in range(1, cd.depth + 1):
-        level_group(cd, k)  # ensure the buckets exist
-    frag_of_point = {pt: ident for pt, (kind, ident) in enumerate(cd.point_kind) if kind == "frag"}
-    term_of_point = {pt: ident for pt, (kind, ident) in enumerate(cd.point_kind) if kind == "term"}
+    frag_at = {pt: ident for pt, (kind, ident) in enumerate(cd.point_kind) if kind == "frag"}
+    term_at = {pt: ident for pt, (kind, ident) in enumerate(cd.point_kind) if kind == "term"}
+    forms: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}  # (tree id, colours) -> root code and order
+
+    def root_form(cf: CFragment, number: dict[int, int]) -> tuple[tuple, list[int]]:
+        """The root code of cf's marked host, each shard t coloured number[t.tid],
+        and its root order as host vertices."""
+        m = cf.marked
+        trees = m.component_trees()
+        if len(trees) != 1:
+            raise AssertionError("a fragment's marked host is disconnected")
+        tree, back = trees[0]
+        colour_of: list[list[int]] = [[] for _ in m.host.vertices()]
+        for fam, shards in zip(m.families, cf.shards):
+            for s, t in zip(fam, shards):
+                for v in s:
+                    colour_of[v].append(number[t.tid])
+        if m.tail is not None:
+            colour_of[m.tail].append(-1)
+        colour = tuple([tuple(sorted(colour_of[hv])) for hv in back])
+        key = (id(tree), colour)
+        if key not in forms:
+            forms[key] = coloured_root_form(tree, colour)
+        code, order = forms[key]
+        return code, [back[v] for v in order]
+
     images = [-1] * cd.h.n
-    for bucket in (b for buckets in cd.buckets.values() for b in buckets):
-        position = {cf.gid: k for k, cf in enumerate(bucket.frags)}
-        members: list[list[int]] = [[] for _ in bucket.frags]
-        for i, k in enumerate(bucket.parts):
-            if k >= 0:
-                members[k].append(i)
-        targets = []
-        for cf in bucket.frags:
-            target = position.get(frag_of_point[p(cd.frag_point[cf.gid])])
-            if target is None:
-                raise AssertionError("p maps a fragment outside its bucket")
-            targets.append(target)
-        point_images = {}
-        for tid, i in bucket.shard_index.items():
-            img = bucket.shard_index.get(term_of_point[p(cd.term_point[tid])])
-            if img is None:
-                raise AssertionError("p maps a shard outside its bucket")
-            point_images[i] = img
-        set_images = [(members[k], members[t]) for k, t in enumerate(targets)]
-        found = bucket.context.realize(point_images, set_images)
-        if found is None:
-            raise AssertionError("no marked automorphism realizes the prescribed shard action")
-        _element, sigma = found
-        for k, cf in enumerate(bucket.frags):
-            target, off = bucket.frags[targets[k]], bucket.offsets[targets[k]]
-            target_inv = {i + off: v for v, i in target.label_to_host.items()}
+    for cf in cd.fragments:
+        gid = frag_at.get(p(cd.frag_point[cf.gid]))
+        moved = {t.tid: term_at.get(p(cd.term_point[t.tid])) for fam in cf.shards for t in fam}
+        if gid is None or None in moved.values():
+            raise AssertionError("p maps a fragment onto a shard or a shard onto a fragment")
+        target = cd.fragments[gid]
+        if target is cf and all(t == u for t, u in moved.items()):
             for v in cf.vertices:
-                img = sigma(cf.label_to_host[v] + bucket.offsets[k])
-                if img not in target_inv:
-                    raise AssertionError("fragment vertex mapped outside the target fragment")
-                images[v] = target_inv[img]
+                images[v] = v
+            continue
+        own = {t.tid: i for i, t in enumerate(t for fam in target.shards for t in fam)}
+        if not own.keys() >= set(moved.values()):
+            raise AssertionError("p maps a shard off its fragment's image")
+        code, order = root_form(cf, {tid: own[image] for tid, image in moved.items()})
+        target_code, target_order = root_form(target, own)
+        if code != target_code:
+            raise AssertionError("no host isomorphism carries the fragment's shards as prescribed")
+        host_image = dict(zip(order, target_order))
+        target_inv = {i: v for v, i in target.label_to_host.items()}
+        for v in cf.vertices:
+            img = target_inv.get(host_image[cf.label_to_host[v]])
+            if img is None:
+                raise AssertionError("fragment vertex mapped outside the target fragment")
+            images[v] = img
     if sorted(images) != list(range(cd.h.n)):
         raise AssertionError("lift is not a permutation")
+    adj = cd.h.adj
+    if any(images[v] not in adj[images[u]] for u, v in cd.h.edges):
+        raise AssertionError("lift breaks an edge")
     sigma = Perm(images)
-    for u, v in cd.h.edges:
-        if not cd.h.has_edge(sigma(u), sigma(v)):
-            raise AssertionError("lift breaks an edge")
     if project_automorphism(cd, sigma) != p:
         raise AssertionError("lift does not act on the decomposition as prescribed")
     return sigma

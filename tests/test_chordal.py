@@ -1,10 +1,12 @@
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tgraphs.chordal as chordal_mod
+import tgraphs.graph as graph_mod
 from tgraphs.chordal import (
     is_chordal,
     leaf_cliques,
@@ -14,7 +16,7 @@ from tgraphs.chordal import (
 )
 from tgraphs.errors import Disconnected, NotChordal
 from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, separates, star_graph
-from tgraphs.harness import random_t_graph, random_tree
+from tgraphs.harness import random_relabel, random_t_graph, random_tree
 
 
 def brute_is_chordal(g):
@@ -43,6 +45,16 @@ any_graph = st.integers(1, 9).flatmap(
     lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
         lambda coins: Graph(n, [e for e, keep in zip(combinations(range(n), 2), coins) if keep])
     )
+)
+
+# disjoint unions of up to four random T-graphs, their vertices interleaved
+chordal_unions = st.tuples(
+    st.lists(st.tuples(st.integers(2, 4), st.integers(1, 8), st.integers(0, 10**6)), min_size=1, max_size=4),
+    st.integers(0, 10**6),
+).map(
+    lambda spec: random_relabel(
+        reduce(Graph.union_disjoint, (random_t_graph(d, n, s)[0] for d, n, s in spec[0])), spec[1]
+    )[0]
 )
 
 
@@ -155,6 +167,13 @@ class TestEliminationPass:
             for query in (maximal_cliques, leaf_cliques, minimal_separators):
                 query(g)
         assert passes == [g]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(any_graph, chordal_unions))
+    def test_components_come_off_the_pass(self, g):
+        assert g._components is None
+        is_chordal(g)
+        assert g._components == graph_mod._search_components(g)
 
     def test_results_do_not_share_the_memo(self):
         g = path_graph(4)

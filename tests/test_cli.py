@@ -160,7 +160,7 @@ class TestAnalyze:
         assert data["chordal"] is True
         assert len(data["leaf_cliques"]) == 2
 
-    def test_one_elimination_pass_and_one_component_search(self, tmp_path, capsys, monkeypatch):
+    def test_one_elimination_pass_and_no_component_search(self, tmp_path, capsys, monkeypatch):
         import tgraphs.chordal as chordal
         import tgraphs.graph as graph
 
@@ -181,7 +181,7 @@ class TestAnalyze:
             '{"n": 4, "m": 3, "chordal": true, "connected": true, "maximal_cliques": [[0, 1], [1, 2], [2, 3]], '
             '"minimal_separators": [[1], [2]], "leaf_cliques": [[0, 1], [2, 3]]}\n'
         )
-        assert calls == {"mcs": 1, "components": 1}
+        assert calls == {"mcs": 1, "components": 0}  # the components come off the elimination pass
 
     @pytest.mark.parametrize(
         "g, keys",

@@ -185,6 +185,55 @@ class TestDecompositionAutgroup:
             for gen in projected.generators:
                 assert group.contains(gen)
 
+    @staticmethod
+    def record_fibre_products(monkeypatch) -> list:
+        """Per fibre product built, its arguments and the Schreier generators it queued.
+
+        Among the engine's PermGroup calls in iso, only the fibre product states its order."""
+        built = []
+        queue_of = PermGroup._queue_schreier_generators
+
+        def counting(self, i, queue):
+            before = len(queue)
+            queue_of(self, i, queue)
+            if built and built[-1][1] is None:
+                built[-1][2] += len(queue) - before
+
+        def fibre_product(degree, gens, base=(), order=None):
+            if order is None:
+                return PermGroup(degree, gens, base)
+            built.append([(degree, gens, base, order), None, 0])
+            group = built[-1][1] = PermGroup(degree, gens, base, order)
+            return group
+
+        monkeypatch.setattr(PermGroup, "_queue_schreier_generators", counting)
+        monkeypatch.setattr(iso, "PermGroup", fibre_product)
+        return built
+
+    def test_fibre_product_queues_no_schreier_generator(self, monkeypatch):
+        built = self.record_fibre_products(monkeypatch)
+        # the bench's chain classes: path powers P(20 + k)^k and the 5x3 and 6x3 spiders
+        chain_classes = [Graph(20 + k, [(u, v) for u in range(20 + k) for v in range(u + 1, min(u + k + 1, 20 + k))])
+                         for k in (1, 2, 3)]
+        chain_classes += [spider(5, 5, 5), spider(6, 6, 6)]
+        spiders = [spider(*arms) for arms in ((1, 2, 3), (2, 3, 4), (3, 3, 3), (4, 4, 4))]
+        spiders += [spider(*(2,) * k) for k in range(3, 17)]
+        for i, g in enumerate(chain_classes + spiders):
+            d = max(3, sum(g.degree(v) == 1 for v in g.vertices()))
+            assert is_isomorphic(g, random_relabel(g, i)[0], d).kind == ISOMORPHIC
+        assert len(built) >= len(spiders)
+        assert [queued for _args, _group, queued in built] == [0] * len(built)
+
+    def test_fibre_product_base_still_checks_the_stated_order(self, monkeypatch):
+        built = self.record_fibre_products(monkeypatch)
+        g = spider(2, 2, 2, 2)
+        assert is_isomorphic(g, random_relabel(g, 1)[0], 4).kind == ISOMORPHIC
+        (degree, gens, base, order), group, _queued = built[-1]
+        assert group.order() == order
+        for wrong in (2 * order, order + 1):
+            with pytest.raises(AssertionError):
+                PermGroup(degree, gens, base, wrong)
+
     def test_single_level_equals_lambda(self):
         g = path_graph(4)
         cd = make_cd(g, g, 2)
@@ -224,6 +273,114 @@ class TestLift:
             group = decomposition_autgroup(cd)
             for gen in group.generators:
                 lift_to_vertices(cd, gen)  # verifies internally
+
+    @staticmethod
+    def deep_inputs():
+        """A seeded stream of (graph, d) of depth 2 or more: random T-graphs
+        with d from 3 to 5 and n up to 30, spiders and the branch graph."""
+        out = [(connected_t_graph(3 + i % 3, 12 + 3 * (i % 7), 7100 + 50 * i), 3 + i % 3) for i in range(36)]
+        out += [(spider(*arms), len(arms)) for arms in ((2, 2, 3), (3, 3, 3), (1, 2, 2, 2), (2,) * 6)]
+        out.append((branch_graph_with_pendants(), 3))
+        return [(g, d) for g, d in out if canonical_decomposition(g, d).depth >= 2]
+
+    def test_every_generator_lifts_on_deep_inputs(self):
+        multi_vertex_marks = 0
+        for i, (g, d) in enumerate(self.deep_inputs()):
+            h, _ = random_relabel(g, i)
+            cd = make_cd(g, h, d)
+            multi_vertex_marks += sum(len(t.vertices) > 1 for t in cd.terminals)
+            group = decomposition_autgroup(cd)
+            swap = find_block_swap(group, cd.side_points(0), cd.side_points(1))
+            assert swap is not None
+            for p in group.generators + (swap,):
+                sigma = lift_to_vertices(cd, p)  # checks the edges and the action on the domain
+                assert project_automorphism(cd, sigma) == p
+        assert multi_vertex_marks > 0
+
+    def test_lift_searches_nothing(self, monkeypatch):
+        import tgraphs.interval as interval
+        import tgraphs.perm as perm
+
+        calls = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(name) or original(*args, **kw))
+
+        g = branch_graph_with_pendants()
+        cd = make_cd(g, random_relabel(g, 7)[0], 3)
+        group = decomposition_autgroup(cd)
+        swap = find_block_swap(group, cd.side_points(0), cd.side_points(1))
+        for owner, name in ((iso, "find_element"), (interval, "find_element"), (perm, "find_element"),
+                            (interval, "_realize_vertex_map"), (PermGroup, "_with_base_prefix")):
+            counting(owner, name)
+        for p in group.generators + (swap,):
+            lift_to_vertices(cd, p)
+        assert calls == []
+
+    def test_permutation_outside_the_group_raises(self):
+        from tgraphs.perm import Perm
+
+        rng = random.Random(3)
+        g = branch_graph_with_pendants()
+        cd = make_cd(g, random_relabel(g, 7)[0], 3)
+        group = decomposition_autgroup(cd)
+        classes = defaultdict(list)  # points of one kind and level
+        for pt, (kind, ident) in enumerate(cd.point_kind):
+            level = cd.fragments[ident].level if kind == "frag" else cd.terminals[ident].level
+            classes[(kind, level)].append(pt)
+        outside = 0
+        for _ in range(40):
+            images = list(range(cd.degree))
+            for points in classes.values():
+                shuffled = points[:]
+                rng.shuffle(shuffled)
+                for a, b in zip(points, shuffled):
+                    images[a] = b
+            p = Perm(images)
+            if group.contains(p):
+                assert project_automorphism(cd, lift_to_vertices(cd, p)) == p
+            else:
+                outside += 1
+                with pytest.raises(AssertionError):
+                    lift_to_vertices(cd, p)
+        assert outside > 30
+
+    # two shards of pendant_pair_body(1, 2)'s body exchanged, everything else
+    # fixed: no automorphism of the body exchanges them
+    OUTSIDE_SCRIPT = """
+from tgraphs.decompose import canonical_decomposition
+from tgraphs.graph import Graph
+from tgraphs.iso import combine, lift_to_vertices
+from tgraphs.perm import Perm
+edges = [(i, i + 1) for i in range(5)] + [(1, 6), (6, 7), (2, 8), (8, 9), (8, 10), (9, 10)]
+dec = canonical_decomposition(Graph(11, edges), 4)
+cd = combine(dec, dec)
+first, *_, last = [cd.term_point[t.tid] for t in cd.terminals if t.host_gid == cd.terminals[0].host_gid]
+images = list(range(cd.degree))
+images[first], images[last] = last, first
+lift_to_vertices(cd, Perm(images))
+"""
+
+    def test_outside_permutation_raises_under_python_O(self):
+        import os
+        import subprocess
+
+        import tgraphs
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tgraphs.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-O", "-c", self.OUTSIDE_SCRIPT], capture_output=True, text=True, env=env)
+        assert run.returncode != 0
+        assert "AssertionError: no host isomorphism carries the fragment's shards as prescribed" in run.stderr, run.stderr
+
+    def test_equal_arm_spider_lift_is_fast(self):
+        g = spider(*(2,) * 32)
+        cd = make_cd(g, random_relabel(g, 5)[0], 32)
+        swap = find_block_swap(decomposition_autgroup(cd), cd.side_points(0), cd.side_points(1))
+        start = time.perf_counter()
+        lift_to_vertices(cd, swap)
+        assert time.perf_counter() - start < 0.1
 
 
 def branch_graph_with_pendants():
@@ -273,6 +430,21 @@ class TestTreeReuse:
         g = branch_graph_with_pendants()
         h, _ = random_relabel(g, 7)
         built = self.record_builds(monkeypatch)
+        contexts = []  # (the level group's marked context, the fragment hosts of its union)
+        parts = {}
+        union_of, context_of = iso.marked_union, iso.MarkedContext
+
+        def recording_union(ms):
+            union, offsets = union_of(ms)
+            parts[id(union)] = ms
+            return union, offsets
+
+        def recording_context(union):
+            contexts.append((context_of(union), parts[id(union)]))
+            return contexts[-1][0]
+
+        monkeypatch.setattr(iso, "marked_union", recording_union)
+        monkeypatch.setattr(iso, "MarkedContext", recording_context)
         cd = make_cd(g, h, 3)
         assert cd.depth >= 2
         assert {cf.provenance for cf in cd.fragments} == {"simplicial", "separator", "residual"}
@@ -289,10 +461,12 @@ class TestTreeReuse:
         for cf in cd.fragments:
             if cf.completion is not None:
                 assert own[cf.gid].graph.edges == cf.completion.graph.edges
-        for bucket in (b for buckets in cd.buckets.values() for b in buckets):
-            assert len(bucket.context.enc.trees) == len(bucket.frags)
-            for tree, cf in zip(bucket.context.enc.trees, bucket.frags):
-                assert tree is own[cf.gid]
+        fragment_of = {id(cf.marked): cf for cf in cd.fragments}
+        assert sum(len(ms) for _context, ms in contexts) == len(cd.fragments)
+        for context, ms in contexts:
+            assert len(context.enc.trees) == len(ms)
+            for tree, m in zip(context.enc.trees, ms):
+                assert tree is own[fragment_of[id(m)].gid]
 
 
 class TestSingletonMarks:
@@ -545,11 +719,11 @@ class TestIsIsomorphic:
         h, _ = random_relabel(g, 3)
         assert is_isomorphic(g, h, 3).kind == ISOMORPHIC
         assert calls["is_chordal"] == 2
-        # one elimination pass and one component search per distinct graph, kept on
-        # it: per side the input, its four smaller residues and the one completion
-        # graph that all 12 completions share
+        # one elimination pass per distinct graph, kept on it: per side the input,
+        # its four smaller residues and the one completion graph that all 12
+        # completions share; each one's components come off that pass
         assert calls["mcs"] == 12
-        assert calls["components"] == 12
+        assert calls["components"] == 0
 
     def test_verdict_json(self):
         verdict = is_isomorphic(path_graph(3), path_graph(3), 2)
