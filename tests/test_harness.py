@@ -1,10 +1,14 @@
 import pytest
 
+import tgraphs.harness as harness
 from tgraphs.chordal import is_chordal
 from tgraphs.errors import TooLarge
 from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from tgraphs.harness import (
     TRepresentation,
+    _centre_code,
+    _pruefer_tree,
+    _pruefer_walk,
     brute_force_autgroup,
     brute_force_isomorphism,
     random_relabel,
@@ -110,6 +114,19 @@ class TestRandomRelabel:
         assert random_relabel(g, 5) == random_relabel(g, 5)
 
 
+def full_sweep(d):
+    """The catalog as the complete Prüfer sweep gives it: the first tree of each
+    AHU code over every valid sequence, n by n."""
+    found, seen = [], set()
+    for n in range(d, 2 * d - 1):
+        for seq in _pruefer_walk(n, n - d):
+            t = _pruefer_tree(n, seq)
+            if (code := _centre_code(t)) not in seen:
+                seen.add(code)
+                found.append(t)
+    return found
+
+
 class TestTreeCatalog:
     # the catalog picks random_t_graph's skeletons, so any change to its
     # enumeration order or labels moves every generated graph
@@ -125,6 +142,18 @@ class TestTreeCatalog:
                     [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)],
                     [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6)],
                     [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (2, 6), (2, 7)],
+                ],
+            ),
+            (  # taken from the complete sweep, which takes about 30 s at d = 6
+                6,
+                [
+                    [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)],
+                    [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7)],
+                    [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)],
+                    [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 6), (2, 7), (2, 8)],
+                    [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (2, 8)],
+                    [(0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 8), (3, 9)],
+                    [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 6), (2, 7), (3, 8), (3, 9)],
                 ],
             ),
         ],
@@ -150,3 +179,34 @@ class TestTreeCatalog:
             degs = [t.degree(v) for v in range(t.n)]
             assert sum(1 for x in degs if x == 1) == 4
             assert all(x != 2 for x in degs)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_the_full_sweep(self, d):
+        assert [t.edges for t in tree_catalog(d)] == [t.edges for t in full_sweep(d)]
+
+    def test_class_counts(self):
+        assert [len(tree_catalog(d)) for d in range(2, 8)] == [1, 1, 2, 3, 7, 13]
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_trees_are_distinct_and_leafy(self, d):
+        codes = set()
+        for t in tree_catalog(d):
+            degrees = [t.degree(v) for v in t.vertices()]
+            assert t.m == t.n - 1 and t.is_connected()
+            assert degrees.count(1) == d and 2 not in degrees
+            codes.add(_centre_code(t))
+        assert len(codes) == len(tree_catalog(d))
+
+    def test_cold_d6_decodes_few_sequences(self, monkeypatch):
+        """The walk stops once every class has appeared: 391 decodes, not the
+        full sweep's 584 k (a count, as a wall-clock bound would be flaky)."""
+        decoded = []
+        monkeypatch.setattr(harness, "_TREE_CATALOG_CACHE", {})
+        monkeypatch.setattr(harness, "_pruefer_tree", lambda n, seq: decoded.append(seq) or _pruefer_tree(n, seq))
+        assert len(tree_catalog(6)) == 7
+        assert len(decoded) <= 1000
+
+    def test_cached_catalog_is_a_tuple(self):
+        """No caller can reorder the skeletons that random_t_graph draws from."""
+        assert isinstance(tree_catalog(5), tuple)
+        assert tree_catalog(5) is tree_catalog(5)

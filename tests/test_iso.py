@@ -57,6 +57,20 @@ def connected_t_graph(d, n, seed):
     return next(g for s in range(seed, seed + 50) if (g := random_t_graph(d, n, s)[0]).is_connected())
 
 
+def refinement_separates(g1, g2):
+    """Colour refinement (1-WL) on the disjoint union: True when the two sides end
+    with different colour histograms, which proves them non-isomorphic."""
+    u = g1.union_disjoint(g2)
+    colour = [0] * u.n
+    while True:
+        signature = [(colour[v], tuple(sorted(colour[w] for w in u.adj[v]))) for v in u.vertices()]
+        ids = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+        refined = [ids[sig] for sig in signature]
+        if len(ids) == len(set(colour)):  # stable partition
+            return sorted(colour[: g1.n]) != sorted(colour[g1.n :])
+        colour = refined
+
+
 def make_cd(g1, g2, d):
     return combine(canonical_decomposition(g1, d), canonical_decomposition(g2, d))
 
@@ -687,6 +701,38 @@ class TestIsIsomorphic:
         if verdict.kind == ISOMORPHIC:
             for u, v in g1.edges:
                 assert g2.has_edge(verdict.witness[u], verdict.witness[v])
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_d6_stream(self, chunk):
+        """Random T-graphs on six-leaf skeletons, each against a relabelled copy
+        and another draw: brute force is the truth up to n = 12, the construction
+        above it (a relabelling is isomorphic; a draw that colour refinement
+        separates is not). Six-arm spiders with one arm vertex moved keep n, m
+        and the degrees, so they reach the decomposition when not isomorphic."""
+        reached = defaultdict(int)
+        for s in range(50 * chunk, 50 * chunk + 50):
+            n = 2 + s % 29
+            g = random_t_graph(6, n, 9000 + s)[0]
+            pairs = [(g, random_relabel(g, s)[0], True)]
+            if n <= 12:
+                other = random_t_graph(6, n, 9500 + s)[0]
+                pairs.append((g, other, brute_force_isomorphism(g, other) is not None))
+            else:
+                draws = (random_t_graph(6, n, 9500 + 1000 * k + s)[0] for k in range(20))
+                pairs.append((g, next(h for h in draws if refinement_separates(g, h)), False))
+            if n > 8:  # eight or more arm vertices on six arms leave a move that changes the lengths
+                cuts = sorted(random.Random(s).sample(range(1, n - 1), 5))
+                arms = [b - a for a, b in zip([0] + cuts, cuts + [n - 1])]
+                moves = ([a - (k == i) + (k == j) for k, a in enumerate(arms)] for i in range(6) for j in range(6))
+                moved = next(b for b in moves if min(b) > 0 and sorted(b) != sorted(arms))
+                pairs.append((spider(*arms), random_relabel(spider(*moved), s)[0], False))
+            for g1, g2, truth in pairs:
+                verdict = is_isomorphic(g1, g2, 6)
+                assert verdict.kind == (ISOMORPHIC if truth else NOT_ISOMORPHIC), verdict.evidence
+                if truth:
+                    assert all(g2.has_edge(verdict.witness[u], verdict.witness[v]) for u, v in g1.edges)
+                reached[truth, n > 12] += 1
+        assert all(reached[truth, big] >= 10 for truth in (False, True) for big in (False, True))
 
     @pytest.mark.parametrize("arms", [(2, 2, 2, 2, 2), (3, 3, 3, 3), (40, 40)], ids=["5x2", "4x3", "2x40"])
     def test_equal_arm_spider(self, arms):
