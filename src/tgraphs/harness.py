@@ -300,6 +300,72 @@ def random_t_graph(d: int, n: int, seed: int) -> tuple[Graph, TRepresentation]:
     return graph, rep
 
 
+# Pendant shapes: a vertex count and the edges among them; vertex 0 joins the body.
+PENDANTS = {
+    "vertex": (1, ()),
+    "p2": (2, ((0, 1),)),
+    "p3": (3, ((0, 1), (1, 2))),
+    "lollipop": (3, ((0, 1), (0, 2), (1, 2))),
+    # pendants with pendants of their own
+    "fork": (4, ((0, 1), (1, 2), (1, 3))),
+    "stemmed-lollipop": (4, ((0, 1), (1, 2), (1, 3), (2, 3))),
+}
+
+
+def _leafage_bound(g: Graph) -> int:
+    """At least 2 and at least the leafage of a connected chordal g: every leaf
+    of a clique tree holds a simplicial vertex, whose closed neighbourhood is
+    that clique, so the distinct closed neighbourhoods of simplicial vertices
+    bound the leaves of one clique tree."""
+    simplicial = [v for v in g.vertices() if all(g.adj[u] >= g.adj[v] - {u} for u in g.adj[v])]
+    return max(2, len({g.adj[v] | {v} for v in simplicial}))
+
+
+def pendant_swap_pair(seed: int) -> tuple[Graph, Graph, int]:
+    """A body with pendant fragments of different types hung on chosen body
+    vertices, the same body with those pendants permuted among the same
+    vertices and relabelled, and a leaf count both graphs are T-graphs for.
+
+    The body is a path of 3-7 vertices or a spider with three arms of 1-2
+    vertices; two or three distinct body vertices each get a pendant from
+    `PENDANTS`, not all of one type, and the permutation moves some type.
+    Whether the two graphs are isomorphic depends on the body's symmetry.
+    Where the level groups match the two sides, only the constraint tower's
+    a2 stages, which tie each pendant to its attachment, can tell them
+    apart. Deterministic per seed.
+    """
+    rng = random.Random(f"pendant-swap-{seed}")
+    if rng.random() < 0.5:
+        n = rng.randint(3, 7)
+        body = [(i, i + 1) for i in range(n - 1)]
+    else:
+        body, n = [], 1
+        for _ in range(3):
+            prev = 0
+            for _ in range(rng.randint(1, 2)):
+                body.append((prev, n))
+                prev, n = n, n + 1
+    at = rng.sample(range(n), rng.randint(2, 3))
+    types = [rng.choice(sorted(PENDANTS)) for _ in at]
+    while len(set(types)) < 2:
+        types[rng.randrange(len(types))] = rng.choice(sorted(PENDANTS))
+    moved = types[:]
+    while moved == types:
+        rng.shuffle(moved)
+
+    def build(kinds: list[str]) -> Graph:
+        edges, size = list(body), n
+        for v, kind in zip(at, kinds):
+            k, own = PENDANTS[kind]
+            edges.append((v, size))
+            edges += [(size + a, size + b) for a, b in own]
+            size += k
+        return Graph(size, edges)
+
+    g, h = build(types), random_relabel(build(moved), seed)[0]
+    return g, h, max(_leafage_bound(g), _leafage_bound(h))
+
+
 def random_relabel(g: Graph, seed: int) -> tuple[Graph, Perm]:
     """Uniformly random vertex relabeling; returns the new graph and the permutation used."""
     rng = random.Random(f"relabel-{seed}")

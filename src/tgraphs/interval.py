@@ -633,144 +633,191 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
     )
 
 
-def _singleton_group(enc: _Encoding) -> PermGroup:
-    """`family_autgroup(enc.family)` for a host whose marked sets have at most
-    one vertex each, read off its components' PQ-trees (Colbourn and Booth,
-    SIAM J. Comput. 1981).
+def _absorbed(tree: PQTree, own: frozenset[int], pairs: Sequence[tuple[int, int]]) -> bool:
+    """Whether a Q-node flip, given by the (vertex, image) pairs of the shard
+    vertices it moves, maps each onto a twin: a vertex assigned to the same
+    Q-node (`own`) with the same run. A flip keeps colours, so a twin
+    permutation then undoes it on the marked sets."""
+    run = tree.vertex_run
+    return all(u in own and run[u] == run[w] for u, w in pairs)
+
+
+def marked_set_action(hosts: Sequence[MarkedIntervalGraph]) -> tuple[list[Perm], list[int], int]:
+    """The action on hosts and marked sets of the isomorphisms between the
+    given connected hosts that keep each family and the tails, for marked
+    sets of at most one vertex each, read off the hosts' coloured PQ-trees
+    (Colbourn and Booth, SIAM J. Comput. 1981).
+
+    The domain is one point per host, in the given order, then one per
+    marked set: family by family, and inside a family host by host, in the
+    order of `marked_union`'s families. Returns generators, each one's lead
+    (a point it moves, which a chain's base may list), and the order of the
+    group they generate.
 
     Such marks only colour vertices: a vertex's colour lists the families
-    holding it as a set (with repeats) and whether it is the tail. The family
-    group is then generated by host automorphisms that keep the colours, each
-    acting on the sets keyed by (set, annotation), plus the swaps of equal
-    keys. `_forms` over each reduction's retained nodes, started from copies
-    of the tree's plain codes and orders, gives the coloured codes and
-    orders: a clean subtree holds no coloured vertex, so its coloured code is
-    its plain one, and a retained child, which holds one, never ties a clean
-    sibling. The symmetries are read off them, top-down:
-    - equal-code components swap, as do equal-code retained children of a P-node
-    - a Q-node reverses when its reversed coloured code is equal (the pass
-      lists these)
+    holding it, with repeats, and whether it is the tail. Each host's
+    `reduce_clean` is taken once per tree and marked vertices, and `_forms`
+    over its retained nodes, started from the tree's plain forms, once per
+    reduction and colouring: a clean subtree holds no coloured vertex, so its
+    coloured code is its plain one. The symmetries are read off them,
+    top-down, each as a vertex map carried onto the points:
+    - hosts of equal coloured root codes swap
+    - equal-code retained children of a P-node swap
+    - a Q-node reverses when its reversed coloured code is equal
     - coloured twins (one node, one run, one colour) swap
+    - equal marked sets swap: one vertex in one family of one host, or the
+      empty sets of one family in any host
 
-    Clean subtrees move no encoded set, and an unmarked vertex lies in no
-    singleton, so the other automorphisms act trivially on the keys. Each
-    symmetry is a factor of the order: k! for k equal components, children,
-    twins or keys, 2 for a reversal. The generators come top-down, each with
-    a point it moves that the earlier ones fix leading the base, so orbit
-    closure reaches the order without a Schreier generator. A class's swaps
-    chain its members in the order of the least index each one moves. So
-    when `find_element` rebuilds the chain on a sorted base, orbits close
-    there too; without that order, the rebuilds of the equal-arm spiders'
-    bucket groups formed hundreds of Schreier generators.
+    The order is counted, not read off a chain: `PermGroup` stops as soon as
+    its chain reaches a stated order, so an understated order would go
+    unnoticed. Clean subtrees and unmarked twins move no point, and each
+    retained child holds a marked vertex, so a class of k equal hosts,
+    children, twins or sets acts as S_k on its members, visibly on the
+    points. Nested classes multiply, as in a rooted tree's automorphism
+    group, so the order is the product of the k!, times 2 for each reversal
+    that is not absorbed. A reversal is absorbed when every shard vertex it moves
+    goes to a twin (`_absorbed`): it then acts on the points as a twin
+    permutation, so it adds neither a generator nor a factor. Otherwise it
+    moves a marked vertex to another run or child, which no
+    orientation-keeping symmetry does. A class's swaps chain its members in
+    the order of their least points; on a base of the leads, orbit closure
+    alone has reached the order on every input tested.
     """
-    m = enc.marked
-    colour_of: list[list[int]] = [[] for _ in m.host.vertices()]  # family indices ascending, then -1 for the tail
-    for j, fam in enumerate(m.families):
-        for s in fam:
-            for v in s:
-                colour_of[v].append(j)
-    if m.tail is not None:
-        colour_of[m.tail].append(-1)
-    colours = list(map(tuple, colour_of))
-    # the family's sets open with the marked ones, the tail last
-    marked_sets = enc.family.sets[: sum(map(len, m.families)) + (m.tail is not None)]
-    singleton_at: dict[int, int] = {}
-    for i, s in enumerate(marked_sets):
-        for v in s:
-            singleton_at.setdefault(v, i)
-    ann_ids: dict[Any, int] = {}  # an id per annotation, so that keys hash without re-hashing codes
-    keys = [(s, ann_ids.setdefault(a, len(ann_ids))) for s, a in zip(enc.family.sets, enc.family.annotations)]
-    equal: dict[tuple, list[int]] = {}
-    for i, key in enumerate(keys):
-        equal.setdefault(key, []).append(i)
-    rank = [0] * len(keys)
-    for members in equal.values():
-        for r, i in enumerate(members):
-            rank[i] = r
-    in_tree: list[list[int]] = [[] for _ in enc.trees]
-    for i, ti in enumerate(enc.component_of_index):
-        if ti >= 0:
-            in_tree[ti].append(i)
+    if len({len(m.families) for m in hosts}) > 1:
+        raise ValueError("all hosts must carry the same number of families")
+    trees = []
+    for m in hosts:
+        if any(len(s) > 1 for fam in m.families for s in fam):
+            raise ValueError("a marked set has more than one vertex")
+        components = m.component_trees()
+        if len(components) != 1:
+            raise ValueError("every host must be connected")
+        trees.append(components[0])
+    local = [{hv: v for v, hv in enumerate(back)} for _tree, back in trees]
+    # per host and tree vertex: its colour, and the points of its sets, a list per family
+    colours: list[list[tuple]] = []
+    points_at: list[list[list[list[int]]]] = [[[] for _ in back] for _tree, back in trees]
+    for m, (_tree, back), to_tree in zip(hosts, trees, local):
+        colour: list[list[int]] = [[] for _ in back]
+        for j, fam in enumerate(m.families):
+            for hv in chain.from_iterable(fam):
+                colour[to_tree[hv]].append(j)
+        if m.tail is not None:
+            colour[to_tree[m.tail]].append(-1)
+        colours.append(list(map(tuple, colour)))
+    equal: dict[tuple, list[int]] = {}  # equal marked sets share a key: (host, family, vertex), or (family,) when empty
+    degree = len(hosts)
+    for j in range(len(hosts[0].families) if hosts else 0):
+        for h, m in enumerate(hosts):
+            for s in m.families[j]:
+                key = (h, j, local[h][min(s)]) if s else (j,)
+                if key not in equal:
+                    equal[key] = []
+                    if s:
+                        points_at[h][key[2]].append(equal[key])
+                equal[key].append(degree)
+                degree += 1
+    least = [[sets[0][0] if sets else degree for sets in per_host] for per_host in points_at]
 
-    def on_keys(moved: dict[int, int], trees: Iterable[int]) -> Perm:
-        """The index action of a host automorphism, given by the vertices it
-        moves, all in the given components."""
-        images = list(range(len(keys)))
-        for i in chain.from_iterable(in_tree[ti] for ti in trees):
-            s, a = keys[i]
-            if not moved.keys().isdisjoint(s):
-                target = equal.get((frozenset(map(moved.get, s, s)), a))
-                if target is None:
-                    raise AssertionError("a coloured symmetry maps an encoded set off the family")
-                images[i] = target[rank[i]]
+    def on_points(moved: Iterable[tuple[tuple[int, int], tuple[int, int]]], hosts_moved=()) -> Perm:
+        """The point map of a symmetry that maps each (host, marked vertex) of
+        `moved` onto its partner and each host of `hosts_moved` onto its partner."""
+        images = list(range(degree))
+        for a, b in hosts_moved:
+            images[a] = b
+        for (ha, u), (hb, w) in moved:
+            for src, dst in zip(points_at[ha][u], points_at[hb][w]):
+                if len(src) != len(dst):
+                    raise AssertionError("a coloured symmetry maps a marked set off its family")
+                for p, q in zip(src, dst):
+                    images[p] = q
         return Perm._raw(tuple(images))
 
+    # per host, its reduction and the coloured codes, orders and reversible
+    # Q-nodes of `_forms` over the retained nodes; hosts sharing them share one
+    forms: list[tuple[CleanReduction, list[tuple], list[tuple[int, ...]], dict[int, tuple[int, ...]]]] = []
+    reduced: dict[tuple[int, frozenset[int]], CleanReduction] = {}
+    coloured: dict[tuple, tuple] = {}
+    for (tree, _back), colour in zip(trees, colours):
+        marked = frozenset(v for v, c in enumerate(colour) if c)
+        red = reduced.get((id(tree), marked))
+        if red is None:
+            red = reduced[(id(tree), marked)] = reduce_clean(tree, marked)
+        key = (id(red), tuple(colour))
+        if key not in coloured:
+            codes, orders = tree.canonical_forms()
+            flips: dict[int, tuple[int, ...]] = {}
+            coloured[key] = _forms(tree, red.retained, colour, list(codes), list(orders), flips) + (flips,)
+        forms.append((red,) + coloured[key])
+
     gens: list[Perm] = []
-    base: list[int] = []
+    leads: list[int] = []
     order = 1
 
-    def swaps(classes: Iterable[list], swap: Callable[[Any, Any], tuple[Perm, int]]):
-        """A generator and its base point per adjacent pair of each class; k! per class."""
+    def swaps(classes: Iterable[list[tuple[int, Any]]], swap: Callable[[Any, Any], Perm]):
+        """A generator per adjacent pair of each class of (lead, member), led by
+        the first's lead; k! per class."""
         nonlocal order
         for members in classes:
             order *= factorial(len(members))
-            for a, b in zip(members, members[1:]):
-                gen, point = swap(a, b)
-                gens.append(gen)
-                base.append(point)
+            members.sort(key=lambda member: member[0])
+            for (lead, a), (_lead, b) in zip(members, members[1:]):
+                gens.append(swap(a, b))
+                leads.append(lead)
 
-    # per component, the coloured codes, orders and reversible Q-nodes of `_forms`
-    # over the retained nodes; components sharing a reduction and colours share one
-    forms: list[tuple[list[tuple], list[tuple[int, ...]], dict[int, tuple[int, ...]]]] = []
-    coloured: dict[tuple, tuple] = {}
-    for red, back in zip(enc.reductions, enc.backs):
-        colour = tuple(colours[hv] for hv in back)
-        if (id(red), colour) not in coloured:
-            codes, orders = red.tree.canonical_forms()
-            flips: dict[int, tuple[int, ...]] = {}
-            coloured[(id(red), colour)] = _forms(red.tree, red.retained, colour, list(codes), list(orders), flips) + (flips,)
-        forms.append(coloured[(id(red), colour)])
-    orders_of = [orders for _codes, orders, _flips in forms]
+    def subtree(h: int, node: PQNode) -> tuple[int, tuple[int, PQNode]]:
+        """A subtree as a class member: its least point, then the subtree."""
+        return min(map(least[h].__getitem__, forms[h][2][node.nid]), default=degree), (h, node)
 
-    def subtree_swap(a: tuple[int, PQNode], b: tuple[int, PQNode]) -> tuple[Perm, int]:
-        (ta, x), (tb, y) = a, b
-        moved = dict(zip(map(enc.backs[ta].__getitem__, orders_of[ta][x.nid]),
-                         map(enc.backs[tb].__getitem__, orders_of[tb][y.nid])))
-        moved.update([(w, u) for u, w in moved.items()])
-        return on_keys(moved, {ta, tb}), enc.b_index[(ta, x.nid)]
+    def subtree_swap(a: tuple[int, PQNode], b: tuple[int, PQNode]) -> Perm:
+        (ha, x), (hb, y) = a, b
+        pairs = [((ha, u), (hb, w)) for u, w in zip(forms[ha][2][x.nid], forms[hb][2][y.nid]) if least[ha][u] < degree]
+        return on_points(pairs + [(w, u) for u, w in pairs], [(ha, hb), (hb, ha)] if x.parent is None else ())
 
-    def lead(member: tuple[int, PQNode]) -> tuple[int, int]:
-        """Where a subtree's swaps fall in a sorted base: its least singleton, then its belonging set."""
-        ti, x = member
-        back = enc.backs[ti]
-        inside = (singleton_at.get(back[v], len(keys)) for v in orders_of[ti][x.nid])
-        return min(inside, default=len(keys)), enc.b_index[(ti, x.nid)]
-
-    def key_swap(i: int, j: int) -> tuple[Perm, int]:
-        images = list(range(len(keys)))
-        images[i], images[j] = j, i
-        return Perm._raw(tuple(images)), i
-
-    roots = [(forms[ti][0][red.tree.root.nid], (ti, red.tree.root)) for ti, red in enumerate(enc.reductions)]
-    swaps([sorted(members, key=lead) for members in _classes(roots)], subtree_swap)
-    for ti, (red, (codes, orders, flips), back) in enumerate(zip(enc.reductions, forms, enc.backs)):
+    roots = ((forms[h][1][tree.root.nid], (h, (h, tree.root))) for h, (tree, _back) in enumerate(trees))
+    swaps(_classes(roots), subtree_swap)
+    for h, ((red, codes, orders, flips), colour) in enumerate(zip(forms, colours)):
         tree = red.tree
         for node in red.retained:  # preorder, so top-down
             if node.kind == "P":
                 dropped = dict(red.discarded.get(node.nid, ()))
-                retained = ((codes[c.nid], (ti, c)) for pos, c in enumerate(node.children) if pos not in dropped)
-                swaps([sorted(members, key=lead) for members in _classes(retained)], subtree_swap)
+                retained = ((codes[c.nid], subtree(h, c)) for pos, c in enumerate(node.children) if pos not in dropped)
+                swaps(_classes(retained), subtree_swap)
             elif node.nid in flips:
-                order *= 2
-                moved = {back[u]: back[w] for u, w in zip(orders[node.nid], flips[node.nid]) if u != w}
-                gens.append(on_keys(moved, [ti]))
-                base.append(enc.q_columns[(ti, node.nid)][0])
-            own = orders[node.nid][: len(tree.assigned_vertices(node))]
-            twins = _classes(((tree.vertex_run.get(v), colours[back[v]]), back[v]) for v in own if colours[back[v]])
-            swaps([sorted(members, key=singleton_at.__getitem__) for members in twins],
-                  lambda u, w: (on_keys({u: w, w: u}, [ti]), singleton_at[u]))
-    swaps([members for members in equal.values() if len(members) > 1], key_swap)
-    return PermGroup(len(keys), gens, base, order)
+                pairs = [(u, w) for u, w in zip(orders[node.nid], flips[node.nid]) if u != w and least[h][u] < degree]
+                if not _absorbed(tree, tree.assigned_vertices(node), pairs):
+                    order *= 2
+                    gens.append(on_points([((h, u), (h, w)) for u, w in pairs]))
+                    leads.append(min(least[h][u] for u, _w in pairs))
+            own = [v for v in orders[node.nid][: len(tree.assigned_vertices(node))] if least[h][v] < degree]
+            twins = _classes(((tree.vertex_run.get(v), colour[v]), (least[h][v], v)) for v in own)
+            swaps(twins, lambda u, w, h=h: on_points([((h, u), (h, w)), ((h, w), (h, u))]))
+    for members in equal.values():
+        order *= factorial(len(members))
+        for p, q in zip(members, members[1:]):
+            images = list(range(degree))
+            images[p], images[q] = q, p
+            gens.append(Perm._raw(tuple(images)))
+            leads.append(p)
+    return gens, leads, order
+
+
+def family_set_action(hosts: Sequence[MarkedIntervalGraph]) -> list[Perm]:
+    """Generators of the action `marked_set_action` describes, on its domain,
+    for connected hosts with marked sets of any size: `family_autgroup` of
+    their union's encoding, each generator read on the hosts (by their root
+    nodes' sets) and on the marked sets. The order is not known."""
+    union, _offsets = marked_union(hosts)
+    enc = _marked_encoding(union)
+    if len(enc.trees) != len(hosts):
+        raise ValueError("every host must be connected")
+    roots = [enc.b_index[(k, red.tree.root.nid)] for k, red in enumerate(enc.reductions)]
+    sets = [i for index in enc.a_indices[: len(hosts[0].families)] for i in index]
+    point = {i: len(hosts) + r for r, i in enumerate(sets)}
+    return [
+        Perm._raw(tuple([enc.component_of_index[gen(i)] for i in roots] + [point[gen(i)] for i in sets]))
+        for gen in family_autgroup(enc.family).generators
+    ]
 
 
 def marked_action_group(m: MarkedIntervalGraph) -> PermGroup:
@@ -1005,12 +1052,8 @@ class MarkedContext:
     def group(self) -> PermGroup:
         """Automorphisms of the encoded family, acting on encoded-set indices."""
         if self._group is None:
-            self._group = _singleton_group(self.enc) if self.singleton_marks() else family_autgroup(self.enc.family)
+            self._group = family_autgroup(self.enc.family)
         return self._group
-
-    def singleton_marks(self) -> bool:
-        """Whether every marked set has at most one vertex, so that `group` is read off the PQ-trees."""
-        return all(len(s) <= 1 for fam in self.m.families for s in fam)
 
     def action_group(self) -> PermGroup:
         order = [i for fam in self.enc.a_indices for i in fam]

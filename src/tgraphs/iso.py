@@ -19,11 +19,11 @@ from .decompose import Completion, Decomposition, canonical_decomposition, merge
 from .errors import NotTGraph
 from .graph import Graph
 from .interval import (
-    MarkedContext,
     MarkedIntervalGraph,
     PQTree,
     coloured_root_form,
-    marked_union,
+    family_set_action,
+    marked_set_action,
     pq_tree_isomorphism,
     root_code,
 )
@@ -193,41 +193,61 @@ def _class_key(cf: CFragment) -> tuple:
     )
 
 
-def level_group(cd: CombinedDecomposition, level: int) -> PermGroup:
-    """The level group: per bucket, the marked automorphisms of the bucket's
-    union acting on its fragments and their terminal shards. The level's
-    origin fragments lead the base, as `decomposition_autgroup` needs."""
-    if level in cd.level_groups:
-        return cd.level_groups[level]
-    offset = sum(cd.level_degrees[: level - 1])  # the domain lists the levels in order
-    degree = cd.level_degrees[level - 1]
+def level_buckets(cd: CombinedDecomposition, level: int) -> list[list[CFragment]]:
+    """The level's fragments grouped by `_class_key`, each group in fragment order."""
     keyed: dict[tuple, list[CFragment]] = {}
     for cf in cd.fragments:
         if cf.level == level:
             keyed.setdefault(_class_key(cf), []).append(cf)
+    return list(keyed.values())
+
+
+def level_group(cd: CombinedDecomposition, level: int) -> PermGroup:
+    """The level group: per bucket (the level's fragments of one `_class_key`),
+    the marked automorphisms of the bucket's hosts acting on its fragments
+    and their terminal shards.
+
+    A bucket whose shards have at most one vertex each reads its action
+    straight off the fragments' coloured PQ-trees (`marked_set_action`),
+    with generators, leads and a counted order; a bucket with a larger shard
+    takes `family_autgroup` of its hosts' union (`family_set_action`), whose
+    order is not known. The buckets act on disjoint points, so when every
+    bucket counts its order the level's order is their product, and the
+    chain is built at that stated order: orbit closure on the leads reaches
+    it without forming Schreier generators wherever each class's swaps
+    chain its members by their least points. The order must come from
+    counting, since `PermGroup` cannot tell an understated order that its
+    chain passes through. A reversible Q-node that moves each shard vertex
+    onto a twin is absorbed: a twin permutation undoes it on the level's
+    points, so it counts no factor 2. The level's origin fragments lead the
+    base, as `decomposition_autgroup` needs, then the leads."""
+    if level in cd.level_groups:
+        return cd.level_groups[level]
+    offset = sum(cd.level_degrees[: level - 1])  # the domain lists the levels in order
+    degree = cd.level_degrees[level - 1]
     gens: list[Perm] = []
-    for bucket_frags in keyed.values():
-        union, offsets = marked_union([cf.marked for cf in bucket_frags])
-        context = MarkedContext(union)
-        if len(context.enc.trees) != len(bucket_frags):
+    leads: list[int] = []
+    order: Optional[int] = 1
+    for bucket_frags in level_buckets(cd, level):
+        hosts = [cf.marked for cf in bucket_frags]
+        if any(len(m.component_trees()) != 1 for m in hosts):
             raise AssertionError("a fragment's marked host is disconnected")
-        parts = context.set_parts(offsets)
-        shard_index = {}
-        for j, indices in enumerate(context.enc.a_indices[: level - 1]):
-            shards = [t for cf in bucket_frags for t in cf.shards[j]]
-            shard_index.update((t.tid, i) for t, i in zip(shards, indices))
-        # every fragment's sets lie in its one component, so any of them shows its image
-        probe = [parts.index(k) for k in range(len(bucket_frags))]
-        shard_at = {i: tid for tid, i in shard_index.items()}
-        for gen in context.group.generators:
+        # the actions' domain: the hosts, then the marked sets family by family, host by host
+        points = [cd.frag_point[cf.gid] - offset for cf in bucket_frags]
+        points += [cd.term_point[t.tid] - offset for j in range(level - 1) for cf in bucket_frags for t in cf.shards[j]]
+        if all(len(t.vertices) <= 1 for cf in bucket_frags for fam in cf.shards for t in fam):
+            action, bucket_leads, bucket_order = marked_set_action(hosts)
+            leads += map(points.__getitem__, bucket_leads)
+            order = None if order is None else order * bucket_order
+        else:
+            action, order = family_set_action(hosts), None
+        for gen in action:
             images = list(range(degree))
-            for cf, i in zip(bucket_frags, probe):
-                images[cd.frag_point[cf.gid] - offset] = cd.frag_point[bucket_frags[parts[gen(i)]].gid] - offset
-            for tid, i in shard_index.items():
-                images[cd.term_point[tid] - offset] = cd.term_point[shard_at[gen(i)]] - offset
-            gens.append(Perm(images))
+            for p, q in zip(points, gen.images):
+                images[p] = points[q]
+            gens.append(Perm._raw(tuple(images)))
     origins = sorted({cd.frag_point[t.origin_gid] - offset for t in cd.terminals if t.origin_level == level})
-    group = PermGroup(degree, gens, base=origins)
+    group = PermGroup(degree, gens, base=origins + leads, order=order)
     cd.level_groups[level] = group
     return group
 

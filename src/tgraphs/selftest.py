@@ -22,7 +22,7 @@ from .harness import (
     random_t_graph,
     verify_t_representation,
 )
-from .interval import MarkedContext, MarkedIntervalGraph, brute_marked_autgroup, build_pq_tree
+from .interval import MarkedContext, MarkedIntervalGraph, brute_marked_autgroup, build_pq_tree, marked_set_action
 from .iso import ISOMORPHIC, NOT_T_GRAPH, combine, decomposition_autgroup, is_isomorphic, project_automorphism
 from .perm import MembershipPredicate, Perm, PermGroup, fhl_subgroup, symmetric_on_classes, tower_of_groups
 from .setfamily import SetFamily, family_autgroup, is_family_automorphism
@@ -311,10 +311,17 @@ def _interval_pq(cfg) -> Check:
                 tail = rng.choice(leaves)
         context = MarkedContext(MarkedIntervalGraph(g, fams, tail=tail))
         marked_cases += 1
-        singleton_cases += context.singleton_marks()
         got = context.action_group()
         want = brute_marked_autgroup(context.m)
         mismatches += got.order() != want.order() or not all(got.contains(x) for x in want.generators)
+        if all(len(s) <= 1 for fam in fams for s in fam):
+            # the host is point 0 of the action's domain, the marked sets follow in want's order
+            singleton_cases += 1
+            gens, _leads, order = marked_set_action([context.m])
+            counted = PermGroup(1 + want.degree, gens)  # at unknown order, so the count is checked
+            on_sets = counted.restriction(range(1, counted.degree))
+            mismatches += counted.order() != order or on_sets.order() != want.order()
+            mismatches += not all(on_sets.contains(x) for x in want.generators)
     detail = (
         f"{pq_cases} presence checks + {marked_cases} marked action groups "
         f"({singleton_cases} on the singleton-mark path), {mismatches} mismatches"

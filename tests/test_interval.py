@@ -19,13 +19,15 @@ from tgraphs.interval import (
     marked_action_group,
     _forms,
     _marked_encoding,
-    _singleton_group,
+    family_set_action,
     marked_isomorphism,
+    marked_set_action,
     marked_union,
     pq_tree_to_text,
     reduce_clean,
 )
-from tgraphs.setfamily import family_autgroup, max_antichain_size
+from tgraphs.perm import PermGroup
+from tgraphs.setfamily import max_antichain_size
 
 
 def brute_valid_orders(g):
@@ -426,9 +428,9 @@ class TestMarkedActionGroup:
 
 @st.composite
 def singleton_marked(draw):
-    """A marked interval host whose marked sets have at most one vertex: one
-    connected host, or the union of up to four, often of one graph with the
-    same marks so that components swap; 1-3 families and an optional tail."""
+    """Connected marked interval hosts whose marked sets have at most one
+    vertex: one host, or up to four, often of one graph with the same marks
+    so that hosts swap; 1-3 families and either a tail on every host or on none."""
     families = draw(st.integers(1, 3))
     with_tail = draw(st.booleans())
     first = draw(st.integers(1, 9)), draw(st.integers(0, 10**6))
@@ -445,22 +447,46 @@ def singleton_marked(draw):
         parts.append(parts[-1] if parts and draw(st.booleans()) else part)
     if any(part.tail is None for part in parts):
         parts = [MarkedIntervalGraph(part.host, part.families) for part in parts]
-    return parts[0] if len(parts) == 1 else marked_union(parts)[0]
+    return parts
+
+
+def action_domain(hosts):
+    """The size of `marked_set_action`'s domain: the hosts, then the marked sets."""
+    return len(hosts) + sum(len(fam) for m in hosts for fam in m.families)
+
+
+def check_counted_action(hosts, flips=None):
+    """`marked_set_action(hosts)` against the key path, `family_set_action`:
+    equal groups, at the counted order, which a chain of unknown order on the
+    same generators also reaches (so the count is not understated) and which
+    doubled raises (so it is not overstated). `flips`, when given, collects
+    each reversible Q-node's absorption."""
+    degree = action_domain(hosts)
+    gens, leads, order = marked_set_action(hosts)
+    assert len(leads) == len(gens) and all(gen(lead) != lead for gen, lead in zip(gens, leads))
+    got = PermGroup(degree, gens, leads, order)
+    assert not got._sifted  # orbit closure alone reached the counted order
+    want = PermGroup(degree, family_set_action(hosts))
+    assert got.order() == want.order() == order
+    assert all(want.contains(gen) for gen in got.generators)
+    assert all(got.contains(gen) for gen in want.generators)
+    assert PermGroup(degree, gens, leads).order() == order
+    with pytest.raises(AssertionError):
+        PermGroup(degree, gens, leads, 2 * order)
+    return got
 
 
 class TestSingletonGroup:
-    """Hosts whose marked sets have at most one vertex read their group off the
-    coloured PQ-trees; `family_autgroup` on the same encoding is the oracle."""
+    """Hosts whose marked sets have at most one vertex read their action on
+    hosts and marked sets off the coloured PQ-trees (`marked_set_action`);
+    `family_autgroup` of their union's encoding, projected, is the oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(singleton_marked())
-    def test_equals_the_family_group(self, m):
+    def test_equals_the_family_group(self, hosts):
+        check_counted_action(hosts)
+        m = hosts[0] if len(hosts) == 1 else marked_union(hosts)[0]
         enc = _marked_encoding(m)
-        got, want = _singleton_group(enc), family_autgroup(enc.family)
-        assert not got._sifted  # orbit closure alone completed the chain at the stated order
-        assert got.order() == want.order()
-        assert all(want.contains(gen) for gen in got.generators)
-        assert all(got.contains(gen) for gen in want.generators)
         ctx = MarkedContext(m)
         for gen in ctx.group.generators:
             element, sigma = ctx.realize(dict(enumerate(gen.images)), [])
@@ -507,29 +533,32 @@ class TestSingletonGroup:
 
     def test_singleton_hosts_take_the_tree_path(self, monkeypatch):
         paths = []
-        for name in ("family_autgroup", "_singleton_group"):
+        for name in ("family_autgroup", "_marked_encoding"):
             original = getattr(tgraphs.interval, name)
             monkeypatch.setattr(tgraphs.interval, name, lambda arg, f=original, name=name: paths.append(name) or f(arg))
         g = path_graph(5)
-        MarkedContext(MarkedIntervalGraph(g, [({1}, set()), ({3},)], tail=0)).group
-        MarkedContext(MarkedIntervalGraph(g, [({1, 2}, {3})])).group
-        assert paths == ["_singleton_group", "family_autgroup"]
+        marked_set_action([MarkedIntervalGraph(g, [({1}, set()), ({3},)], tail=0)])
+        assert paths == []
+        family_set_action([MarkedIntervalGraph(g, [({1, 2}, {3})])])
+        assert paths == ["_marked_encoding", "family_autgroup"]
+        with pytest.raises(ValueError):
+            marked_set_action([MarkedIntervalGraph(g, [({1, 2}, {3})])])
 
     @pytest.mark.parametrize(
         "m, order",
         [
             # a path's reversal swaps the two marks of one family
-            (MarkedIntervalGraph(path_graph(5), [({1}, {3})]), 2),
-            # two equal marked triangles of a union swap; inside each, the two
-            # unmarked vertices are twins that move no encoded set
-            (marked_union([MarkedIntervalGraph(complete_graph(3), [({0},)])] * 2)[0], 2),
+            ([MarkedIntervalGraph(path_graph(5), [({1}, {3})])], 2),
+            # two equal marked triangles swap; inside each, the two unmarked
+            # vertices are twins that move no point
+            ([MarkedIntervalGraph(complete_graph(3), [({0},)])] * 2, 2),
             # twins of a triangle: 0 and 1 swap; 2, listed twice, has a colour
             # of its own, and its two equal sets swap
-            (MarkedIntervalGraph(complete_graph(3), [({0}, {1}, {2}, {2})]), 4),
+            ([MarkedIntervalGraph(complete_graph(3), [({0}, {1}, {2}, {2})])], 4),
         ],
     )
     def test_orders(self, m, order):
-        assert MarkedContext(m).group.order() == order == family_autgroup(_marked_encoding(m).family).order()
+        assert marked_set_action(m)[2] == order == PermGroup(action_domain(m), family_set_action(m)).order()
 
 
 class TestMarkedIsomorphism:

@@ -14,9 +14,12 @@ from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, star_g
 from tgraphs.harness import (
     brute_force_autgroup,
     brute_force_isomorphism,
+    pendant_swap_pair,
     random_relabel,
     random_t_graph,
+    random_tree,
 )
+from tgraphs.interval import family_set_action
 from tgraphs.iso import (
     ISOMORPHIC,
     NOT_ISOMORPHIC,
@@ -29,7 +32,7 @@ from tgraphs.iso import (
     lift_to_vertices,
     project_automorphism,
 )
-from tgraphs.perm import PermGroup, find_block_swap
+from tgraphs.perm import Perm, PermGroup, find_block_swap
 
 
 def subdivided_claw():
@@ -45,6 +48,11 @@ def spider(*arms):
             edges.append((prev, nxt))
             prev, nxt = nxt, nxt + 1
     return Graph(nxt, edges)
+
+
+def path_power(n, k):
+    """The k-th power of the path on n vertices."""
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, min(u + k + 1, n))])
 
 
 SMALL_SPIDERS = [(1, 1, 1), (1, 2, 2), (2, 2, 3), (1, 1, 1, 1), (1, 2, 2, 2)]
@@ -144,21 +152,100 @@ class TestLevelGroup:
 
         calls = []
 
-        def counting(name):
-            original = getattr(interval, name)
-            return lambda *args: calls.append(name) or original(*args)
+        def counting(owner, name):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or original(*args))
 
-        for name in ("family_autgroup", "_singleton_group"):
-            monkeypatch.setattr(interval, name, counting(name))
+        counting(iso, "marked_set_action")
+        for name in ("family_autgroup", "_marked_encoding"):
+            counting(interval, name)
         cd = make_cd(subdivided_claw(), subdivided_claw(), 3)
         orders = []
         for level in (1, 2):
             calls.clear()
             orders.append(level_group(cd, level).order())
             # each level holds one bucket: six tips, then two cores, all
-            # marked by singletons, so the PQ-tree path builds each group
-            assert calls == ["_singleton_group"]
+            # marked by singletons, so the PQ-tree path builds each action
+            assert calls == ["marked_set_action"]
         assert orders == [720, 72]
+
+    @staticmethod
+    def projected_level_group(cd, level):
+        """The level group as `family_autgroup` gives it: every bucket's
+        `family_set_action` carried onto the level's points, at unknown order."""
+        offset = sum(cd.level_degrees[: level - 1])
+        degree = cd.level_degrees[level - 1]
+        gens = []
+        for frags in iso.level_buckets(cd, level):
+            points = [cd.frag_point[cf.gid] - offset for cf in frags]
+            points += [cd.term_point[t.tid] - offset for j in range(level - 1) for cf in frags for t in cf.shards[j]]
+            for gen in family_set_action([cf.marked for cf in frags]):
+                images = list(range(degree))
+                for p, q in zip(points, gen.images):
+                    images[p] = points[q]
+                gens.append(Perm(images))
+        return PermGroup(degree, gens)
+
+    @staticmethod
+    def level_stream():
+        """Seeded (g, h, d): random T-graphs (d 2-6, n 4-40) against a
+        relabelling or another draw, random trees, the bench's `chain` and
+        `dense` classes and a path with two equal pendants, each against a
+        relabelling."""
+        rng = random.Random(35)
+        out = []
+        for s in range(90):
+            d, n = 2 + s % 5, rng.randint(4, 40)
+            g = connected_t_graph(d, n, 9000 + s)
+            h = connected_t_graph(d, n, 9500 + s) if s % 3 == 0 else random_relabel(g, s)[0]
+            out.append((g, h, d))
+        for s in range(20):
+            t = random_tree(rng.randint(4, 30), rng)
+            out.append((t, random_relabel(t, s)[0], max(2, sum(t.degree(v) == 1 for v in t.vertices()))))
+        chain = [(path_power(20 + k, k), 2) for k in (1, 2, 3)] + [(spider(5, 5, 5), 3), (spider(6, 6, 6), 3)]
+        dense = [(random_t_graph(d, 30, s)[0], d) for d in (3, 4, 5) for s in range(4)]
+        # the path 0-6 with a pendant P2 on 2 and on 4: the residual path's
+        # reversal exchanges the pendants' shards, so it is not absorbed
+        pendants = [(Graph(11, [(i, i + 1) for i in range(6)] + [(2, 7), (7, 8), (4, 9), (9, 10)]), 4)]
+        for i, (g, d) in enumerate(chain + dense + pendants):
+            out.append((g, random_relabel(g, i)[0], d))
+        return out
+
+    def test_counted_levels_equal_the_family_projection(self, monkeypatch):
+        """Every level of the stream's combined decompositions: the level group
+        equals the projection of the family groups, its counted order is
+        reached by a chain of unknown order on the same generators (so it is
+        not understated) and raises when doubled (so it is not overstated),
+        and both kinds of reversible Q-node occur."""
+        import tgraphs.interval as interval
+
+        stated, absorbed = [], []
+        inner_absorbed = interval._absorbed
+        monkeypatch.setattr(interval, "_absorbed", lambda *args: absorbed.append(inner_absorbed(*args)) or absorbed[-1])
+
+        def recording(*args, order=None, **kw):
+            stated.append(order)
+            return PermGroup(*args, order=order, **kw)
+
+        monkeypatch.setattr(iso, "PermGroup", recording)
+        counted = levels = 0
+        for g, h, d in self.level_stream():
+            cd = make_cd(g, h, d)  # None when the two depths differ
+            for level in range(1, (cd.depth if cd else 0) + 1):
+                group = level_group(cd, level)
+                order = stated[-1]
+                want = self.projected_level_group(cd, level)
+                assert group.order() == want.order()
+                assert all(want.contains(gen) for gen in group.generators)
+                assert all(group.contains(gen) for gen in want.generators)
+                levels += 1
+                if order is not None:
+                    counted += 1
+                    assert PermGroup(group.degree, group.generators, group.base).order() == order
+                    with pytest.raises(AssertionError):
+                        PermGroup(group.degree, group.generators, group.base, 2 * order)
+        assert levels > 200 and 0 < counted < levels
+        assert absorbed.count(True) > 0 and absorbed.count(False) > 0
 
     def test_origin_fragments_lead_the_base(self):
         # the six tips carry the shards of level 2, so decomposition_autgroup
@@ -203,9 +290,13 @@ class TestDecompositionAutgroup:
     def record_fibre_products(monkeypatch) -> list:
         """Per fibre product built, its arguments and the Schreier generators it queued.
 
-        Among the engine's PermGroup calls in iso, only the fibre product states its order."""
+        Among the engine's PermGroup calls in iso, the level groups and the
+        fibre products state their orders; the calls made inside
+        `level_group` are the level groups'."""
         built = []
+        in_level = []
         queue_of = PermGroup._queue_schreier_generators
+        inner_level = iso.level_group
 
         def counting(self, i, queue):
             before = len(queue)
@@ -214,21 +305,28 @@ class TestDecompositionAutgroup:
                 built[-1][2] += len(queue) - before
 
         def fibre_product(degree, gens, base=(), order=None):
-            if order is None:
-                return PermGroup(degree, gens, base)
+            if order is None or in_level:
+                return PermGroup(degree, gens, base, order)
             built.append([(degree, gens, base, order), None, 0])
             group = built[-1][1] = PermGroup(degree, gens, base, order)
             return group
 
+        def level_group(cd, level):
+            in_level.append(level)
+            try:
+                return inner_level(cd, level)
+            finally:
+                in_level.pop()
+
         monkeypatch.setattr(PermGroup, "_queue_schreier_generators", counting)
         monkeypatch.setattr(iso, "PermGroup", fibre_product)
+        monkeypatch.setattr(iso, "level_group", level_group)
         return built
 
     def test_fibre_product_queues_no_schreier_generator(self, monkeypatch):
         built = self.record_fibre_products(monkeypatch)
         # the bench's chain classes: path powers P(20 + k)^k and the 5x3 and 6x3 spiders
-        chain_classes = [Graph(20 + k, [(u, v) for u in range(20 + k) for v in range(u + 1, min(u + k + 1, 20 + k))])
-                         for k in (1, 2, 3)]
+        chain_classes = [path_power(20 + k, k) for k in (1, 2, 3)]
         chain_classes += [spider(5, 5, 5), spider(6, 6, 6)]
         spiders = [spider(*arms) for arms in ((1, 2, 3), (2, 3, 4), (3, 3, 3), (4, 4, 4))]
         spiders += [spider(*(2,) * k) for k in range(3, 17)]
@@ -237,6 +335,23 @@ class TestDecompositionAutgroup:
             assert is_isomorphic(g, random_relabel(g, i)[0], d).kind == ISOMORPHIC
         assert len(built) >= len(spiders)
         assert [queued for _args, _group, queued in built] == [0] * len(built)
+
+    def test_equal_arm_spiders_queue_no_schreier_generator(self, monkeypatch):
+        """The f(d) family: every level group and fibre product of the equal-arm
+        spiders up to 32x2 reaches its stated order by orbit closure alone."""
+        queued = []
+        queue_of = PermGroup._queue_schreier_generators
+
+        def counting(self, i, queue):
+            before = len(queue)
+            queue_of(self, i, queue)
+            queued.append(len(queue) - before)
+
+        monkeypatch.setattr(PermGroup, "_queue_schreier_generators", counting)
+        for k in range(3, 33):
+            g = spider(*(2,) * k)
+            decomposition_autgroup(make_cd(g, random_relabel(g, k)[0], k))
+            assert sum(queued) == 0, k
 
     def test_fibre_product_base_still_checks_the_stated_order(self, monkeypatch):
         built = self.record_fibre_products(monkeypatch)
@@ -441,24 +556,15 @@ class TestTreeReuse:
         assert len(built) == 2  # each side is one residual fragment
 
     def test_no_fragment_tree_built_twice(self, monkeypatch):
+        import tgraphs.interval as interval
+
         g = branch_graph_with_pendants()
         h, _ = random_relabel(g, 7)
         built = self.record_builds(monkeypatch)
-        contexts = []  # (the level group's marked context, the fragment hosts of its union)
-        parts = {}
-        union_of, context_of = iso.marked_union, iso.MarkedContext
-
-        def recording_union(ms):
-            union, offsets = union_of(ms)
-            parts[id(union)] = ms
-            return union, offsets
-
-        def recording_context(union):
-            contexts.append((context_of(union), parts[id(union)]))
-            return contexts[-1][0]
-
-        monkeypatch.setattr(iso, "marked_union", recording_union)
-        monkeypatch.setattr(iso, "MarkedContext", recording_context)
+        bucket_hosts = []  # the hosts of each level bucket's action, on either path
+        for name in ("marked_set_action", "family_set_action"):
+            inner = getattr(iso, name)
+            monkeypatch.setattr(iso, name, lambda hosts, f=inner: bucket_hosts.append(hosts) or f(hosts))
         cd = make_cd(g, h, 3)
         assert cd.depth >= 2
         assert {cf.provenance for cf in cd.fragments} == {"simplicial", "separator", "residual"}
@@ -476,33 +582,37 @@ class TestTreeReuse:
             if cf.completion is not None:
                 assert own[cf.gid].graph.edges == cf.completion.graph.edges
         fragment_of = {id(cf.marked): cf for cf in cd.fragments}
-        assert sum(len(ms) for _context, ms in contexts) == len(cd.fragments)
-        for context, ms in contexts:
-            assert len(context.enc.trees) == len(ms)
-            for tree, m in zip(context.enc.trees, ms):
-                assert tree is own[fragment_of[id(m)].gid]
-
+        assert sum(map(len, bucket_hosts)) == len(cd.fragments)
+        for hosts in bucket_hosts:
+            trees = [id(own[fragment_of[id(m)].gid]) for m in hosts]
+            assert [id(m.component_trees()[0][0]) for m in hosts] == trees
+            # the union a bucket's family group encodes carries its parts' trees too
+            context = interval.MarkedContext(interval.marked_union(hosts)[0])
+            assert list(map(id, context.enc.trees)) == trees
+        assert len(built) == decomposed
 
 class TestSingletonMarks:
     """On the 3-arm spiders every bucket's marked sets are singletons, so its
-    group is read off the coloured PQ-trees, and each tree's canonical forms
-    are computed once."""
+    action is read off the coloured PQ-trees, with no set family encoded,
+    and each tree's canonical forms are computed once."""
 
     @staticmethod
-    def count(monkeypatch, name) -> list:
+    def count(monkeypatch, name, owner=None) -> list:
         import tgraphs.interval as interval
 
+        owner = owner or interval
         calls = []
-        original = getattr(interval, name)
-        monkeypatch.setattr(interval, name, lambda arg: calls.append(arg) or original(arg))
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda arg: calls.append(arg) or original(arg))
         return calls
 
     def test_no_family_search_on_a_spider_pair(self, monkeypatch):
         searched = self.count(monkeypatch, "family_autgroup")
-        read = self.count(monkeypatch, "_singleton_group")
+        encoded = self.count(monkeypatch, "_marked_encoding")
+        read = self.count(monkeypatch, "marked_set_action", iso)
         g = spider(6, 6, 6)
         assert is_isomorphic(g, random_relabel(g, 1)[0], 3).kind == ISOMORPHIC
-        assert (len(searched), len(read)) == (0, 6)
+        assert (len(searched), len(encoded), len(read)) == (0, 0, 6)
 
     def test_canonical_forms_once_per_tree(self, monkeypatch):
         computed = self.count(monkeypatch, "_canonical_forms")
@@ -812,6 +922,30 @@ class TestConstraintTower:
         assert verdict.kind == NOT_ISOMORPHIC
         assert brute_force_isomorphism(g, h) is None
         assert (["a2-1"], 2) in [(names, before // after) for names, before, after in stages]
+
+    def test_pendant_swap_stream(self, monkeypatch):
+        """`harness.pendant_swap_pair`'s seeded stream: every verdict is right
+        (brute force up to n = 12; above it, on trees, colour refinement,
+        which decides tree isomorphism), every witness verifies, and some a2
+        stage cuts with index above 1."""
+        stages = self.record_tower(monkeypatch)
+        small = trees = 0
+        for seed in range(150):
+            g, h, d = pendant_swap_pair(seed)
+            verdict = is_isomorphic(g, h, d)
+            assert verdict.kind in (ISOMORPHIC, NOT_ISOMORPHIC), seed
+            if verdict.kind == ISOMORPHIC:
+                w = verdict.witness
+                assert sorted(w) == list(range(h.n)) and all(h.has_edge(w[u], w[v]) for u, v in g.edges)
+            if g.n <= 12:
+                small += 1
+                assert (brute_force_isomorphism(g, h) is not None) == (verdict.kind == ISOMORPHIC), seed
+            elif g.m == g.n - 1:
+                trees += 1
+                assert refinement_separates(g, h) == (verdict.kind == NOT_ISOMORPHIC), seed
+        assert small > 50 and trees > 10
+        cuts = {names[0] for names, before, after in stages if names[0].startswith("a2") and before > after}
+        assert "a2-1" in cuts and len(cuts) > 1
 
     def test_relabelled_copy_isomorphic(self):
         g = pendant_pair_body(1, 2)

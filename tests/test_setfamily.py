@@ -3,13 +3,12 @@ from itertools import combinations, permutations
 
 import pytest
 
-import tgraphs.interval
-import tgraphs.iso
 import tgraphs.setfamily
+from tgraphs.decompose import canonical_decomposition
 from tgraphs.graph import Graph, path_graph
 from tgraphs.harness import random_relabel
-from tgraphs.interval import MarkedContext, MarkedIntervalGraph, marked_union
-from tgraphs.iso import is_isomorphic
+from tgraphs.interval import MarkedContext, MarkedIntervalGraph, family_set_action, marked_set_action, marked_union
+from tgraphs.iso import combine, level_buckets
 from tgraphs.perm import Perm, PermGroup
 from tgraphs.setfamily import (
     SetFamily,
@@ -286,18 +285,21 @@ class TestFamilyAutgroup:
 
     def test_spider_searches_only_its_residual_level(self, monkeypatch):
         spider = spider_graph(5, 5, 5)
-        built = marked_groups(monkeypatch, lambda: is_isomorphic(spider, random_relabel(spider, 1)[0], 3).witness)
-        depth = built[0][2][1]
-        assert depth > 1 and {level for _f, _g, (level, _d) in built} == set(range(1, depth + 1))
-        # the decision reads every group off the PQ-trees; as the oracle,
-        # family_autgroup searches only the residual level's family
+        built = bucket_contexts(spider, random_relabel(spider, 1)[0], 3)
+        depth = built[0][2]  # the deepest level comes first
+        assert depth > 1 and {level for _hosts, _context, level in built} == set(range(1, depth + 1))
+        # the decision reads every bucket's action off the PQ-trees; as the
+        # oracle, family_autgroup searches only the residual level's family,
+        # and its projection has the counted order
         calls, searched = [], []
         inner_search = tgraphs.setfamily._search
         monkeypatch.setattr(tgraphs.setfamily, "_search", lambda *args: calls.append(1) or inner_search(*args))
-        for family, group, (level, _depth) in built:
+        for hosts, context, level in built:
             calls.clear()
-            assert family_autgroup(family).order() == group.order()
+            context.group
             searched += [level] * len(calls)
+            degree = len(hosts) + sum(len(fam) for m in hosts for fam in m.families)
+            assert PermGroup(degree, family_set_action(hosts)).order() == marked_set_action(hosts)[2]
         assert searched == [depth]
 
     @pytest.mark.parametrize("seed", range(10))
@@ -387,16 +389,13 @@ class TestRefine:
             colour = _refine(colour, rows, colour) if v is None else _child(colour, pi[v], rows)
             assert colour == [after[i] for i in at]
 
-    def test_decision_group_orders_are_pinned(self, monkeypatch):
+    def test_decision_group_orders_are_pinned(self):
         # a path's decision reads root codes, so its level bucket is built here
-        built = marked_groups(monkeypatch, lambda: path_bucket(path_graph(21), 1).group)
-        assert [group.order() for _f, group, _level in built] == [8]
+        assert path_bucket(path_graph(21), 1).group.order() == 8
         # a centre 0 with three arms of five vertices
         spider = Graph(16, [(5 * a + k if k else 0, 5 * a + k + 1) for a in range(3) for k in range(5)])
-        built = marked_groups(monkeypatch, lambda: is_isomorphic(spider, random_relabel(spider, 1)[0], 3).witness)
-        assert [group.order() for _f, group, _level in built] == [72, 720, 720, 720, 720]
-        for family, group, _level in built:
-            assert family_autgroup(family).order() == group.order()
+        built = bucket_contexts(spider, random_relabel(spider, 1)[0], 3)
+        assert [context.group.order() for _hosts, context, _level in built] == [72, 720, 720, 720, 720]
 
 
 def first_path_points(family):
@@ -429,47 +428,31 @@ def path_bucket(g, seed):
     return MarkedContext(marked_union(hosts)[0])
 
 
+def bucket_contexts(g, h, d):
+    """Per level bucket of the combined decomposition of g and h, from the
+    deepest level up, as a decision builds the level groups: the bucket's
+    hosts, the marked context of their union, which `family_autgroup`
+    serves, and the level."""
+    cd = combine(canonical_decomposition(g, d), canonical_decomposition(h, d))
+    out = []
+    for level in range(cd.depth, 0, -1):
+        for frags in level_buckets(cd, level):
+            hosts = [cf.marked for cf in frags]
+            out.append((hosts, MarkedContext(marked_union(hosts)[0]), level))
+    return out
+
+
 def decision_groups(monkeypatch, g, d):
-    """Per family group a decision of g against a relabelling builds: the
-    family, the group and the number of Schreier generators its chain formed."""
-    return family_groups(monkeypatch, lambda: is_isomorphic(g, random_relabel(g, 3)[0], d).witness is not None)
+    """Per level bucket of g against a relabelling: the encoded family,
+    `family_autgroup`'s group of it and the number of Schreier generators its
+    chain formed."""
+    contexts = bucket_contexts(g, random_relabel(g, 3)[0], d)
+    return family_groups(monkeypatch, [context.enc.family for _hosts, context, _level in contexts])
 
 
-def marked_groups(monkeypatch, build):
-    """Per marked group that build() makes, which must return True: the
-    encoded family, the group, and the level being built when it was made
-    (None outside `level_group`). Either path may build it: the PQ-tree one
-    for singleton marks, `family_autgroup` for the others."""
-    built, levels = [], []
-    inner_level = tgraphs.iso.level_group
-
-    def level_group(cd, level):
-        levels.append((level, cd.depth))
-        return inner_level(cd, level)
-
-    def recording(name, family_of):
-        inner = getattr(tgraphs.interval, name)
-
-        def record(arg):
-            group = inner(arg)
-            built.append((family_of(arg), group, levels[-1] if levels else None))
-            return group
-
-        return record
-
-    monkeypatch.setattr(tgraphs.iso, "level_group", level_group)
-    monkeypatch.setattr(tgraphs.interval, "family_autgroup", recording("family_autgroup", lambda family: family))
-    monkeypatch.setattr(tgraphs.interval, "_singleton_group", recording("_singleton_group", lambda enc: enc.family))
-    assert build()
-    monkeypatch.undo()
-    return built
-
-
-def family_groups(monkeypatch, build):
-    """Per marked group that build() makes, which must return True: the
-    encoded family, `family_autgroup`'s group of it and the number of
-    Schreier generators its chain formed."""
-    families = [family for family, _group, _level in marked_groups(monkeypatch, build)]
+def family_groups(monkeypatch, families):
+    """Per family: the family, `family_autgroup`'s group of it and the number
+    of Schreier generators its chain formed."""
     built, formed = [], []
     queue_schreier = PermGroup._queue_schreier_generators
 
@@ -524,7 +507,7 @@ class TestChainFromSearch:
     @pytest.mark.parametrize(
         "groups",
         [
-            lambda mp: family_groups(mp, lambda: path_bucket(path_graph(21), 3).group.order() > 1),
+            lambda mp: family_groups(mp, [path_bucket(path_graph(21), 3).enc.family]),
             lambda mp: decision_groups(mp, spider_graph(5, 5, 5), 3),
             lambda mp: decision_groups(mp, spider_graph(2, 2, 2, 2), 4),
         ],
