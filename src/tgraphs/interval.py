@@ -9,7 +9,6 @@ the marked-set machinery consumes.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -20,7 +19,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from .chordal import is_connected, maximal_cliques
 from .errors import NotChordal, TooLarge
 from .graph import Graph
-from .perm import Perm, PermGroup, find_element
+from .perm import Perm, PermGroup, find_block_swap
 from .setfamily import SetFamily, family_autgroup
 
 
@@ -347,10 +346,12 @@ class MarkedIntervalGraph:
         fams = tuple(tuple(frozenset(s) for s in fam) for fam in families)
         for fam in fams:
             for s in fam:
+                if not all(0 <= v < host.n for v in s):
+                    raise ValueError("every marked vertex must be a host vertex")
                 if not host.is_clique(s):
                     raise ValueError("every marked set must induce a clique")
-        if tail is not None and host.degree(tail) != 1:
-            raise ValueError("tail must have degree 1")
+        if tail is not None and not (0 <= tail < host.n and host.degree(tail) == 1):
+            raise ValueError("tail must be a host vertex of degree 1")
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "families", fams)
         object.__setattr__(self, "tail", tail)
@@ -481,9 +482,8 @@ def reduce_clean(tree: PQTree, marked: frozenset[int]) -> CleanReduction:
     retained when it is the root, or when its parent is retained and its
     subtree is not clean; `tree.nodes` is a preorder, so one filter over it
     finds them, in that order. Codes and canonical orders are the tree's kept
-    `canonical_forms`; the reduction keeps the orders, from which
-    realization pairs two matched clean subtrees and the encoding reads each
-    retained node's layer set.
+    `canonical_forms`; the reduction keeps the orders, from which the
+    encoding reads each retained node's layer set and Q-columns.
     """
     codes, orders = tree.canonical_forms()
     kept = [False] * len(tree.nodes)
@@ -822,7 +822,8 @@ def family_set_action(hosts: Sequence[MarkedIntervalGraph]) -> list[Perm]:
 
 def marked_action_group(m: MarkedIntervalGraph) -> PermGroup:
     """Action on marked-set indices of tail-fixing, family-preserving host automorphisms."""
-    return MarkedContext(m).action_group()
+    enc = _marked_encoding(m)
+    return family_autgroup(enc.family).restriction([i for index in enc.a_indices for i in index])
 
 
 def brute_marked_autgroup(m: MarkedIntervalGraph, guard: int = 10) -> PermGroup:
@@ -872,96 +873,35 @@ def brute_marked_autgroup(m: MarkedIntervalGraph, guard: int = 10) -> PermGroup:
 
 
 def _realize_vertex_map(enc: _Encoding, tau: Perm) -> Perm:
-    """A host automorphism/isomorphism acting on every encoded set as tau does."""
+    """A host automorphism/isomorphism acting on every encoded set as tau does.
+
+    Each host vertex is coloured by the sorted indices of the encoded sets
+    holding it, and on the source side by tau's images of them. A component
+    goes to the one holding tau's image of its root node set; their coloured
+    root codes are equal exactly when some isomorphism keeps the colours,
+    and zipping the two root orders gives one (`coloured_root_form`). A
+    colour-keeping map puts v in set i exactly when it puts v's image in set
+    tau(i), so it acts on the sets as tau does.
+    """
     host = enc.marked.host
     sets = enc.family.sets
-    back_of_tree = enc.backs
-    # node map from tau on B indices
-    set_to_bkey = {}
-    for key, idx in enc.b_index.items():
-        set_to_bkey[idx] = key
-    node_map: dict[tuple[int, int], tuple[int, int]] = {}
-    for key, idx in enc.b_index.items():
-        img = tau(idx)
-        if img not in set_to_bkey:
-            raise AssertionError("tau must map node sets to node sets")
-        node_map[key] = set_to_bkey[img]
-    # consistency: parents map to parents
-    for ti, red in enumerate(enc.reductions):
-        for node in red.retained:
-            if node.parent is not None:
-                tj, nj = node_map[(ti, node.nid)]
-                pj = node_map[(ti, node.parent.nid)]
-                mapped = enc.trees[tj].nodes[nj]
-                if mapped.parent is None or (tj, mapped.parent.nid) != pj:
-                    raise AssertionError("tau does not respect the tree structure")
-
-    out: dict[int, int] = {}
-    members: list[list[int]] = [[] for _ in host.vertices()]
+    holding: list[list[int]] = [[] for _ in host.vertices()]
     for i, s in enumerate(sets):
         for v in s:
-            members[v].append(i)
-    pattern = [frozenset(ms) for ms in members]
-    buckets: dict[tuple[tuple[int, int], frozenset[int]], list[int]] = {}
-    for ti, red in enumerate(enc.reductions):
-        back = back_of_tree[ti]
-        for node in red.retained:
-            for v in enc.trees[ti].assigned_vertices(node):
-                hv = back[v]
-                buckets.setdefault(((ti, node.nid), pattern[hv]), []).append(hv)
-    for (key, pat), vs in buckets.items():
-        target_key = node_map[key]
-        target_pat = frozenset(tau(i) for i in pat)
-        ws = buckets.get((target_key, target_pat))
-        if ws is None or len(ws) != len(vs):
-            raise AssertionError("cell sizes disagree under tau")
-        for va, vb in zip(sorted(vs), sorted(ws)):
-            out[va] = vb
-
-    # discarded clean subtrees: paired ones have equal codes, so zipping
-    # their canonical orders maps one onto the other
-    for ti, red in enumerate(enc.reductions):
-        back = back_of_tree[ti]
-        for node in red.retained:
-            drops = red.discarded.get(node.nid, ())
-            if not drops:
-                continue
-            tj, nj = node_map[(ti, node.nid)]
-            red2 = enc.reductions[tj]
-            back2 = back_of_tree[tj]
-            node2 = enc.trees[tj].nodes[nj]
-            drops2 = red2.discarded.get(nj, ())
-            if len(drops) != len(drops2):
-                raise AssertionError("discarded subtree counts disagree")
-            pairs = []
-            if node.kind == "Q":
-                # a discarded child's image position is that of its column's image
-                pos2_of = {index: pos2 for pos2, index in enumerate(enc.q_columns[(tj, nj)])}
-                columns = enc.q_columns[(ti, node.nid)]
-                code2_at = dict(drops2)
-                for pos, code in drops:
-                    pos2 = pos2_of.get(tau(columns[pos]))
-                    if code2_at.get(pos2) != code:
-                        raise AssertionError("Q discard codes disagree")
-                    pairs.append((pos, pos2))
-            else:
-                src = sorted(drops, key=lambda pc: (pc[1], pc[0]))
-                dst = sorted(drops2, key=lambda pc: (pc[1], pc[0]))
-                for (pos, code), (pos2, code2) in zip(src, dst):
-                    if code != code2:
-                        raise AssertionError("P discard codes disagree")
-                    pairs.append((pos, pos2))
-            for pos, pos2 in pairs:
-                source = red.orders[node.children[pos].nid]
-                target = red2.orders[node2.children[pos2].nid]
-                out.update(zip((back[v] for v in source), (back2[v] for v in target)))
-
-    if len(out) != host.n or sorted(out) != list(range(host.n)):
-        raise AssertionError("vertex map incomplete")
-    images = tuple(out[v] for v in range(host.n))
+            holding[v].append(i)
+    images = [-1] * host.n
+    for ti, (tree, back) in enumerate(zip(enc.trees, enc.backs)):
+        tj = enc.component_of_index[tau(enc.b_index[(ti, tree.root.nid)])]
+        tree2, back2 = enc.trees[tj], enc.backs[tj]
+        code, order = coloured_root_form(tree, [tuple(sorted(map(tau, holding[hv]))) for hv in back])
+        code2, order2 = coloured_root_form(tree2, [tuple(holding[hv]) for hv in back2])
+        if code != code2:
+            raise AssertionError("no host isomorphism carries the encoded sets as tau does")
+        for u, w in zip(order, order2):
+            images[back[u]] = back2[w]
     if sorted(images) != list(range(host.n)):
         raise AssertionError("realized map is not a bijection")
-    sigma = Perm._raw(images)
+    sigma = Perm._raw(tuple(images))
     # a bijection maps distinct edges to distinct pairs, so preserving each edge suffices
     for u, v in host.edges:
         if not host.has_edge(sigma(u), sigma(v)):
@@ -1009,70 +949,23 @@ def marked_isomorphism(
     if (m1.tail is None) != (m2.tail is None) or m1.host.n != m2.host.n:
         return None
     n1 = m1.host.n
-    union, offsets = marked_union([m1, m2])
-    ctx = MarkedContext(union)
-    # an empty marked set lies in no part; its index tells its side
-    left = {i for i, part in enumerate(ctx.set_parts(offsets)) if part == 0}
-    left.update(i for index, f1 in zip(ctx.enc.a_indices, m1.families) for i in index[: len(f1)])
-    right = [i for i in range(len(ctx.enc.family.sets)) if i not in left]
-    found = ctx.realize({}, [(left, right), (right, left)])
-    if found is None:
+    enc = _marked_encoding(marked_union([m1, m2])[0])
+    # the union lists m1's components first; an empty marked set lies in no
+    # component, and its index tells its side
+    sides = len(m1.host.components())
+    left = {i for i, comp in enumerate(enc.component_of_index) if 0 <= comp < sides}
+    left.update(i for index, f1 in zip(enc.a_indices, m1.families) for i in index[: len(f1)])
+    right = [i for i in range(len(enc.family.sets)) if i not in left]
+    swap = find_block_swap(family_autgroup(enc.family), left, right)
+    if swap is None:
         return None
-    swap, sigma = found
+    sigma = _realize_vertex_map(enc, swap)
     vertex_map = [sigma(v) - n1 for v in range(n1)]
     if any(img < 0 for img in vertex_map):
         raise AssertionError("swap element does not exchange the two hosts")
     set_maps = []
-    for index, f1 in zip(ctx.enc.a_indices, m1.families):
+    for index, f1 in zip(enc.a_indices, m1.families):
         set_maps.append([index.index(swap(i)) - len(f1) for i in index[: len(f1)]])
         if any(pos < 0 for pos in set_maps[-1]):
             raise AssertionError("marked set mapped within the same side")
     return vertex_map, set_maps
-
-
-class MarkedContext:
-    """Cached encoding and family group of one marked host.
-
-    Shares the expensive structure between the action-group computation and
-    transporter queries (realizing prescribed set images as vertex maps).
-    """
-
-    def __init__(self, m: MarkedIntervalGraph):
-        self.m = m
-        self._enc: Optional[_Encoding] = None
-        self._group: Optional[PermGroup] = None
-
-    @property
-    def enc(self) -> _Encoding:
-        if self._enc is None:
-            self._enc = _marked_encoding(self.m)
-        return self._enc
-
-    @property
-    def group(self) -> PermGroup:
-        """Automorphisms of the encoded family, acting on encoded-set indices."""
-        if self._group is None:
-            self._group = family_autgroup(self.enc.family)
-        return self._group
-
-    def action_group(self) -> PermGroup:
-        order = [i for fam in self.enc.a_indices for i in fam]
-        return self.group.restriction(order)
-
-    def set_parts(self, offsets: Sequence[int]) -> list[int]:
-        """Per encoded set, the part of a marked union holding it (-1: an empty set).
-
-        `offsets` are the parts' vertex offsets, as `marked_union` returns them.
-        """
-        part_of_tree = [bisect_right(offsets, back[0]) - 1 for back in self.enc.backs]
-        return [part_of_tree[c] if c >= 0 else -1 for c in self.enc.component_of_index]
-
-    def realize(
-        self, point_images: dict[int, int], set_images: Sequence[tuple[Sequence[int], Sequence[int]]]
-    ) -> Optional[tuple[Perm, Perm]]:
-        """A group element with the prescribed images of encoded-set indices, and a
-        host automorphism acting on every encoded set as it does; None if none fits."""
-        element = find_element(self.group, point_images, set_images)
-        if element is None:
-            return None
-        return element, _realize_vertex_map(self.enc, element)

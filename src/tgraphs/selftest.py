@@ -22,7 +22,7 @@ from .harness import (
     random_t_graph,
     verify_t_representation,
 )
-from .interval import MarkedContext, MarkedIntervalGraph, brute_marked_autgroup, build_pq_tree, marked_set_action
+from .interval import MarkedIntervalGraph, brute_marked_autgroup, build_pq_tree, family_set_action, marked_set_action
 from .iso import ISOMORPHIC, NOT_T_GRAPH, combine, decomposition_autgroup, is_isomorphic, project_automorphism
 from .perm import MembershipPredicate, Perm, PermGroup, fhl_subgroup, symmetric_on_classes, tower_of_groups
 from .setfamily import SetFamily, family_autgroup, is_family_automorphism
@@ -271,7 +271,7 @@ def _has_interval_order(g: Graph) -> bool:
 
 
 def _interval_pq(cfg) -> Check:
-    """Criterion 7: PQ-tree presence and marked action groups (with tails) against brute force."""
+    """Criterion 7: PQ-tree presence, and the engine's marked-set actions (with tails) against brute force."""
     mismatches = pq_cases = seed = 0
     while pq_cases < cfg["pq"]:
         rng = random.Random(seed)
@@ -309,15 +309,15 @@ def _interval_pq(cfg) -> Check:
             leaves = [v for v in range(g.n) if g.degree(v) == 1]
             if leaves:
                 tail = rng.choice(leaves)
-        context = MarkedContext(MarkedIntervalGraph(g, fams, tail=tail))
+        m = MarkedIntervalGraph(g, fams, tail=tail)
         marked_cases += 1
-        got = context.action_group()
-        want = brute_marked_autgroup(context.m)
+        want = brute_marked_autgroup(m)
+        # the host is point 0 of the action's domain, the marked sets follow in want's order
+        got = PermGroup(1 + want.degree, family_set_action([m])).restriction(range(1, 1 + want.degree))
         mismatches += got.order() != want.order() or not all(got.contains(x) for x in want.generators)
         if all(len(s) <= 1 for fam in fams for s in fam):
-            # the host is point 0 of the action's domain, the marked sets follow in want's order
             singleton_cases += 1
-            gens, _leads, order = marked_set_action([context.m])
+            gens, _leads, order = marked_set_action([m])
             counted = PermGroup(1 + want.degree, gens)  # at unknown order, so the count is checked
             on_sets = counted.restriction(range(1, counted.degree))
             mismatches += counted.order() != order or on_sets.order() != want.order()

@@ -12,13 +12,13 @@ from tgraphs.chordal import is_chordal, maximal_cliques
 from tgraphs.graph import Graph, complete_graph, path_graph, star_graph
 from tgraphs.harness import random_relabel, random_t_graph
 from tgraphs.interval import (
-    MarkedContext,
     MarkedIntervalGraph,
     brute_marked_autgroup,
     build_pq_tree,
     marked_action_group,
     _forms,
     _marked_encoding,
+    _realize_vertex_map,
     family_set_action,
     marked_isomorphism,
     marked_set_action,
@@ -26,8 +26,8 @@ from tgraphs.interval import (
     pq_tree_to_text,
     reduce_clean,
 )
-from tgraphs.perm import PermGroup
-from tgraphs.setfamily import max_antichain_size
+from tgraphs.perm import PermGroup, find_element
+from tgraphs.setfamily import family_autgroup, max_antichain_size
 
 
 def brute_valid_orders(g):
@@ -89,6 +89,24 @@ def random_marked(n, seed, with_tail=False):
         if leaves:
             tail = rng.choice(leaves)
     return MarkedIntervalGraph(g, families, tail=tail)
+
+
+def random_marked_union(seed):
+    """The `marked_union` of 1-3 `random_marked` parts: disconnected when
+    there are two or more, with marked sets of any size. Every part keeps
+    the first part's number of families, cut or padded with empty ones, and
+    the parts keep their tails only when each has one."""
+    rng = random.Random(f"union-{seed}")
+    with_tail = rng.random() < 0.3
+    parts = [random_marked(rng.randint(2, 7), rng.randrange(10**6), with_tail) for _ in range(rng.randint(1, 3))]
+    families = len(parts[0].families)
+    keep_tails = all(part.tail is not None for part in parts)
+    return marked_union(
+        [
+            MarkedIntervalGraph(part.host, (part.families + ((),) * families)[:families], part.tail if keep_tails else None)
+            for part in parts
+        ]
+    )[0]
 
 
 class TestBuildPQTree:
@@ -223,7 +241,7 @@ class TestCliqueIncidence:
         checked = 0
         for g in self.hosts():
             # every vertex marked: no subtree is clean, so every Q-node gets its columns
-            enc = MarkedContext(MarkedIntervalGraph(g, [[frozenset([v]) for v in g.vertices()]])).enc
+            enc = _marked_encoding(MarkedIntervalGraph(g, [[frozenset([v]) for v in g.vertices()]]))
             (tree,) = enc.trees
             q_nodes = {node.nid for node in tree.nodes if node.kind == "Q"}
             assert {nid for _ti, nid in enc.q_columns} == q_nodes
@@ -242,7 +260,7 @@ class TestEncodingSize:
     @pytest.mark.parametrize("n", [21, 161, 641])
     def test_path_family_is_linear(self, n):
         # one column per clique of the root Q-node, one node set, one layer set
-        family = MarkedContext(MarkedIntervalGraph(path_graph(n), [])).enc.family
+        family = _marked_encoding(MarkedIntervalGraph(path_graph(n), [])).family
         holders = [0] * n
         for s in family.sets:
             for z in s:
@@ -374,6 +392,17 @@ class TestReduceClean:
         assert checked > 100
 
 
+class TestMarkedIntervalGraph:
+    @pytest.mark.parametrize(
+        "families, tail",
+        [([({7},)], None), ([({-1},)], None), ([], 9)],
+        ids=["vertex-past-the-host", "negative-vertex", "tail-past-the-host"],
+    )
+    def test_out_of_range_input_is_a_value_error(self, families, tail):
+        with pytest.raises(ValueError):
+            MarkedIntervalGraph(path_graph(3), families, tail=tail)
+
+
 class TestMarkedActionGroup:
     def test_k3_singletons_full_symmetric(self):
         g = complete_graph(3)
@@ -487,10 +516,11 @@ class TestSingletonGroup:
         check_counted_action(hosts)
         m = hosts[0] if len(hosts) == 1 else marked_union(hosts)[0]
         enc = _marked_encoding(m)
-        ctx = MarkedContext(m)
-        for gen in ctx.group.generators:
-            element, sigma = ctx.realize(dict(enumerate(gen.images)), [])
+        group = family_autgroup(enc.family)
+        for gen in group.generators:
+            element = find_element(group, dict(enumerate(gen.images)))
             assert element == gen
+            sigma = _realize_vertex_map(enc, element)
             assert all(m.host.has_edge(sigma(u), sigma(v)) for u, v in m.host.edges)
             for i, s in enumerate(enc.family.sets):
                 assert sigma.image_of_set(s) == enc.family.sets[gen(i)]
@@ -617,6 +647,29 @@ class TestMarkedIsomorphism:
         assert sorted(vmap) == list(range(8))
         assert all(h.has_edge(vmap[u], vmap[v]) for u, v in self.APEX.edges)
 
+    @pytest.mark.parametrize("seed", range(200))
+    def test_disconnected_unions(self, seed):
+        m = random_marked_union(seed)
+        h, p = random_relabel(m.host, seed)
+        fams = [[frozenset(map(p, s)) for s in fam] for fam in m.families]
+        m2 = MarkedIntervalGraph(h, fams)  # a union carries its parts' tails as a family
+        result = marked_isomorphism(m, m2)
+        assert result is not None, (m.host.edges, m.families)
+        vmap, smaps = result
+        assert sorted(vmap) == list(range(m.host.n))
+        assert all(h.has_edge(vmap[u], vmap[v]) for u, v in m.host.edges)
+        for j, fam in enumerate(m.families):
+            assert sorted(smaps[j]) == list(range(len(fam)))
+            for pos, s in enumerate(fam):
+                assert frozenset(vmap[v] for v in s) == m2.families[j][smaps[j][pos]]
+        # every generator of the encoded family's group is realised on the host
+        enc = _marked_encoding(m)
+        sets = enc.family.sets
+        for gen in family_autgroup(enc.family).generators:
+            sigma = _realize_vertex_map(enc, gen)
+            assert all(m.host.has_edge(sigma(u), sigma(v)) for u, v in m.host.edges)
+            assert all(sigma.image_of_set(s) == sets[gen(i)] for i, s in enumerate(sets))
+
     def test_empty_marked_set(self):
         m = MarkedIntervalGraph(path_graph(3), [(frozenset(), frozenset({0}))])
         assert marked_isomorphism(m, m) == ([0, 1, 2], [[0, 1]])
@@ -626,16 +679,17 @@ class TestMarkedIsomorphism:
     def test_transport_identity(self):
         # seed 7 has a trivial action group; seeds 6 and 4 add non-identity actions
         for m in (random_marked(6, 7), random_marked(6, 6), random_marked(6, 4)):
-            ctx = MarkedContext(m)
+            enc = _marked_encoding(m)
+            group = family_autgroup(enc.family)
             slots = [(j, pos) for j, fam in enumerate(m.families) for pos in range(len(fam))]
             actions = [{slot: slot for slot in slots}]
-            # action_group() numbers the marked sets family by family, as slots does
-            actions += [{slot: slots[gen(t)] for t, slot in enumerate(slots)} for gen in ctx.action_group().generators]
-            index = ctx.enc.a_indices
+            # marked_action_group numbers the marked sets family by family, as slots does
+            actions += [{slot: slots[gen(t)] for t, slot in enumerate(slots)} for gen in marked_action_group(m).generators]
+            index = enc.a_indices
             for action in actions:
-                found = ctx.realize({index[j][pos]: index[j2][pos2] for (j, pos), (j2, pos2) in action.items()}, [])
+                found = find_element(group, {index[j][pos]: index[j2][pos2] for (j, pos), (j2, pos2) in action.items()})
                 assert found is not None
-                vmap = found[1].images
+                vmap = _realize_vertex_map(enc, found).images
                 for u, v in m.host.edges:
                     assert m.host.has_edge(vmap[u], vmap[v])
                 for (j, pos), (j2, pos2) in action.items():
@@ -651,7 +705,7 @@ class TestMarkedIsomorphism:
         monkeypatch.setattr(tgraphs.setfamily, "max_antichain_size", counting)
         for seed in (4, 6, 7):
             calls.clear()
-            MarkedContext(random_marked(6, seed)).group
+            family_autgroup(_marked_encoding(random_marked(6, seed)).family)
             # the family group assumes no antichain bound, so it never computes one
             assert len(calls) == 0
 
@@ -660,32 +714,28 @@ class TestRealizeChecks:
     # swapping the marked sets {1} and {3} of P5 across families is no automorphism
     SCRIPT = """
 from tgraphs.graph import path_graph
-from tgraphs.interval import MarkedContext, MarkedIntervalGraph, _realize_vertex_map
+from tgraphs.interval import MarkedIntervalGraph, _marked_encoding, _realize_vertex_map
 from tgraphs.perm import Perm
-enc = MarkedContext(MarkedIntervalGraph(path_graph(5), [({1},), ({3},)])).enc
+enc = _marked_encoding(MarkedIntervalGraph(path_graph(5), [({1},), ({3},)]))
 i, j = enc.a_indices[0][0], enc.a_indices[1][0]
 images = list(range(len(enc.family.sets)))
 images[i], images[j] = j, i
 _realize_vertex_map(enc, Perm(images))
 """
 
-    # clean-subtree orders that send every leaf of the claw to vertex 1 leave
-    # the vertex map complete but not a bijection: under the identity each
-    # clean leaf's order is read as a source and then as its own target, and
-    # every read after the first gives vertex 1
+    # root orders that repeat one vertex of the claw leave the vertex map
+    # with a vertex hit twice and others never: not a bijection
     COLLIDING_SCRIPT = """
+import tgraphs.interval as interval
 from tgraphs.graph import star_graph
-from tgraphs.interval import MarkedContext, MarkedIntervalGraph, _realize_vertex_map
 from tgraphs.perm import Perm
-class TargetsToOne(list):
-    def __getitem__(self, nid):
-        order = super().__getitem__(nid)
-        self[nid] = (1,)
-        return order
-enc = MarkedContext(MarkedIntervalGraph(star_graph(3), [])).enc
-red = enc.reductions[0]
-red.orders = TargetsToOne(red.orders)
-_realize_vertex_map(enc, Perm.identity(len(enc.family.sets)))
+coloured_root_form = interval.coloured_root_form
+def repeated(tree, colour):
+    code, order = coloured_root_form(tree, colour)
+    return code, (order[0],) * len(order)
+interval.coloured_root_form = repeated
+enc = interval._marked_encoding(interval.MarkedIntervalGraph(star_graph(3), []))
+interval._realize_vertex_map(enc, Perm.identity(len(enc.family.sets)))
 """
 
     @staticmethod
@@ -697,7 +747,7 @@ _realize_vertex_map(enc, Perm.identity(len(enc.family.sets)))
     def test_invalid_tau_raises_under_python_O(self):
         run = self.run_optimized(self.SCRIPT)
         assert run.returncode != 0
-        assert "AssertionError: cell sizes disagree under tau" in run.stderr, run.stderr
+        assert "AssertionError: no host isomorphism carries the encoded sets as tau does" in run.stderr, run.stderr
 
     def test_non_bijective_map_raises_assertion_not_value_error(self):
         run = self.run_optimized(self.COLLIDING_SCRIPT)

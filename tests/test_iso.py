@@ -440,7 +440,7 @@ class TestLift:
         cd = make_cd(g, random_relabel(g, 7)[0], 3)
         group = decomposition_autgroup(cd)
         swap = find_block_swap(group, cd.side_points(0), cd.side_points(1))
-        for owner, name in ((iso, "find_element"), (interval, "find_element"), (perm, "find_element"),
+        for owner, name in ((iso, "find_element"), (perm, "find_element"),
                             (interval, "_realize_vertex_map"), (PermGroup, "_with_base_prefix")):
             counting(owner, name)
         for p in group.generators + (swap,):
@@ -587,8 +587,8 @@ class TestTreeReuse:
             trees = [id(own[fragment_of[id(m)].gid]) for m in hosts]
             assert [id(m.component_trees()[0][0]) for m in hosts] == trees
             # the union a bucket's family group encodes carries its parts' trees too
-            context = interval.MarkedContext(interval.marked_union(hosts)[0])
-            assert list(map(id, context.enc.trees)) == trees
+            enc = interval._marked_encoding(interval.marked_union(hosts)[0])
+            assert list(map(id, enc.trees)) == trees
         assert len(built) == decomposed
 
 class TestSingletonMarks:

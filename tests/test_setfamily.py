@@ -7,7 +7,7 @@ import tgraphs.setfamily
 from tgraphs.decompose import canonical_decomposition
 from tgraphs.graph import Graph, path_graph
 from tgraphs.harness import random_relabel
-from tgraphs.interval import MarkedContext, MarkedIntervalGraph, family_set_action, marked_set_action, marked_union
+from tgraphs.interval import MarkedIntervalGraph, _marked_encoding, family_set_action, marked_set_action, marked_union
 from tgraphs.iso import combine, level_buckets
 from tgraphs.perm import Perm, PermGroup
 from tgraphs.setfamily import (
@@ -285,18 +285,18 @@ class TestFamilyAutgroup:
 
     def test_spider_searches_only_its_residual_level(self, monkeypatch):
         spider = spider_graph(5, 5, 5)
-        built = bucket_contexts(spider, random_relabel(spider, 1)[0], 3)
+        built = bucket_families(spider, random_relabel(spider, 1)[0], 3)
         depth = built[0][2]  # the deepest level comes first
-        assert depth > 1 and {level for _hosts, _context, level in built} == set(range(1, depth + 1))
+        assert depth > 1 and {level for _hosts, _family, level in built} == set(range(1, depth + 1))
         # the decision reads every bucket's action off the PQ-trees; as the
         # oracle, family_autgroup searches only the residual level's family,
         # and its projection has the counted order
         calls, searched = [], []
         inner_search = tgraphs.setfamily._search
         monkeypatch.setattr(tgraphs.setfamily, "_search", lambda *args: calls.append(1) or inner_search(*args))
-        for hosts, context, level in built:
+        for hosts, family, level in built:
             calls.clear()
-            context.group
+            family_autgroup(family)
             searched += [level] * len(calls)
             degree = len(hosts) + sum(len(fam) for m in hosts for fam in m.families)
             assert PermGroup(degree, family_set_action(hosts)).order() == marked_set_action(hosts)[2]
@@ -391,11 +391,11 @@ class TestRefine:
 
     def test_decision_group_orders_are_pinned(self):
         # a path's decision reads root codes, so its level bucket is built here
-        assert path_bucket(path_graph(21), 1).group.order() == 8
+        assert family_autgroup(path_bucket(path_graph(21), 1)).order() == 8
         # a centre 0 with three arms of five vertices
         spider = Graph(16, [(5 * a + k if k else 0, 5 * a + k + 1) for a in range(3) for k in range(5)])
-        built = bucket_contexts(spider, random_relabel(spider, 1)[0], 3)
-        assert [context.group.order() for _hosts, context, _level in built] == [72, 720, 720, 720, 720]
+        built = bucket_families(spider, random_relabel(spider, 1)[0], 3)
+        assert [family_autgroup(family).order() for _hosts, family, _level in built] == [72, 720, 720, 720, 720]
 
 
 def first_path_points(family):
@@ -422,23 +422,23 @@ def spider_graph(*arms):
 
 
 def path_bucket(g, seed):
-    """The marked context of the level bucket holding interval graph g and a
+    """The encoded family of the level bucket holding interval graph g and a
     relabelled copy, as a decision of depth 1 would build it."""
     hosts = [MarkedIntervalGraph(h, []) for h in (g, random_relabel(g, seed)[0])]
-    return MarkedContext(marked_union(hosts)[0])
+    return _marked_encoding(marked_union(hosts)[0]).family
 
 
-def bucket_contexts(g, h, d):
+def bucket_families(g, h, d):
     """Per level bucket of the combined decomposition of g and h, from the
     deepest level up, as a decision builds the level groups: the bucket's
-    hosts, the marked context of their union, which `family_autgroup`
+    hosts, the encoded family of their union, which `family_autgroup`
     serves, and the level."""
     cd = combine(canonical_decomposition(g, d), canonical_decomposition(h, d))
     out = []
     for level in range(cd.depth, 0, -1):
         for frags in level_buckets(cd, level):
             hosts = [cf.marked for cf in frags]
-            out.append((hosts, MarkedContext(marked_union(hosts)[0]), level))
+            out.append((hosts, _marked_encoding(marked_union(hosts)[0]).family, level))
     return out
 
 
@@ -446,8 +446,8 @@ def decision_groups(monkeypatch, g, d):
     """Per level bucket of g against a relabelling: the encoded family,
     `family_autgroup`'s group of it and the number of Schreier generators its
     chain formed."""
-    contexts = bucket_contexts(g, random_relabel(g, 3)[0], d)
-    return family_groups(monkeypatch, [context.enc.family for _hosts, context, _level in contexts])
+    buckets = bucket_families(g, random_relabel(g, 3)[0], d)
+    return family_groups(monkeypatch, [family for _hosts, family, _level in buckets])
 
 
 def family_groups(monkeypatch, families):
@@ -507,7 +507,7 @@ class TestChainFromSearch:
     @pytest.mark.parametrize(
         "groups",
         [
-            lambda mp: family_groups(mp, [path_bucket(path_graph(21), 3).enc.family]),
+            lambda mp: family_groups(mp, [path_bucket(path_graph(21), 3)]),
             lambda mp: decision_groups(mp, spider_graph(5, 5, 5), 3),
             lambda mp: decision_groups(mp, spider_graph(2, 2, 2, 2), 4),
         ],
