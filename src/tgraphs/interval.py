@@ -9,11 +9,13 @@ the marked-set machinery consumes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate, chain
 from math import factorial
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .chordal import is_connected, maximal_cliques
@@ -46,6 +48,7 @@ class PQTree:
     nodes: tuple[PQNode, ...] = ()
     vertex_run: dict[int, tuple[int, int]] = field(default_factory=dict)
     node_vertices: dict[PQNode, frozenset[int]] = field(default_factory=dict)
+    belonging: tuple[int, ...] = ()  # per node id, the number of vertices belonging to the node
     _forms: Optional[tuple[list[tuple], list[tuple[int, ...]]]] = field(default=None, repr=False, compare=False)
 
     def canonical_forms(self) -> tuple[list[tuple], list[tuple[int, ...]]]:
@@ -105,192 +108,412 @@ class PQTree:
         return rec(self.root)
 
 
-def _overlaps(a: frozenset, b: frozenset) -> bool:
-    return bool(a & b) and not (a <= b) and not (b <= a)
+def _all_pairs(bits: Sequence[int], adj: list[list[int]]) -> list[list[int]]:
+    """`adj` with the overlapping pairs of rows added, testing every pair."""
+    for i, bi in enumerate(bits):
+        for j in range(i + 1, len(bits)):
+            x = bi & bits[j]
+            if x and x != bi:
+                adj[i].append(j)
+                adj[j].append(i)
+    return adj
 
 
-def _insert_row(cells: list[frozenset[int]], placed: frozenset[int], w: frozenset[int]) -> Optional[list[frozenset[int]]]:
-    """The cell sequence after requiring w to be consecutive, or None when infeasible.
+def _overlap_graph(bits: Sequence[int], members: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """The overlap graph of rows in size-then-content order, as adjacency
+    lists, and the number of pairs it tested.
 
-    New elements of w can only extend an end of the current sequence, and a
-    partially covered end cell must face its covered part toward the run
-    interior (or toward the new elements). When both ends could take the new
-    elements, the left one does (see `_order_component`).
+    `bits[i]` is row i as a bitset over clique indices and `members[i]` its
+    cliques. For i < j row j is no smaller, so the two overlap exactly when
+    their meet is neither empty nor all of row i. Each pair is tested at
+    most once, from whichever side offers fewer candidate pairs: every pair,
+    or only the pairs sharing a clique, each at the least clique they share.
+    The second is cheap when no clique lies in many rows (a path), the first
+    when many rows nest (nested intervals, where every clique of a row lies
+    in each row around it).
     """
-    marks = []
-    for c in cells:
-        inter = c & w
-        marks.append(0 if not inter else (2 if c <= w else 1))
-    nz = [i for i, m in enumerate(marks) if m]
-    if not nz:
-        return None
-    lo, hi = nz[0], nz[-1]
-    if any(marks[i] == 0 for i in range(lo, hi + 1)):
-        return None
-    if any(marks[i] == 1 for i in range(lo + 1, hi)):
-        return None
-    extras = frozenset(w - placed)
-    single = lo == hi
-    # the end cells of the run, split with the covered part inward (empty parts drop out)
-    head = [cells[lo] - w, cells[lo] & w]
-    tail = [cells[hi] & w, cells[hi] - w]
+    r = len(bits)
+    adj: list[list[int]] = [[] for _ in range(r)]
+    if r * (r - 1) <= 2 * sum(map(len, members)):  # no more pairs than listing the holders costs
+        return _all_pairs(bits, adj), r * (r - 1) // 2
+    holders: dict[int, list[int]] = {}
+    for i, cliques in enumerate(members):
+        for c in cliques:
+            if c in holders:
+                holders[c].append(i)
+            else:
+                holders[c] = [i]
+    shared = [(c, hs) for c, hs in holders.items() if len(hs) > 1]
+    if sum(len(hs) * (len(hs) - 1) for _c, hs in shared) >= r * (r - 1):
+        return _all_pairs(bits, adj), r * (r - 1) // 2
+    tests = 0
+    for c, hs in shared:
+        low = 1 << c
+        for a in range(len(hs) - 1):
+            i = hs[a]
+            bi = bits[i]
+            for j in hs[a + 1 :]:
+                x = bi & bits[j]
+                if (x & -x) == low:  # c is the least clique the two share
+                    tests += 1
+                    if x != bi:
+                        adj[i].append(j)
+                        adj[j].append(i)
+    return adj, tests
+
+
+class _Cells:
+    """A sequence of disjoint clique sets (cells) as a doubly linked list of
+    cell ids, with the cell of every placed clique and each cell's size, so
+    that placing or checking a row reads only the row's cliques and the cells
+    they lie in."""
+
+    __slots__ = ("cell_of", "size", "left", "right", "first", "last")
+
+    def __init__(self, row: Sequence[int]):
+        self.cell_of = dict.fromkeys(row, 0)
+        self.size = [len(row)]
+        self.left = [-1]  # -1 past either end
+        self.right = [-1]
+        self.first = self.last = 0
+
+    def meet(self, row: Sequence[int]) -> tuple[dict[int, list[int]], list[int], int, int]:
+        """The row's cliques in each cell they meet, those in no cell, and
+        the end cells of the run that the met cells form; the ends are -1
+        unless the met cells are consecutive and the row holds each inner
+        one whole."""
+        cell_of = self.cell_of
+        parts: dict[int, list[int]] = {}
+        new = []
+        for c in row:
+            k = cell_of.get(c)
+            if k is None:
+                new.append(c)
+            elif k in parts:
+                parts[k].append(c)
+            else:
+                parts[k] = [c]
+        left, right, size = self.left, self.right, self.size
+        lo = hi = -1
+        for k, got in parts.items():
+            inner = True
+            if left[k] not in parts:
+                if lo >= 0:
+                    return parts, new, -1, -1
+                lo, inner = k, False
+            if right[k] not in parts:
+                hi, inner = k, False
+            if inner and len(got) != size[k]:
+                return parts, new, -1, -1
+        return parts, new, lo, hi
+
+    def place(self, cliques: Sequence[int], a: int, b: int) -> None:
+        """Put the cliques, all unplaced or all from one cell, into a new cell
+        between the adjacent cells a and b (-1 past either end)."""
+        new = len(self.size)
+        old = self.cell_of.get(cliques[0])
+        if old is not None:
+            self.size[old] -= len(cliques)
+        self.size.append(len(cliques))
+        for c in cliques:
+            self.cell_of[c] = new
+        self.left.append(a)
+        self.right.append(b)
+        if a < 0:
+            self.first = new
+        else:
+            self.right[a] = new
+        if b < 0:
+            self.last = new
+        else:
+            self.left[b] = new
+
+
+def _insert_row(cells: _Cells, w: Sequence[int]) -> bool:
+    """Require the cliques w to be consecutive in `cells`, in place; False
+    when that is infeasible.
+
+    New cliques of w can only extend an end of the current sequence, and a
+    partially covered end cell must face its covered part toward the run
+    interior (or toward the new cliques). When both ends could take the new
+    cliques, the left one does (see `_order_component`). The work is in
+    proportion to w.
+    """
+    parts, extras, lo, hi = cells.meet(w)
+    if lo < 0:
+        return False
+    lo_whole = len(parts[lo]) == cells.size[lo]
+    hi_whole = len(parts[hi]) == cells.size[hi]
+    # a split end cell keeps its uncovered part outward
     if not extras:
-        if single:
-            return None if marks[lo] == 1 else cells  # nested in one cell: cannot overlap anything placed
-        out = cells[:lo] + head + cells[lo + 1 : hi] + tail + cells[hi + 1 :]
-    elif lo == 0 and (single or marks[lo] == 2):
-        out = [extras] + cells[:hi] + tail + cells[hi + 1 :]
-    elif hi == len(cells) - 1 and (single or marks[hi] == 2):
-        out = cells[:lo] + head + cells[lo + 1 :] + [extras]
-    else:
-        return None
-    return [c for c in out if c]
+        if lo == hi:
+            return lo_whole  # nested in one cell: cannot overlap anything placed
+        if not lo_whole:
+            cells.place(parts[lo], lo, cells.right[lo])
+        if not hi_whole:
+            cells.place(parts[hi], cells.left[hi], hi)
+        return True
+    if lo == cells.first and (lo == hi or lo_whole):
+        if not hi_whole:
+            cells.place(parts[hi], cells.left[hi], hi)
+        cells.place(extras, -1, cells.first)
+        return True
+    if hi == cells.last and (lo == hi or hi_whole):
+        if not lo_whole:
+            cells.place(parts[lo], lo, cells.right[lo])
+        cells.place(extras, cells.last, -1)
+        return True
+    return False
 
 
-def _order_component(ordered: list[frozenset[int]]) -> Optional[list[frozenset[int]]]:
-    """A cell order realizing one overlap component consecutively, or None.
+def _order_component(ground: Sequence[int], ordered: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
+    """The cells, in order, of an overlap component spanning `ground` laid
+    out consecutively, each as its sorted cliques; None when it cannot be.
 
     The order is forced up to reversal, so one pass finds it. The rows come
     in an order where each after the first overlaps an earlier one (as
     `_build_node` walks its overlap graph). For both ends to take a
-    row's new elements, the row would have to cover every placed cell and so
+    row's new cliques, the row would have to cover every placed cell and so
     contain every earlier row, which it cannot while it overlaps one of them.
     So only the second row has two insertions, and they are mirror images;
     every later insertion commutes with reversal, so the left one loses
     nothing.
     """
-    cells: Optional[list[frozenset[int]]] = [ordered[0]]
-    placed = ordered[0]
+    cells = _Cells(ordered[0])
     for w in ordered[1:]:
-        cells = _insert_row(cells, placed, w)
-        if cells is None:
+        if not _insert_row(cells, w):
             return None
-        placed |= w
-    for r in ordered:
-        idx = [i for i, c in enumerate(cells) if c & r]
-        if idx != list(range(idx[0], idx[-1] + 1)):
+    size = cells.size
+    for w in ordered:
+        parts, new, lo, hi = cells.meet(w)
+        if new or lo < 0 or len(parts[lo]) != size[lo] or len(parts[hi]) != size[hi]:
             return None
-        if frozenset().union(*(cells[i] for i in idx)) != r:
-            return None
-    return cells
+    position: dict[int, int] = {}
+    k = cells.first
+    while k >= 0:
+        position[k] = len(position)
+        k = cells.right[k]
+    out: list[list[int]] = [[] for _ in position]
+    for c in ground:
+        out[position[cells.cell_of[c]]].append(c)
+    return out
 
 
-def _build_node(ground: list[int], rows: list[frozenset[int]]) -> Optional[PQNode]:
-    gset = frozenset(ground)
-    if len(ground) == 1:
-        return PQNode("L", clique=ground[0])
-    rows = sorted(
-        {r for r in rows if 2 <= len(r) < len(ground)},
-        key=lambda r: (len(r), sorted(r)),
-    )
+def _bits(cliques: Iterable[int]) -> int:
+    out = 0
+    for c in cliques:
+        out |= 1 << c
+    return out
+
+
+# A child still to build: its parent's child list and position, its cliques
+# and their bitset, and the rows inside it.
+_Task = tuple[list, int, list[int], int, list[int]]
+
+
+def _with_children(kind: str, cells: list[list[int]], rows: list[int], bits: Sequence[int], members: Sequence[Sequence[int]]) -> tuple[PQNode, list[_Task]]:
+    """A node with one child per cell, in order: a leaf for a single clique,
+    else a task holding the rows inside the cell, each found from the cell
+    of its least clique."""
+    node = PQNode(kind, [None] * len(cells))  # type: ignore[list-item]
+    inside: dict[int, list[int]] = {}  # per cell of two or more cliques, the rows inside it
+    cell_at: dict[int, int] = {}
+    for k, cell in enumerate(cells):
+        if len(cell) == 1:
+            node.children[k] = PQNode("L", clique=cell[0])
+        else:
+            inside[k] = []
+            cell_at.update(dict.fromkeys(cell, k))
+    if not inside:
+        return node, []
+    cell_bits = {k: _bits(cells[k]) for k in inside}
+    for r in rows:
+        k = cell_at.get(members[r][0])
+        if k is not None and (bits[r] | cell_bits[k]) == cell_bits[k]:
+            inside[k].append(r)
+    return node, [(node.children, k, cells[k], cell_bits[k], rs) for k, rs in inside.items()]
+
+
+def _build_node(
+    ground: list[int],
+    ground_bits: int,
+    rows: list[int],
+    bits: Sequence[int],
+    members: Sequence[Sequence[int]],
+    adj: Sequence[Sequence[int]],
+) -> Optional[tuple[PQNode, list[_Task]]]:
+    """The node on `ground`, with its children still to build; None when the
+    rows admit no consecutive order.
+
+    `rows` are ids into `bits` and `members`, ascending, so in size-then-
+    content order, and `adj` is the overlap graph of every row. A row inside
+    a node overlaps only rows inside it (a row overlapping it meets the
+    node's cells or component union and so lies there too), so the node's
+    overlap graph is `adj` on its rows, read without a filter.
+    """
+    rows = [r for r in rows if len(members[r]) < len(ground)]
     if not rows:
-        return PQNode("P", [PQNode("L", clique=c) for c in sorted(ground)])
-    # the overlap graph, tested once per pair of rows
-    adj: list[list[int]] = [[] for _ in rows]
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if _overlaps(rows[i], rows[j]):
-                adj[i].append(j)
-                adj[j].append(i)
+        return PQNode("P", [PQNode("L", clique=c) for c in ground]), []
     # components, each listed in the order `_order_component` places its rows:
     # every step takes the least row (in size-then-content order) that
     # overlaps a row already taken
     comps: list[list[int]] = []
-    taken = [False] * len(rows)
-    for root in range(len(rows)):
-        if taken[root]:
+    taken: set[int] = set()
+    for root in rows:
+        if root in taken:
             continue
-        members: list[int] = []
-        comps.append(members)
+        taken.add(root)
+        members_of: list[int] = []
+        comps.append(members_of)
         frontier = [root]
-        taken[root] = True
         while frontier:
             i = heappop(frontier)
-            members.append(i)
+            members_of.append(i)
             for j in adj[i]:
-                if not taken[j]:
-                    taken[j] = True
+                if j not in taken:
+                    taken.add(j)
                     heappush(frontier, j)
-    unions = [frozenset().union(*(rows[i] for i in members)) for members in comps]
-    spanning = [members for members, u in zip(comps, unions) if u == gset]
-    if spanning:
-        cells = _order_component([rows[i] for i in spanning[0]])
-        if cells is None:
-            return None
-        children = []
-        for cell in cells:
-            sub_rows = [r for r in rows if r <= cell]
-            child = _build_node(sorted(cell), sub_rows)
-            if child is None:
+    unions = []
+    for comp in comps:
+        u = 0
+        for i in comp:
+            u |= bits[i]
+        unions.append(u)
+    for comp, u in zip(comps, unions):
+        if u == ground_bits:
+            cells = _order_component(ground, [members[i] for i in comp])
+            if cells is None:
                 return None
-            children.append(child)
-        if len(children) == 2:
-            return PQNode("P", children)
-        return PQNode("Q", children)
-    # maximal unions form a laminar family; two components share a union only
-    # when one is the single row equal to it, so duplicates collapse (their
-    # rows reappear in the recursion on that union)
-    maximal = sorted({u for u in unions if not any(u < u2 for u2 in unions)}, key=sorted)
-    covered: set[int] = set()
-    children = []
-    for u in maximal:
-        sub_rows = [r for r in rows if r <= u]
-        child = _build_node(sorted(u), sub_rows)
-        if child is None:
+            return _with_children("P" if len(cells) == 2 else "Q", cells, rows, bits, members)
+    # the unions form a laminar family, so taking them largest first, a union
+    # is maximal exactly when no earlier maximal one holds its least clique;
+    # two components share a union only when one is the single row equal to
+    # it, so duplicates collapse (their rows reappear inside that union)
+    owner: set[int] = set()
+    maximal: list[list[int]] = []
+    for k in sorted(range(len(comps)), key=lambda k: -unions[k].bit_count()):
+        u = unions[k]
+        if (u & -u).bit_length() - 1 in owner:
+            continue
+        cliques = sorted(set().union(*(members[i] for i in comps[k])))
+        owner.update(cliques)
+        maximal.append(cliques)
+    maximal.sort()  # disjoint, so by least clique
+    maximal += [[c] for c in ground if c not in owner]
+    return _with_children("P", maximal, rows, bits, members)
+
+
+def _build_tree(k: int, members: Sequence[Sequence[int]]) -> Optional[PQNode]:
+    """The PQ-tree on cliques 0..k-1 whose permissible orders keep each row
+    of `members` consecutive (rows in size-then-content order, each of 2 to
+    k-1 cliques), or None. The overlap graph is built once, for every node,
+    and the nodes top-down from a stack."""
+    bits = [_bits(cliques) for cliques in members]
+    adj = _overlap_graph(bits, members)[0] if members else []
+    top: list = [None]
+    stack: list[_Task] = [(top, 0, list(range(k)), (1 << k) - 1, list(range(len(members))))]
+    while stack:
+        at, pos, ground, ground_bits, rows = stack.pop()
+        if len(ground) == 1:
+            at[pos] = PQNode("L", clique=ground[0])
+            continue
+        built = _build_node(ground, ground_bits, rows, bits, members, adj)
+        if built is None:
             return None
-        children.append(child)
-        covered |= set(u)
-    for c in sorted(gset - covered):
-        children.append(PQNode("L", clique=c))
-    return PQNode("P", children)
+        at[pos], tasks = built
+        stack += tasks
+    return top[0]
 
 
 def _finalize(tree: PQTree) -> Optional[PQTree]:
-    """Assign ids/leaf sets and the MPQ vertex mapping; None if alignment fails."""
+    """Assign ids, parents and leaf sets, the MPQ vertex mapping and each
+    node's belonging count; None if alignment fails.
+
+    The leaves are ranked left to right, so every node's leaves are a run of
+    ranks. A vertex whose cliques are the ranks a..b belongs at their least
+    common ancestor, reached by climbing from leaf a and from leaf b. It
+    aligns when the child reached from a starts at a and the one reached
+    from b ends at b, so that its cliques are a run of whole children; on
+    the way up every node must start at a (or end at b), so the climb takes
+    no more steps than the vertex has cliques.
+    """
+    root = tree.root
+    root.parent = None
     nodes: list[PQNode] = []
-
-    def visit(node: PQNode, parent: Optional[PQNode]):
+    leaves: list[PQNode] = []  # left to right
+    stack = [root]
+    while stack:
+        node = stack.pop()
         node.nid = len(nodes)
-        node.parent = parent
         nodes.append(node)
-        if node.kind == "L":
-            node.leaf_set = frozenset([node.clique])
-            return
-        for c in node.children:
-            visit(c, node)
-        node.leaf_set = frozenset().union(*(c.leaf_set for c in node.children))
-
-    visit(tree.root, None)
+        if node.children:
+            for c in node.children:
+                c.parent = node
+            stack += reversed(node.children)
+        else:
+            leaves.append(node)
     tree.nodes = tuple(nodes)
+    rank = [0] * len(tree.cliques)
+    first = [0] * len(nodes)  # per node id, the ranks of its first and last leaf
+    last = [0] * len(nodes)
+    pos = [0] * len(nodes)  # per node id, its place among its parent's children
+    for i, leaf in enumerate(leaves):
+        rank[leaf.clique] = first[leaf.nid] = last[leaf.nid] = i
+        leaf.leaf_set = frozenset((leaf.clique,))
+    for node in reversed(nodes):  # children first
+        children = node.children
+        if children:
+            a = first[node.nid] = first[children[0].nid]
+            b = last[node.nid] = last[children[-1].nid]
+            node.leaf_set = frozenset(map(attrgetter("clique"), leaves[a : b + 1]))
+            for i, c in enumerate(children):
+                pos[c.nid] = i
     held: dict[PQNode, list[int]] = {}
+    spans: tuple[list[int], list[int]] = ([], [])  # each vertex's first and last rank
+    rank_of = rank.__getitem__
     for v, kv in enumerate(tree.vertex_cliques):
-        node = tree.root
-        while node.kind != "L":
-            inside = [c for c in node.children if kv <= c.leaf_set]
-            if not inside:
-                break
-            node = inside[0]
-        held.setdefault(node, []).append(v)
-        if node.kind == "L":
-            if kv != node.leaf_set:
+        if len(kv) == 1:
+            (c,) = kv
+            a = b = rank[c]
+            node = leaves[a]
+        else:
+            a, b = min(map(rank_of, kv)), max(map(rank_of, kv))
+            node = leaves[a]
+            if b - a + 1 != len(kv):
                 return None
-            continue
-        touched = [i for i, c in enumerate(node.children) if kv & c.leaf_set]
-        lo, hi = touched[0], touched[-1]
-        if touched != list(range(lo, hi + 1)) or hi == lo:
-            return None
-        full = frozenset().union(*(node.children[i].leaf_set for i in touched))
-        if kv != full:
-            return None
-        if node.kind == "P" and len(touched) != len(node.children):
-            return None
-        tree.vertex_run[v] = (lo, hi)
+            while last[node.nid] < b:
+                if first[node.nid] != a:
+                    return None
+                lo, node = pos[node.nid], node.parent  # type: ignore[assignment]
+            upper = leaves[b]
+            while upper.parent is not node:
+                if last[upper.nid] != b:
+                    return None
+                upper = upper.parent
+            hi = pos[upper.nid]
+            if last[upper.nid] != b or (node.kind == "P" and hi - lo + 1 != len(node.children)):
+                return None
+            tree.vertex_run[v] = (lo, hi)
+        spans[0].append(a)
+        spans[1].append(b)
+        if node in held:
+            held[node].append(v)
+        else:
+            held[node] = [v]
     tree.node_vertices = {node: frozenset(vs) for node, vs in held.items()}
+    # a vertex belongs to a node when its run of ranks meets the node's; a
+    # run ending before the node's first rank also starts before its last
+    starts, ends = sorted(spans[0]), sorted(spans[1])
+    tree.belonging = tuple(bisect_right(starts, last[i]) - bisect_left(ends, first[i]) for i in range(len(nodes)))
     return tree
 
 
 def build_pq_tree(g: Graph) -> Optional[PQTree]:
-    """PQ-tree of g, or None when g is not a connected interval graph."""
+    """PQ-tree of g, or None when g is not a connected interval graph.
+
+    The rows are the distinct clique sets of the vertices, as bitsets over
+    clique indices and as sorted clique lists, in size-then-content order.
+    """
     if g.n == 0 or not is_connected(g):
         return None
     try:
@@ -301,11 +524,12 @@ def build_pq_tree(g: Graph) -> Optional[PQTree]:
     for i, c in enumerate(cliques):
         for v in c:
             incidence[v].append(i)
-    vertex_cliques = tuple(map(frozenset, incidence))
-    root = _build_node(list(range(len(cliques))), sorted(set(vertex_cliques), key=sorted))
+    k = len(cliques)
+    rows = sorted({tuple(cs) for cs in incidence if 2 <= len(cs) < k}, key=lambda cs: (len(cs), cs))
+    root = _build_tree(k, rows)
     if root is None:
         return None
-    return _finalize(PQTree(g, cliques, root, vertex_cliques))
+    return _finalize(PQTree(g, cliques, root, tuple(map(frozenset, incidence))))
 
 
 def pq_tree_to_text(tree: PQTree) -> str:
@@ -429,7 +653,7 @@ def _forms(
                 children = sorted(children, key=lambda c: (codes[c.nid], c.nid))
                 body += (tuple([codes[c.nid] for c in children]),)
         order = orders[node.nid] = tuple(chain(own, *(orders[c.nid] for c in children)))
-        codes[node.nid] = (node.kind, len(own), len(tree.belongs(node)) - len(order)) + body
+        codes[node.nid] = (node.kind, len(own), tree.belonging[node.nid] - len(order)) + body
     return codes, orders
 
 

@@ -174,32 +174,123 @@ class TestBuildPQTree:
         assert tree.root.kind == "Q"
         assert len(tree.root.children) == 1099
 
+    @staticmethod
+    def nested_intervals():
+        """For i < 200, the interval [2i, 800 - 2i] and the points 2i + 1 and
+        799 - 2i: 400 cliques, and the rows of the 200 intervals nest, so most
+        cliques lie in many rows."""
+        spans = []
+        for i in range(200):
+            spans += [(2 * i, 800 - 2 * i), (2 * i + 1, 2 * i + 1), (799 - 2 * i, 799 - 2 * i)]
+        n = len(spans)
+        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]])
+
     def test_one_overlap_test_per_pair_of_rows(self, monkeypatch):
         # the spider with three arms of 32 is a tree but no caterpillar, so not
         # interval; the rows of its root are the clique sets of its r = 94
-        # vertices of degree >= 2, and the overlap graph on them spans the root
+        # vertices of degree >= 2, and the overlap graph on them spans the
+        # root. The nested intervals' 199 rows share cliques many times over,
+        # and their tree is 200 nodes deep.
         from tgraphs import interval
 
-        arms = [(0, 1 + 32 * a) for a in range(3)] + [(i, i + 1) for a in range(3) for i in range(1 + 32 * a, 32 + 32 * a)]
-        g, _p = random_relabel(Graph(97, arms), 1)
         calls = []
-        overlaps = interval._overlaps
+        overlap_graph = interval._overlap_graph
 
-        def counting(a, b):
-            calls.append(None)
-            return overlaps(a, b)
+        def counting(bits, members):
+            adj, tests = overlap_graph(bits, members)
+            calls.append(tests)
+            return adj, tests
 
-        monkeypatch.setattr(interval, "_overlaps", counting)
-        assert build_pq_tree(g) is None
-        r = sum(g.degree(v) >= 2 for v in g.vertices())
-        assert r == 94
-        assert len(calls) <= r * (r - 1) // 2
+        monkeypatch.setattr(interval, "_overlap_graph", counting)
+        arms = [(0, 1 + 32 * a) for a in range(3)] + [(i, i + 1) for a in range(3) for i in range(1 + 32 * a, 32 + 32 * a)]
+        for g, interval_graph, want_r in ((Graph(97, arms), False, 94), (self.nested_intervals(), True, 199)):
+            g, _p = random_relabel(g, 1)
+            calls.clear()
+            assert (build_pq_tree(g) is not None) == interval_graph
+            cliques = maximal_cliques(g)
+            rows = {frozenset(i for i, c in enumerate(cliques) if v in c) for v in g.vertices()}
+            r = sum(2 <= len(row) < len(cliques) for row in rows)
+            assert r == want_r
+            assert sum(calls) <= r * (r - 1) // 2
+
+    def test_build_work_is_linear_on_a_path(self):
+        # the lines the builder runs, a deterministic count of its work: each
+        # row's placement, check and hand-off to a cell, and each vertex's
+        # node and run, read only that row's or vertex's cliques. A scan of
+        # the root Q-node's 2560 cells per row or per vertex would run
+        # millions of lines (about 5200 per vertex at n = 641)
+        from tgraphs import interval
+
+        n = 2561
+        g = path_graph(n)
+        lines = 0
+
+        def local(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return local
+
+        def tracer(frame, event, arg):
+            return local if frame.f_code.co_filename == interval.__file__ else None
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            tree = build_pq_tree(g)
+        finally:
+            sys.settrace(previous)
+        assert len(tree.root.children) == n - 1
+        assert lines <= 400 * n
 
     def test_subdivided_claw_via_star_triangles(self):
         # a non-interval chordal graph: 3 triangles glued to a center vertex path-wise
         g = subdivided_claw()
         assert is_chordal(g) is not None
         assert not is_interval(g)
+
+
+def pin_corpus():
+    """3119 seeded graphs, 1146 of them not connected interval graphs: random
+    T-graphs with three induced subgraphs each, paths, and random interval
+    graphs of up to 25 intervals."""
+    for d in range(2, 6):
+        for n in (5, 10, 20, 40):
+            for s in range(40):
+                g, _ = random_t_graph(d, n, s)
+                yield g
+                for k in range(3):
+                    rng = random.Random(f"pin-sub-{d}-{n}-{s}-{k}")
+                    yield g.subgraph(rng.sample(range(g.n), rng.randint(1, g.n)))[0]
+    for n in range(1, 60):
+        yield path_graph(n)
+    for s in range(500):
+        rng = random.Random(f"pin-interval-{s}")
+        spans = [(a, a + rng.randrange(12)) for a in (rng.randrange(40) for _ in range(rng.randint(1, 25)))]
+        n = len(spans)
+        yield Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]])
+
+
+def test_trees_are_pinned():
+    """Every tree of the pin corpus, with its vertex mapping and leaf sets,
+    hashes to the value recorded before the builder moved to clique bitsets."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    graphs = not_interval = 0
+    for g in pin_corpus():
+        graphs += 1
+        tree = build_pq_tree(g)
+        if tree is None:
+            not_interval += 1
+            digest.update(b"None\n")
+            continue
+        digest.update(pq_tree_to_text(tree).encode())
+        digest.update(repr(sorted(tree.vertex_run.items())).encode())
+        digest.update(repr(sorted((node.nid, sorted(vs)) for node, vs in tree.node_vertices.items())).encode())
+        digest.update(repr([sorted(node.leaf_set) for node in tree.nodes]).encode())
+        digest.update(b"\n")
+    assert (graphs, not_interval) == (3119, 1146)
+    assert digest.hexdigest() == "172da43a5e23135c88d6831b44e5e40353ceb80d9afe060e1ece27a08607f95e"
 
 
 def path_power(n, k):
@@ -236,6 +327,11 @@ class TestCliqueIncidence:
         for g in self.hosts():
             tree = build_pq_tree(g)
             assert tree.vertex_cliques == tuple(full_scan_kv(tree, v) for v in g.vertices())
+
+    def test_belonging_counts_match_full_scan(self):
+        for g in self.hosts():
+            tree = build_pq_tree(g)
+            assert tree.belonging == tuple(len(tree.belongs(node)) for node in tree.nodes)
 
     def test_q_columns_match_full_scan(self):
         checked = 0
