@@ -2,9 +2,10 @@
 
 A T-graph is an intersection graph of connected subtrees of a subdivision of
 a fixed tree T. This package decides T-graph isomorphism by computing a
-canonical level decomposition into interval fragments and searching the
-automorphism group of the combined decomposition for an element exchanging
-the two inputs, with brute-force oracles for desk-scale verification.
+canonical level decomposition into interval fragments and reading an element
+exchanging the two inputs off the stabiliser chain of the combined
+decomposition's automorphism group, with brute-force oracles for desk-scale
+verification.
 """
 
 from .errors import (

@@ -31,7 +31,6 @@ from .perm import (
     MembershipPredicate,
     Perm,
     PermGroup,
-    find_block_swap,
     find_element,
     tower_of_groups,
 )
@@ -256,10 +255,9 @@ def _tower_bound(cd: CombinedDecomposition) -> int:
     s = max((sum(1 for cf in cd.fragments if cf.level == k) for k in range(1, cd.depth + 1)), default=1)
     t = 1
     for cf in cd.fragments:
-        shards = [term.vertices for term in cd.terminals if term.host_gid == cf.gid]
+        shards = [sorted(term.vertices) for fam in cf.shards for term in fam]
         if shards:
-            fam = SetFamily(cd.h.n, [sorted(s2) for s2 in shards])
-            t = max(t, max_antichain_size(fam))
+            t = max(t, max_antichain_size(SetFamily(cd.h.n, shards)))
     return factorial(s) * factorial(s * t)
 
 
@@ -461,6 +459,26 @@ def _invariant(dec: Decomposition) -> tuple:
     return tuple(tuple(sorted(map(key, level))) for level in dec.levels)
 
 
+def _side_swap(cd: CombinedDecomposition, group: PermGroup) -> Optional[Perm]:
+    """An element of the decomposition's group exchanging the two sides, or None.
+
+    Each side is one connected graph and every element lifts to an
+    automorphism of the union, so the sides are blocks: an element that moves
+    one point to the other side swaps them. A swap moves every point to the
+    other side, the first base point included, so there is one exactly when
+    that point's basic orbit reaches the other side, and the transversal
+    element there is one. No chain rebuild and no search.
+    """
+    if not group.base:
+        return None
+    sides = [frozenset(cd.side_points(0)), frozenset(cd.side_points(1))]
+    other = sides[1] if group.base[0] in sides[0] else sides[0]
+    swap = next((t for x, t in group.transversal(0).items() if x in other), None)
+    if swap is not None and swap.image_of_set(sides[0]) != sides[1]:
+        raise AssertionError("an element moving a point across the sides does not swap them")
+    return swap
+
+
 def _connected_isomorphism(part1: tuple, part2: tuple) -> Optional[tuple[int, ...]]:
     """Witness bijection between connected chordal graphs, or None, from each
     one's (decomposition, invariant or None at depth 1); raises NotTGraph."""
@@ -474,7 +492,7 @@ def _connected_isomorphism(part1: tuple, part2: tuple) -> Optional[tuple[int, ..
     else:
         cd = combine(dec1, dec2)
         group = decomposition_autgroup(cd)
-        swap = find_block_swap(group, cd.side_points(0), cd.side_points(1))
+        swap = _side_swap(cd, group)
         if swap is None:
             return None
         sigma = lift_to_vertices(cd, swap)

@@ -258,6 +258,10 @@ class PermGroup:
             n *= len(lvl.transversal)
         return n
 
+    def transversal(self, i: int) -> dict[int, Perm]:
+        """Level i's transversal: each point of base[i]'s basic orbit -> an element carrying base[i] there."""
+        return self._levels[i].transversal
+
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise DomainMismatch(f"permutation degree {p.degree} != {self.degree}")
@@ -305,40 +309,6 @@ class PermGroup:
                 raise DomainMismatch("point set is not invariant under the group")
             gens.append(Perm([index[g(p)] for p in points]))
         return PermGroup(len(points), gens)
-
-    def search(
-        self,
-        accept_partial: Callable[[int, Perm], bool],
-        accept_full: Callable[[Perm], bool],
-    ) -> Optional[Perm]:
-        """Depth-first search over the stabilizer chain.
-
-        accept_partial(i, R) sees a partial product whose images of
-        base[0..i] are final; pruning must be sound w.r.t. accept_full.
-        Only levels with a transversal larger than 1 branch, so the recursion
-        depth is their number; the trivial levels below each choice are
-        checked right after it, when their images are already final.
-        """
-        levels = self._levels
-        moving = [i for i, lvl in enumerate(levels) if len(lvl.transversal) > 1]
-        ends = moving + [len(levels)]  # the first level past the trivial run after each choice
-
-        def dfs(k: int, r: Perm) -> Optional[Perm]:
-            if k == len(moving):
-                return r if accept_full(r) else None
-            i = moving[k]
-            for x in sorted(levels[i].transversal):
-                r2 = levels[i].transversal[x] * r
-                if all(accept_partial(j, r2) for j in range(i, ends[k + 1])):
-                    found = dfs(k + 1, r2)
-                    if found is not None:
-                        return found
-            return None
-
-        identity = Perm.identity(self.degree)
-        if not all(accept_partial(j, identity) for j in range(ends[0])):
-            return None
-        return dfs(0, identity)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
@@ -462,50 +432,59 @@ def symmetric_on_classes(classes: Sequence[Iterable[int]], degree: Optional[int]
     return PermGroup(degree, gens, order=prod(factorial(len(c)) for c in classes))
 
 
-def find_element(
-    group: PermGroup,
-    point_images: Optional[dict[int, int]] = None,
-    set_images: Sequence[tuple[Iterable[int], Iterable[int]]] = (),
-) -> Optional[Perm]:
-    """An element with the prescribed point images mapping each set onto its target.
+def find_element(group: PermGroup, point_images: dict[int, int]) -> Optional[Perm]:
+    """An element with the prescribed point images, or None; one sift, no search.
 
-    Backtracks over a stabilizer chain whose base starts with the constrained
-    points, so pruning fires early; the group's own chain serves when its base
-    already does. Exact (no sampling).
+    On a chain whose base starts with the prescribed points (the group's own
+    when its base already does), each of those levels extends the element so
+    far, r, to t * r with t its transversal element at r^-1(the prescribed
+    image). A missing entry means no element fits, as for non-injective
+    images: each level's stabiliser fixes the earlier base points.
     """
-    point_images = dict(point_images or {})
-    pairs = [(frozenset(a), frozenset(b)) for a, b in set_images]
-    for a, b in pairs:
-        if len(a) != len(b):
+    if not all(0 <= y < group.degree for y in point_images.values()):
+        return None
+    chain = group._with_base_prefix(sorted(point_images))
+    r = r_inv = Perm.identity(group.degree)
+    for lvl in chain._levels[: len(point_images)]:
+        x = r_inv(point_images[lvl.point])
+        if x not in lvl.transversal:
             return None
-    constrained = set(point_images)
-    for a, _b in pairs:
-        constrained |= a
-    if not constrained:
-        return Perm.identity(group.degree)
-    group = group._with_base_prefix(sorted(constrained))
-    base = group.base
-
-    def want(p: int, img: int) -> bool:
-        target = point_images.get(p)
-        if target is not None and img != target:
-            return False
-        for a, b in pairs:
-            if p in a and img not in b:
-                return False
-        return True
-
-    def accept_partial(i: int, r: Perm) -> bool:
-        return want(base[i], r(base[i]))
-
-    def accept_full(r: Perm) -> bool:
-        return all(want(p, r(p)) for p in constrained)
-
-    return group.search(accept_partial, accept_full)
+        r, r_inv = lvl.transversal[x] * r, r_inv * lvl.inv_transversal[x]
+    return r
 
 
 def find_block_swap(group: PermGroup, block_a: Iterable[int], block_b: Iterable[int]) -> Optional[Perm]:
-    """An element mapping block_a onto block_b and block_b onto block_a, or None."""
+    """An element mapping block_a onto block_b and block_b onto block_a, or None.
+
+    Backtracks over the levels of a stabilizer chain whose base starts with
+    the blocks' points, pruning as soon as one leaves its target block; later
+    levels fix them all. Only levels with more than one transversal element
+    branch, so the recursion depth is their number. Exact (no sampling).
+    """
     a = frozenset(block_a)
     b = frozenset(block_b)
-    return find_element(group, None, [(a, b), (b, a)])
+    if len(a) != len(b):
+        return None
+    constrained = a | b
+    levels = group._with_base_prefix(sorted(constrained))._levels[: len(constrained)]
+
+    def want(p: int, img: int) -> bool:
+        return (p not in a or img in b) and (p not in b or img in a)
+
+    def dfs(i: int, r: Perm) -> Optional[Perm]:
+        while i < len(levels) and len(levels[i].transversal) == 1:  # trivial levels: their images are final
+            if not want(levels[i].point, r(levels[i].point)):
+                return None
+            i += 1
+        if i == len(levels):
+            return r
+        lvl = levels[i]
+        for x in sorted(lvl.transversal):
+            r2 = lvl.transversal[x] * r
+            if want(lvl.point, r2(lvl.point)):
+                found = dfs(i + 1, r2)
+                if found is not None:
+                    return found
+        return None
+
+    return dfs(0, Perm.identity(group.degree))

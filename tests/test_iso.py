@@ -386,7 +386,7 @@ class TestLift:
         h, p = random_relabel(g, 3)
         cd = make_cd(g, h, 3)
         group = decomposition_autgroup(cd)
-        swap = find_block_swap(group, cd.side_points(0), cd.side_points(1))
+        swap = iso._side_swap(cd, group)
         assert swap is not None
         sigma = lift_to_vertices(cd, swap)
         for v in range(g.n):
@@ -419,7 +419,7 @@ class TestLift:
             cd = make_cd(g, h, d)
             multi_vertex_marks += sum(len(t.vertices) > 1 for t in cd.terminals)
             group = decomposition_autgroup(cd)
-            swap = find_block_swap(group, cd.side_points(0), cd.side_points(1))
+            swap = iso._side_swap(cd, group)
             assert swap is not None
             for p in group.generators + (swap,):
                 sigma = lift_to_vertices(cd, p)  # checks the edges and the action on the domain
@@ -439,7 +439,7 @@ class TestLift:
         g = branch_graph_with_pendants()
         cd = make_cd(g, random_relabel(g, 7)[0], 3)
         group = decomposition_autgroup(cd)
-        swap = find_block_swap(group, cd.side_points(0), cd.side_points(1))
+        swap = iso._side_swap(cd, group)
         for owner, name in ((iso, "find_element"), (perm, "find_element"),
                             (interval, "_realize_vertex_map"), (PermGroup, "_with_base_prefix")):
             counting(owner, name)
@@ -506,10 +506,76 @@ lift_to_vertices(cd, Perm(images))
     def test_equal_arm_spider_lift_is_fast(self):
         g = spider(*(2,) * 32)
         cd = make_cd(g, random_relabel(g, 5)[0], 32)
-        swap = find_block_swap(decomposition_autgroup(cd), cd.side_points(0), cd.side_points(1))
+        swap = iso._side_swap(cd, decomposition_autgroup(cd))
         start = time.perf_counter()
         lift_to_vertices(cd, swap)
         assert time.perf_counter() - start < 0.1
+
+
+class TestSideSwap:
+    """The decision reads the side swap off the final chain's first level
+    (`iso._side_swap`): no chain rebuild and no backtracking search."""
+
+    @staticmethod
+    def deep_pairs():
+        """A seeded stream of (g, h, d): the deep inputs against relabellings,
+        `pendant_swap_pair` seeds 0-299, and connected random T-graphs of equal
+        d, n and m, paired by draw order. Not every pair has depth 2 or more."""
+        pairs = [(g, random_relabel(g, i)[0], d) for i, (g, d) in enumerate(TestLift.deep_inputs())]
+        pairs += [pendant_swap_pair(seed) for seed in range(300)]
+        drawn = defaultdict(list)
+        for s in range(400):
+            d = 3 + s % 3
+            g = connected_t_graph(d, 20 + 4 * (s % 3), 8300 + 50 * s)
+            drawn[(d, g.n, g.m)].append(g)
+        pairs += [(g, h, d) for (d, _n, _m), gs in drawn.items() for g, h in zip(gs, gs[1:])]
+        return pairs
+
+    def test_chain_read_agrees_with_block_swap_search(self):
+        found = {True: 0, False: 0}
+        for g, h, d in self.deep_pairs():
+            cd = make_cd(g, h, d)
+            if cd is None or cd.depth < 2:
+                continue
+            group = decomposition_autgroup(cd)
+            swap = iso._side_swap(cd, group)
+            reference = find_block_swap(group, cd.side_points(0), cd.side_points(1))
+            assert (swap is None) == (reference is None)
+            if swap is not None:
+                sigma = lift_to_vertices(cd, swap)  # checks the edges and the action on the domain
+                assert all(sigma(v) >= cd.n1 for v in range(cd.n1))
+            found[swap is not None] += 1
+        assert found[True] > 40 and found[False] > 100
+
+    def test_no_levels_read_none_and_a_partial_crossing_raises(self):
+        g = subdivided_claw()
+        cd = make_cd(g, random_relabel(g, 3)[0], 3)
+        assert iso._side_swap(cd, PermGroup(cd.degree)) is None
+        # not a decomposition group: it moves one point across and leaves the rest
+        a, b = cd.side_points(0)[0], cd.side_points(1)[0]
+        with pytest.raises(AssertionError):
+            iso._side_swap(cd, PermGroup(cd.degree, [Perm.from_cycles(cd.degree, [(a, b)])]))
+
+    def test_decision_rebuilds_no_chain_and_searches_nothing(self, monkeypatch):
+        import tgraphs.interval as interval
+        import tgraphs.perm as perm
+
+        rebuilt, searched = [], []
+        prefix = PermGroup._with_base_prefix
+
+        def recording(group, points):
+            chain = prefix(group, points)
+            if chain is not group:
+                rebuilt.append(len(points))
+            return chain
+
+        monkeypatch.setattr(PermGroup, "_with_base_prefix", recording)
+        for module in (perm, interval):
+            original = module.find_block_swap
+            monkeypatch.setattr(module, "find_block_swap", lambda *args, f=original: searched.append(args) or f(*args))
+        for g, d in ((spider(5, 5, 5), 3), (spider(*(2,) * 8), 8), (branch_graph_with_pendants(), 3)):
+            assert is_isomorphic(g, random_relabel(g, 1)[0], d).kind == ISOMORPHIC
+        assert rebuilt == [] and searched == []
 
 
 def branch_graph_with_pendants():
@@ -570,7 +636,7 @@ class TestTreeReuse:
         assert {cf.provenance for cf in cd.fragments} == {"simplicial", "separator", "residual"}
         decomposed = len(built)
         group = decomposition_autgroup(cd)
-        lift_to_vertices(cd, find_block_swap(group, cd.side_points(0), cd.side_points(1)))
+        lift_to_vertices(cd, iso._side_swap(cd, group))
         assert len(built) == decomposed  # the level groups and the lift build none
         own = {cf.gid: cf.tree if cf.completion is None else cf.completion.tree for cf in cd.fragments}
         for side in (0, 1):

@@ -390,7 +390,7 @@ class TestFindWithImages:
         finally:
             sys.setrecursionlimit(limit)
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", range(12))
     def test_agrees_with_element_filter(self, seed):
         # a sparse group on a long prescribed base: most levels are trivial
         rng = random.Random(seed)
@@ -400,14 +400,22 @@ class TestFindWithImages:
         points = rng.sample(range(n), 5)
         target = rng.choice(list(group.elements()))
         images = {z: target(z) for z in points}
-        if seed % 2:  # one image moved at random: feasible or not
+        if seed % 4 == 1:  # one image moved at random: feasible or not
             images[points[-1]] = rng.randrange(n)
-        found = find_element(group, images)
+        elif seed % 4 == 2:  # two points onto one image
+            images[points[-1]] = images[points[0]]
+        elif seed % 4 == 3:  # an image outside 0..n-1
+            images[points[-1]] = rng.choice((-1, n))
         want = [p for p in group.elements() if all(p(z) == t for z, t in images.items())]
-        if want:
-            assert found is not None and all(found(z) == t for z, t in images.items())
-        else:
-            assert found is None
+        prefixed = PermGroup(n, gens, base=rng.sample(points, len(points)))
+        assert prefixed._with_base_prefix(sorted(points)) is prefixed
+        # on a chain rebuilt for the points, and on one whose base already starts with them
+        for chain in (group, prefixed):
+            found = find_element(chain, images)
+            if want:
+                assert found is not None and all(found(z) == t for z, t in images.items())
+            else:
+                assert found is None
 
 
 class TestStabilizer:
