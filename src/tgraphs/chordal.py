@@ -18,40 +18,10 @@ def maximum_cardinality_search(g: Graph) -> list[int]:
     """MCS visit order v_1..v_n; its reverse is a PEO iff g is chordal.
 
     Each step visits an unvisited vertex of largest weight, the smallest on a
-    tie. The unvisited vertices sit in one bucket per weight below a pointer
-    to the top nonempty bucket (Tarjan and Yannakakis, SIAM J. Comput. 1984).
-    Each bucket is a min-heap, so the tie-break costs O(log n); a vertex
-    enters the heap of each weight it reaches once, and an entry whose vertex
-    was visited or gained weight since is dropped when it reaches the top.
+    tie. The order is read off g's elimination pass (`_elimination_pass`),
+    which is the one MCS loop of the package.
     """
-    n = g.n
-    weight = [0] * n
-    visited = [False] * n
-    buckets: list[list[int]] = [list(range(n))]  # a sorted list is a heap
-    top = 0
-    order = []
-    for _ in range(n):
-        bucket = buckets[top]
-        while not bucket or visited[bucket[0]] or weight[bucket[0]] != top:
-            if bucket:
-                heappop(bucket)
-            else:
-                top -= 1
-                bucket = buckets[top]
-        best = heappop(bucket)
-        visited[best] = True
-        order.append(best)
-        for w in g.adj[best]:
-            if not visited[w]:
-                weight[w] += 1
-                k = weight[w]
-                if k == len(buckets):
-                    buckets.append([w])
-                else:
-                    heappush(buckets[k], w)
-                if k > top:
-                    top = k
-    return order
+    return _elimination_pass(g)[0]
 
 
 _Elimination = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
@@ -61,57 +31,130 @@ def _eliminate(g: Graph) -> Optional[_Elimination]:
     """g's elimination pass (`_elimination_pass`), run once per graph and kept
     on it, with g's components when none are kept yet."""
     if g._elimination is None:
-        found, components = _elimination_pass(g)
+        _order, found, components = _elimination_pass(g)
         g._elimination = found or False  # False: g is not chordal
         if g._components is None:
             g._components = components
     return g._elimination or None
 
 
-def _elimination_pass(g: Graph) -> tuple[Optional[_Elimination], tuple[frozenset[int], ...]]:
-    """The reverse of g's MCS order, g's maximal cliques and its separator
-    lists, None when g is not chordal; and g's components, in order of their
-    least vertex, either way.
+def _elimination_pass(g: Graph) -> tuple[list[int], Optional[_Elimination], tuple[frozenset[int], ...]]:
+    """g's MCS order; the reverse of that order, g's maximal cliques and its
+    separator lists, None when g is not chordal; and g's components, in order
+    of their least vertex, either way. One loop does the search and the checks.
 
-    Walking the MCS order, u's visited neighbours are its later neighbours in
-    the reverse order, and v, the last visited of them, is the earliest. The
-    order is perfect iff the rest are adjacent to v (Tarjan and Yannakakis,
-    SIAM J. Comput. 1984). When u has no more visited neighbours than p, the
-    vertex visited just before it, p and its visited neighbours close a maximal
-    clique and u's visited neighbours are a minimal separator; the last vertex
-    closes the last clique (Blair and Peyton, An introduction to chordal graphs
-    and clique trees, 1993). In a connected graph the separator lists are the
-    intersections along the edges of one clique tree, so a separator may repeat.
-    A step that takes a vertex with no visited neighbour starts a component:
-    every unvisited vertex then has weight 0, so the visited ones make up whole
-    components, and the tie-break takes the least vertex left.
+    The unvisited vertices sit in one bucket per weight below a pointer to the
+    top nonempty bucket (Tarjan and Yannakakis, SIAM J. Comput. 1984). Each
+    bucket is a min-heap, so the tie-break costs O(log n); a vertex enters the
+    heap of each weight it reaches once, and an entry whose vertex was visited
+    or gained weight since is dropped when it reaches the top.
+
+    Each vertex collects its visited neighbours as they are visited, so its
+    weight is their number. When u is visited they are its later neighbours in
+    the reverse order, and v, the last collected, is the earliest. The order is
+    perfect iff the rest are adjacent to v (Tarjan and Yannakakis). When u has
+    no more visited neighbours than p, the vertex visited just before it, p and
+    its visited neighbours close a maximal clique and u's visited neighbours
+    are a minimal separator; the last vertex closes the last clique (Blair and
+    Peyton, An introduction to chordal graphs and clique trees, 1993). In a
+    connected graph the separator lists are the intersections along the edges
+    of one clique tree, so a separator may repeat. A step that takes a vertex
+    with no visited neighbour starts a component: every unvisited vertex then
+    has weight 0, so the visited ones make up whole components, and the
+    tie-break takes the least vertex left.
     """
-    mcs = maximum_cardinality_search(g)
-    rank = [-1] * g.n  # MCS step of each vertex visited so far
+    n = g.n
+    adj = g.adj
+    before: list[list[int]] = [[] for _ in range(n)]  # per vertex, its visited neighbours in visit order
+    weight = [0] * n  # len(before[v]) while v is unvisited, -1 once visited
+    buckets: list[list[int]] = [list(range(n))]  # a sorted list is a heap
+    top = 0
+    order: list[int] = []
     starts = []  # the steps that start a component
     chordal = True
     cliques = []
     separators = []
-    prev: list[int] = []  # the visited neighbours of mcs[i - 1]
-    for i, u in enumerate(mcs):
-        lu = [w for w in g.adj[u] if rank[w] >= 0]
-        rank[u] = i
+    prev: list[int] = []  # the visited neighbours of the vertex visited last
+    for i in range(n):
+        bucket = buckets[top]
+        while not bucket or weight[bucket[0]] != top:
+            if bucket:
+                heappop(bucket)
+            else:
+                top -= 1
+                bucket = buckets[top]
+        u = heappop(bucket)
+        weight[u] = -1
+        lu = before[u]
         if not lu:
             starts.append(i)
         elif chordal:
-            v = max(lu, key=rank.__getitem__)
-            chordal = all(w in g.adj[v] for w in lu if w != v)
+            chordal = adj[lu[-1]].issuperset(lu[:-1])
         if chordal and i and len(lu) <= len(prev):
-            cliques.append(tuple(sorted(prev + [mcs[i - 1]])))
+            prev.append(order[-1])
+            cliques.append(tuple(sorted(prev)))
             separators.append(tuple(lu))
+        order.append(u)
+        for w in adj[u]:
+            k = weight[w]
+            if k >= 0:
+                before[w].append(u)
+                weight[w] = k = k + 1
+                if k == len(buckets):
+                    buckets.append([w])
+                else:
+                    heappush(buckets[k], w)
+                if k > top:
+                    top = k
         prev = lu
-    components = tuple(frozenset(mcs[a:b]) for a, b in zip(starts, starts[1:] + [g.n]))
+    components = tuple(frozenset(order[a:b]) for a, b in zip(starts, starts[1:] + [n]))
     if not chordal:
-        return None, components
-    if mcs:
-        cliques.append(tuple(sorted(prev + [mcs[-1]])))
+        return order, None, components
+    if order:
+        prev.append(order[-1])
+        cliques.append(tuple(sorted(prev)))
     cliques.sort()
-    return (tuple(reversed(mcs)), tuple(cliques), tuple(separators)), components
+    return order, (tuple(reversed(order)), tuple(cliques), tuple(separators)), components
+
+
+def component_subgraphs(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
+    """`g.subgraph` of each component of g, in `Graph.components` order.
+
+    When g is chordal each subgraph takes its slice of g's elimination pass
+    instead of running its own: its PEO, its cliques, its nonempty separator
+    lists, and itself as its one component. g's MCS visits each component
+    whole, starting at its least vertex and breaking ties by id, and
+    `subgraph` renumbers monotonically, so the slice is the subgraph's own
+    pass. When g is not chordal the subgraphs are plain.
+    """
+    found = _eliminate(g)
+    comps = g.components()
+    subs = [g.subgraph(c) for c in comps]
+    if found is None or len(comps) == 1:  # one component: the subgraph is g
+        return subs
+    which = [0] * g.n
+    for k, comp in enumerate(comps):
+        for v in comp:
+            which[v] = k
+    peos: list[list[int]] = [[] for _ in comps]
+    cliques: list[list[tuple[int, ...]]] = [[] for _ in comps]
+    separators: list[list[tuple[int, ...]]] = [[] for _ in comps]
+    for v in found[0]:
+        peos[which[v]].append(v)
+    for c in found[1]:
+        cliques[which[c[0]]].append(c)
+    for s in found[2]:
+        if s:  # the empty lists mark where g's components meet
+            separators[which[s[0]]].append(s)
+    for (sub, idx), peo, cs, ss in zip(subs, peos, cliques, separators):
+        local = idx.__getitem__
+        sub._elimination = (
+            tuple(map(local, peo)),
+            tuple(tuple(map(local, c)) for c in cs),
+            tuple(tuple(map(local, s)) for s in ss),
+        )
+        sub._components = (frozenset(range(sub.n)),)
+    return subs
 
 
 def is_connected(g: Graph) -> bool:

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .chordal import is_connected, leaf_cliques, minimal_separators
+from .chordal import component_subgraphs, is_connected, leaf_cliques, minimal_separators
 from .errors import Disconnected, NotTGraph
 from .graph import Graph
-from .interval import PQTree, build_pq_tree
+from .interval import PQTree, build_pq_tree, clique_completion_tree
 
 
 def _label_key(label: Hashable):
@@ -101,25 +101,34 @@ def _build_completion(
     sep: frozenset[int],
     aux_tag: tuple,
     trees: dict,
+    clique: bool = False,
 ) -> Completion:
     """The completion of frag over its separator sep: frag, then sep, each in label
     order, then the contracted vertex l, adjacent to sep, and its pendant tail l'.
-    l stands for the rest of g, which may be empty; `trees` caches PQ-trees (`_pq_tree`)."""
+    l stands for the rest of g, which may be empty; `trees` caches PQ-trees (`_pq_tree`).
+
+    `clique` says that frag and a nonempty sep make a clique of g, so the
+    completion graph depends only on their sizes: its tree is the closed-form
+    `clique_completion_tree`, cached under the sizes, and every equal
+    completion shares that tree and its graph.
+    """
     order = sorted(frag, key=lambda v: _label_key(labels[v])) + sorted(
         sep, key=lambda v: _label_key(labels[v])
     )
-    index = {v: i for i, v in enumerate(order)}
+    new_labels = tuple([labels[v] for v in order] + [aux_tag + (0,), aux_tag + (1,)])
     l_id = len(order)
     tail_id = len(order) + 1
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges
-        if u in index and v in index
-    ]
-    edges += [(index[z], l_id) for z in sorted(sep)]
+    if clique:
+        key = (len(frag), len(sep))
+        if key not in trees:
+            trees[key] = clique_completion_tree(*key)
+        return Completion(trees[key].graph, new_labels, tail_id, trees[key])
+    index = {v: i for i, v in enumerate(order)}
+    pairs = ((index[u], index[v]) for u, v in g.edges if u in index and v in index)
+    edges = [(u, v) if u < v else (v, u) for u, v in pairs]
+    edges += [(index[z], l_id) for z in sep]
     edges.append((l_id, tail_id))
-    new_labels = tuple([labels[v] for v in order] + [aux_tag + (0,), aux_tag + (1,)])
-    comp_graph = Graph(len(order) + 2, edges)
+    comp_graph = Graph._raw(len(order) + 2, tuple(sorted(edges)))
     return Completion(
         comp_graph,
         new_labels,
@@ -164,7 +173,8 @@ class _Bounds:
 def _extract(g: Graph, labels: tuple, bounds: _Bounds, depth: int, budget: int, trees: dict) -> list[ExtractedFragment]:
     """Procedure for one fragment collection on a connected chordal labeled graph.
 
-    `trees` maps each completion graph built so far to its PQ-tree (`_pq_tree`).
+    `trees` maps each completion graph built so far to its PQ-tree (`_pq_tree`),
+    and each clique completion's sizes to its tree (`_build_completion`).
     """
     if depth > budget:
         raise NotTGraph("fragment extraction recursion exceeded its depth budget", depth=depth)
@@ -201,7 +211,7 @@ def _extract(g: Graph, labels: tuple, bounds: _Bounds, depth: int, budget: int, 
             if not f:
                 raise NotTGraph("leaf clique without simplicial vertices")
             sep = clique - f
-            comp = _build_completion(g, labels, f, sep, ("aux", depth, idx), trees=trees)
+            comp = _build_completion(g, labels, f, sep, ("aux", depth, idx), trees, clique=bool(sep))
             chain = (frozenset(labels[v] for v in sep),) if sep else ()
             frags.append(
                 ExtractedFragment(
@@ -395,14 +405,14 @@ def canonical_decomposition(g: Graph, d: int) -> Decomposition:
     if g.n == 0:
         return Decomposition(g, (), ())
     if not is_connected(g):
-        parts = [(canonical_decomposition(g.subgraph(comp)[0], d), sorted(comp)) for comp in g.components()]
+        parts = [(canonical_decomposition(sub, d), sorted(idx)) for sub, idx in component_subgraphs(g)]
         return merge_decompositions(g, parts)
 
     levels: list[list[Fragment]] = []
     terminal_sets: list[TerminalSet] = []
     active: list[dict] = []  # origin_level, origin_fragment, position, remaining
     residue: list[int] = list(range(g.n))
-    trees: dict = {}  # completion graph -> PQ-tree, shared by every level's extraction
+    trees: dict = {}  # completion graph or clique sizes -> PQ-tree, shared by every level's extraction
     bounds = _Bounds(d)
     level = 0
     while residue:

@@ -20,17 +20,32 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj = [set() for _ in range(n)]
+        pairs = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            pairs.add((u, v) if u < v else (v, u))
+        self._fill(n, tuple(sorted(pairs)))
+
+    @classmethod
+    def _raw(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """The graph on 0..n-1 with these edges, unchecked: they must be
+        distinct pairs u < v < n in sorted order, as the edges of a graph
+        derived from a valid one are."""
+        g = cls.__new__(cls)
+        g._fill(n, edges)
+        return g
+
+    def _fill(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
         self.n = n
-        self.adj = tuple(frozenset(s) for s in adj)
-        self._edges = tuple(sorted((u, v) for u in range(n) for v in adj[u] if u < v))
+        self.adj = tuple(map(frozenset, adj))
+        self._edges = edges
         self._components: Optional[tuple[frozenset[int], ...]] = None
         self._elimination = None
 
@@ -66,8 +81,8 @@ class Graph:
         idx = {v: i for i, v in enumerate(vs)}
         if vs == list(self.vertices()):
             return self, idx
-        edges = [(idx[u], idx[v]) for u in vs for v in self.adj[u] if u < v and v in idx]
-        return Graph(len(vs), edges), idx
+        edges = sorted((idx[u], idx[v]) for u in vs for v in self.adj[u] if u < v and v in idx)
+        return Graph._raw(len(vs), tuple(edges)), idx
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, sorted by minimum vertex."""
@@ -102,9 +117,8 @@ class Graph:
 
     def union_disjoint(self, other: "Graph") -> "Graph":
         """Disjoint union; other's vertices are shifted by self.n."""
-        edges = list(self._edges)
-        edges += [(u + self.n, v + self.n) for u, v in other._edges]
-        return Graph(self.n + other.n, edges)
+        shifted = tuple((u + self.n, v + self.n) for u, v in other._edges)
+        return Graph._raw(self.n + other.n, self._edges + shifted)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._edges == other._edges
@@ -156,33 +170,45 @@ def parse_graph_text(text: str) -> Graph:
     """Parse the shared text format: 'n m' header, then m lines 'u v'.
 
     Blank lines and '#' comments are ignored; an edge may appear only once.
+    Each line is read once, in file order. A line that is not two integers
+    raises at once; the first edge fault (range, order or repetition) raises
+    only once every line has been read and the header's edge count checked.
     """
-    rows: list[list[int]] = []
+    n = m = -1
+    header = False
+    seen: set[tuple[int, int]] = set()
+    count = 0
+    fault = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
         try:
-            rows.append([int(parts[0]), int(parts[1])])
+            u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: expected two integers, got {raw!r}") from None
-    if not rows:
+        if not header:
+            n, m, header = u, v, True
+            continue
+        count += 1
+        if fault is None:
+            if not (0 <= u < v < n):
+                fault = f"edge ({u},{v}) violates 0 <= u < v < n={n}"
+            elif (u, v) in seen:
+                fault = f"edge ({u},{v}) repeated"
+            else:
+                seen.add((u, v))
+    if not header:
         raise ValueError("empty graph file (missing 'n m' header)")
-    n, m = rows[0]
-    edges = rows[1:]
-    if len(edges) != m:
-        raise ValueError(f"header declares {m} edges, found {len(edges)}")
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if not (0 <= u < v < n):
-            raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < n={n}")
-        if (u, v) in seen:
-            raise ValueError(f"edge ({u},{v}) repeated")
-        seen.add((u, v))
-    return Graph(n, [(u, v) for u, v in edges])
+    if count != m:
+        raise ValueError(f"header declares {m} edges, found {count}")
+    if fault is not None:
+        raise ValueError(fault)
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    return Graph._raw(n, tuple(sorted(seen)))
 
 
 def format_graph_text(g: Graph) -> str:

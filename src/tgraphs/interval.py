@@ -18,7 +18,7 @@ from math import factorial
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .chordal import is_connected, maximal_cliques
+from .chordal import component_subgraphs, is_connected, maximal_cliques
 from .errors import NotChordal, TooLarge
 from .graph import Graph
 from .perm import Perm, PermGroup, find_block_swap
@@ -532,15 +532,44 @@ def build_pq_tree(g: Graph) -> Optional[PQTree]:
     return _finalize(PQTree(g, cliques, root, tuple(map(frozenset, incidence))))
 
 
+def clique_completion_tree(frag: int, sep: int) -> PQTree:
+    """The PQ-tree of a completion (`decompose._build_completion`) whose
+    fragment of `frag` vertices and nonempty separator of `sep` vertices make
+    a clique K: K on 0..frag+sep-1, separator last, then l, joined to the
+    separator, then l's pendant tail. Its cliques K, sep + l and l + tail
+    form a path that only reverses, so the tree is one Q-node over them, the
+    one `build_pq_tree` returns, without a search."""
+    k = frag + sep
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k + (u >= frag))]
+    edges.append((k, k + 1))
+    cliques = (tuple(range(k)), tuple(range(frag, k + 1)), (k, k + 1))
+    vertex_cliques = (frozenset((0,)),) * frag + (frozenset((0, 1)),) * sep + (frozenset((1, 2)), frozenset((2,)))
+    root = PQNode("Q", [PQNode("L", clique=2), PQNode("L", clique=1), PQNode("L", clique=0)])
+    tree = _finalize(PQTree(Graph._raw(k + 2, tuple(edges)), cliques, root, vertex_cliques))
+    if tree is None:
+        raise AssertionError("a clique completion's path of cliques failed to align")
+    return tree
+
+
 def pq_tree_to_text(tree: PQTree) -> str:
-    """Bracketed serialization: P(...), Q(...), L{v1,...}."""
-
-    def rec(node: PQNode) -> str:
-        if node.kind == "L":
-            return "L{" + ",".join(str(v) for v in tree.cliques[node.clique]) + "}"
-        return node.kind + "(" + ",".join(rec(c) for c in node.children) + ")"
-
-    return rec(tree.root)
+    """Bracketed serialization: P(...), Q(...), L{v1,...}. The nodes and the
+    text between them come off one stack, so a tree of any depth serializes."""
+    out: list[str] = []
+    stack: list = [tree.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.kind == "L":
+            out.append("L{" + ",".join(map(str, tree.cliques[item.clique])) + "}")
+        else:
+            out.append(item.kind + "(")
+            stack.append(")")
+            for i, child in enumerate(reversed(item.children)):
+                if i:
+                    stack.append(",")
+                stack.append(child)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +778,7 @@ class _Encoding:
 def _component_trees(host: Graph) -> list[tuple[PQTree, list[int]]]:
     """Per-component PQ-trees plus new->host vertex maps."""
     out = []
-    for comp in host.components():
-        sub, idx = host.subgraph(comp)
+    for sub, idx in component_subgraphs(host):
         back = [0] * sub.n
         for old, new in idx.items():
             back[new] = old

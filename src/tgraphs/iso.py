@@ -14,7 +14,7 @@ from itertools import accumulate
 from math import factorial
 from typing import Optional
 
-from .chordal import is_chordal
+from .chordal import component_subgraphs, is_chordal
 from .decompose import Completion, Decomposition, canonical_decomposition, merge_decompositions
 from .errors import NotTGraph
 from .graph import Graph
@@ -541,8 +541,8 @@ def _component_matching(g1: Graph, g2: Graph, d: int) -> tuple[Optional[tuple[in
     same course; below it, the first decomposition that fails a bound raises.
     """
     key = lambda sub: (sub.n, sub.m, tuple(sorted(map(sub.degree, sub.vertices()))))
-    subs1 = [g1.subgraph(c) for c in g1.components()]
-    subs2 = [g2.subgraph(c) for c in g2.components()]
+    subs1 = component_subgraphs(g1)
+    subs2 = component_subgraphs(g2)
     keys1 = [key(sub) for sub, _ in subs1]
     keys2 = [key(sub) for sub, _ in subs2]
     least = 2

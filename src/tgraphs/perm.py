@@ -151,6 +151,9 @@ class PermGroup:
         """`base` lists points to lead the base in that order, moved or not;
         `order`, if given, is the order of the group the generators generate."""
         self.degree = degree
+        for b in base:
+            if not 0 <= b < degree:
+                raise DomainMismatch(f"base point {b} outside 0..{degree - 1}")
         self._levels: list[_Level] = [_Level(b, degree) for b in dict.fromkeys(base)]
         self._sifted: set[tuple[int, ...]] = set()
         kept = []
@@ -439,9 +442,10 @@ def find_element(group: PermGroup, point_images: dict[int, int]) -> Optional[Per
     when its base already does), each of those levels extends the element so
     far, r, to t * r with t its transversal element at r^-1(the prescribed
     image). A missing entry means no element fits, as for non-injective
-    images: each level's stabiliser fixes the earlier base points.
+    images: each level's stabiliser fixes the earlier base points. A point or
+    an image outside 0..degree-1 gives None too.
     """
-    if not all(0 <= y < group.degree for y in point_images.values()):
+    if not all(0 <= x < group.degree and 0 <= y < group.degree for x, y in point_images.items()):
         return None
     chain = group._with_base_prefix(sorted(point_images))
     r = r_inv = Perm.identity(group.degree)

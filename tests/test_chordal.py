@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import tgraphs.chordal as chordal_mod
 import tgraphs.graph as graph_mod
 from tgraphs.chordal import (
+    component_subgraphs,
     is_chordal,
     leaf_cliques,
     maximal_cliques,
@@ -160,7 +161,8 @@ class TestEliminationPass:
     @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(5)], ids=["p5", "c5"])
     def test_one_pass_per_graph(self, g, monkeypatch):
         passes = []
-        monkeypatch.setattr(chordal_mod, "maximum_cardinality_search", lambda h: passes.append(h) or quadratic_mcs(h))
+        real = chordal_mod._elimination_pass
+        monkeypatch.setattr(chordal_mod, "_elimination_pass", lambda h: passes.append(h) or real(h))
         for _ in range(2):
             assert (is_chordal(g) is None) == (g.m == g.n)
         if g.m < g.n:
@@ -175,6 +177,26 @@ class TestEliminationPass:
         is_chordal(g)
         assert g._components == graph_mod._search_components(g)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(chordal_unions, any_graph))
+    def test_component_slices_equal_fresh_passes(self, g):
+        subs = component_subgraphs(g)
+        assert [sorted(idx) for _sub, idx in subs] == [sorted(c) for c in g.components()]
+        for sub, idx in subs:
+            assert list(idx.values()) == list(range(sub.n))  # monotone renumbering
+            fresh = Graph(sub.n, sub.edges)
+            assert fresh._elimination is None
+            if is_chordal(g) is None:
+                assert sub is g or sub._elimination is None  # plain subgraphs
+                continue
+            assert sub._elimination is not None
+            assert sub._components == (frozenset(range(sub.n)),)
+            assert is_perfect(sub, sub._elimination[0])
+            assert is_chordal(fresh) is not None
+            # the PEO, the cliques and the separator lists, in the same order
+            assert sub._elimination == fresh._elimination
+            assert sub.components() == fresh.components()
+
     def test_results_do_not_share_the_memo(self):
         g = path_graph(4)
         for query in (Graph.components, maximal_cliques, leaf_cliques, minimal_separators):
@@ -182,6 +204,14 @@ class TestEliminationPass:
             expected = list(first)
             first.clear()
             assert query(g) == expected, query.__name__
+
+
+def is_perfect(g, peo):
+    """Whether the later neighbours of each vertex of the order form a clique."""
+    position = {v: i for i, v in enumerate(peo)}
+    return sorted(peo) == list(range(g.n)) and all(
+        g.is_clique(w for w in g.adj[v] if position[w] > position[v]) for v in peo
+    )
 
 
 def quadratic_mcs(g):

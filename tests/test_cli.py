@@ -164,7 +164,7 @@ class TestAnalyze:
         import tgraphs.chordal as chordal
         import tgraphs.graph as graph
 
-        calls = {"mcs": 0, "components": 0}
+        calls = {"elimination": 0, "components": 0}
 
         def counting(name, fn):
             def wrapper(g):
@@ -173,7 +173,7 @@ class TestAnalyze:
 
             return wrapper
 
-        monkeypatch.setattr(chordal, "maximum_cardinality_search", counting("mcs", chordal.maximum_cardinality_search))
+        monkeypatch.setattr(chordal, "_elimination_pass", counting("elimination", chordal._elimination_pass))
         monkeypatch.setattr(graph, "_search_components", counting("components", graph._search_components))
         p = write_graph(tmp_path, "p4.graph", path_graph(4))
         assert main(["analyze", p, "--json"]) == 0
@@ -181,7 +181,7 @@ class TestAnalyze:
             '{"n": 4, "m": 3, "chordal": true, "connected": true, "maximal_cliques": [[0, 1], [1, 2], [2, 3]], '
             '"minimal_separators": [[1], [2]], "leaf_cliques": [[0, 1], [2, 3]]}\n'
         )
-        assert calls == {"mcs": 1, "components": 0}  # the components come off the elimination pass
+        assert calls == {"elimination": 1, "components": 0}  # the components come off the elimination pass
 
     @pytest.mark.parametrize(
         "g, keys",

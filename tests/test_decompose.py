@@ -12,6 +12,7 @@ from tgraphs.decompose import (
 from tgraphs.errors import NotChordal, NotTGraph
 from tgraphs.graph import Graph, complete_graph, cycle_graph, path_graph, separates, star_graph
 from tgraphs.harness import random_relabel, random_t_graph, random_tree
+from tgraphs.interval import build_pq_tree, clique_completion_tree, pq_tree_to_text
 from tgraphs.iso import ISOMORPHIC, NOT_ISOMORPHIC, NOT_T_GRAPH, is_isomorphic
 
 
@@ -193,6 +194,43 @@ class TestCompletion:
         frags = extract_fragments(g, 3)
         for f in frags:
             assert is_chordal(f.completion.graph) is not None
+
+
+class TestCliqueCompletion:
+    """A completion whose fragment and nonempty separator make a clique is
+    built in closed form, from the two sizes alone."""
+
+    @pytest.mark.parametrize("frag", range(1, 13))
+    def test_closed_form_tree_is_the_built_tree(self, frag):
+        for sep in range(1, 13):
+            k = frag + sep
+            g = Graph(k + 2, [(u, v) for u in range(k) for v in range(u + 1, k)] + [(z, k) for z in range(frag, k)] + [(k, k + 1)])
+            closed, built = clique_completion_tree(frag, sep), build_pq_tree(g)
+            assert closed.graph == g and closed.cliques == built.cliques
+            assert closed.vertex_cliques == built.vertex_cliques
+            assert pq_tree_to_text(closed) == pq_tree_to_text(built) == f"Q(L{{{k},{k + 1}}},L{{{','.join(map(str, range(frag, k + 1)))}}},L{{{','.join(map(str, range(k)))}}})"
+            assert closed.vertex_run == built.vertex_run
+            assert closed.belonging == built.belonging
+            assert [n.nid for n in closed.nodes] == [n.nid for n in built.nodes]
+            assert {n.nid: vs for n, vs in closed.node_vertices.items()} == {n.nid: vs for n, vs in built.node_vertices.items()}
+            assert [n.leaf_set for n in closed.nodes] == [n.leaf_set for n in built.nodes]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_closed_form_completion_is_the_general_one(self, seed):
+        g, _ = random_t_graph(2 + seed % 4, 6 + seed, 900 + seed)
+        labels = tuple(range(g.n))
+        for clique in map(frozenset, maximal_cliques(g)):
+            frag = frozenset(v for v in clique if len(g.adj[v]) == len(clique) - 1)
+            sep = clique - frag
+            if not frag or not sep:
+                continue
+            trees: dict = {}
+            closed = decompose._build_completion(g, labels, frag, sep, ("aux", 0, 0), trees, clique=True)
+            general = decompose._build_completion(g, labels, frag, sep, ("aux", 0, 0), {})
+            assert closed == general  # graph, labels and tail
+            assert pq_tree_to_text(closed.tree) == pq_tree_to_text(general.tree)
+            again = decompose._build_completion(g, labels, frag, sep, ("aux", 0, 1), trees, clique=True)
+            assert again.tree is closed.tree and again.graph is closed.graph
 
 
 class TestAttachmentSets:

@@ -13,6 +13,8 @@ from tgraphs.graph import Graph, complete_graph, path_graph, star_graph
 from tgraphs.harness import random_relabel, random_t_graph
 from tgraphs.interval import (
     MarkedIntervalGraph,
+    PQNode,
+    PQTree,
     brute_marked_autgroup,
     build_pq_tree,
     marked_action_group,
@@ -393,6 +395,17 @@ class TestSerialization:
     def test_path_text(self):
         tree = build_pq_tree(path_graph(5))
         assert pq_tree_to_text(tree).startswith("Q(")
+
+    def test_tree_deeper_than_the_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 100
+        node = PQNode("L", clique=0)
+        for i in range(depth):
+            node = PQNode("P" if i % 2 else "Q", [node, PQNode("L", clique=1)])
+        tree = PQTree(Graph(3, [(0, 1), (1, 2)]), ((0, 1), (1, 2)), node, ())
+        text = pq_tree_to_text(tree)
+        assert text.startswith("P(Q(P(")
+        assert text.count("L{0,1}") == 1 and text.count("L{1,2}") == depth
+        assert text.endswith("L{0,1},L{1,2}),L{1,2})" + ",L{1,2})" * (depth - 2))
 
 
 class TestReduceClean:

@@ -808,8 +808,8 @@ class TestIsIsomorphic:
 
     def test_decide_up_to_tests_chordality_once_per_input(self, monkeypatch):
         passes = []
-        real = chordal.maximum_cardinality_search
-        monkeypatch.setattr(chordal, "maximum_cardinality_search", lambda g: passes.append(g) or real(g))
+        real = chordal._elimination_pass
+        monkeypatch.setattr(chordal, "_elimination_pass", lambda g: passes.append(g) or real(g))
         verdict = decide_up_to(cycle_graph(5), cycle_graph(5), 10**4)
         assert len(passes) <= 2
         assert (verdict.kind, verdict.d, verdict.witness) == (NOT_T_GRAPH, 10**4, None)
@@ -921,7 +921,7 @@ class TestIsIsomorphic:
 
     def test_chordality_is_tested_once_per_input(self, monkeypatch):
         # every module binding of is_chordal is wrapped, as bench/spans.py does
-        calls = {"is_chordal": 0, "mcs": 0, "components": 0}
+        calls = {"is_chordal": 0, "elimination": 0, "components": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -934,17 +934,17 @@ class TestIsIsomorphic:
         for name, mod in list(sys.modules.items()):
             if (name == "tgraphs" or name.startswith("tgraphs.")) and getattr(mod, "is_chordal", None) is original:
                 monkeypatch.setattr(mod, "is_chordal", counting("is_chordal", original))
-        mcs = counting("mcs", chordal.maximum_cardinality_search)
-        monkeypatch.setattr(chordal, "maximum_cardinality_search", mcs)
+        monkeypatch.setattr(chordal, "_elimination_pass", counting("elimination", chordal._elimination_pass))
         monkeypatch.setattr(graph, "_search_components", counting("components", graph._search_components))
         g = spider(5, 5, 6)
         h, _ = random_relabel(g, 3)
         assert is_isomorphic(g, h, 3).kind == ISOMORPHIC
         assert calls["is_chordal"] == 2
-        # one elimination pass per distinct graph, kept on it: per side the input,
-        # its four smaller residues and the one completion graph that all 12
-        # completions share; each one's components come off that pass
-        assert calls["mcs"] == 12
+        # one elimination pass per distinct graph, kept on it: per side the input
+        # and its four smaller residues; the one completion graph that all 12
+        # completions share is a clique completion, built in closed form with
+        # no pass; each graph's components come off its pass
+        assert calls["elimination"] == 10
         assert calls["components"] == 0
 
     def test_verdict_json(self):

@@ -418,6 +418,24 @@ class TestFindWithImages:
                 assert found is None
 
 
+class TestOutOfDomainPoints:
+    """A base point or prescribed point outside 0..degree-1 is a typed error or
+    no element, never an IndexError or a point aliased by negative indexing."""
+
+    @pytest.mark.parametrize("point", [3, 5, -1])
+    def test_base_point_outside_the_domain_is_rejected(self, point):
+        with pytest.raises(DomainMismatch, match=f"base point {point} outside 0..2"):
+            PermGroup(3, s_n(3).generators, base=[0, point])
+
+    @pytest.mark.parametrize("images", [{5: 0}, {-1: 0}, {0: 1, 3: 2}, {-3: -3}])
+    def test_prescribed_point_outside_the_domain_finds_nothing(self, images):
+        assert find_element(s_n(3), images) is None
+
+    def test_stabilizer_of_a_point_outside_the_domain_is_rejected(self):
+        with pytest.raises(DomainMismatch):
+            s_n(3).stabilizer([5])
+
+
 class TestStabilizer:
     FIXTURES = {
         "s4": lambda: s_n(4),
