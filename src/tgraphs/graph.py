@@ -170,45 +170,47 @@ def parse_graph_text(text: str) -> Graph:
     """Parse the shared text format: 'n m' header, then m lines 'u v'.
 
     Blank lines and '#' comments are ignored; an edge may appear only once.
-    Each line is read once, in file order. A line that is not two integers
-    raises at once; the first edge fault (range, order or repetition) raises
-    only once every line has been read and the header's edge count checked.
+    Each line is read and checked once, in file order. A line that is not two
+    integers raises at once; the first edge fault (range, order or
+    repetition) raises once every line has been read and the header's edge
+    count checked, and a negative n after that.
     """
-    n = m = -1
-    header = False
+    header = None
+    n = 0
+    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    count = 0
     fault = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+            u, v = parts
+            e = u, v = int(u), int(v)
+        except ValueError:  # not two tokens, or not integers
             raise ValueError(f"line {lineno}: expected two integers, got {raw!r}") from None
-        if not header:
-            n, m, header = u, v, True
+        if header is None:
+            header, n = e, u
             continue
-        count += 1
+        edges.append(e)
         if fault is None:
             if not (0 <= u < v < n):
                 fault = f"edge ({u},{v}) violates 0 <= u < v < n={n}"
-            elif (u, v) in seen:
+            elif e in seen:
                 fault = f"edge ({u},{v}) repeated"
             else:
-                seen.add((u, v))
-    if not header:
+                seen.add(e)
+    if header is None:
         raise ValueError("empty graph file (missing 'n m' header)")
-    if count != m:
-        raise ValueError(f"header declares {m} edges, found {count}")
+    m = header[1]
+    if len(edges) != m:
+        raise ValueError(f"header declares {m} edges, found {len(edges)}")
     if fault is not None:
         raise ValueError(fault)
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    return Graph._raw(n, tuple(sorted(seen)))
+    edges.sort()
+    return Graph._raw(n, tuple(edges))
 
 
 def format_graph_text(g: Graph) -> str:

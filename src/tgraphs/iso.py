@@ -539,15 +539,21 @@ def _component_matching(g1: Graph, g2: Graph, d: int) -> tuple[Optional[tuple[in
     component that raises it in the greedy order. At any leaf count from the
     least one up every decomposition read is the same, so the match takes the
     same course; below it, the first decomposition that fails a bound raises.
+    The keys are read off the inputs, a component's degrees being its
+    vertices' degrees there, so the component graphs are built only for
+    inputs whose keys agree.
     """
-    key = lambda sub: (sub.n, sub.m, tuple(sorted(map(sub.degree, sub.vertices()))))
-    subs1 = component_subgraphs(g1)
-    subs2 = component_subgraphs(g2)
-    keys1 = [key(sub) for sub, _ in subs1]
-    keys2 = [key(sub) for sub, _ in subs2]
+
+    def keys(g: Graph) -> list[tuple]:
+        degrees = [sorted(map(g.degree, comp)) for comp in g.components()]
+        return [(len(ds), sum(ds) // 2, tuple(ds)) for ds in degrees]
+
+    keys1, keys2 = keys(g1), keys(g2)
     least = 2
     if sorted(keys1) != sorted(keys2):
         return None, least
+    subs1 = component_subgraphs(g1)
+    subs2 = component_subgraphs(g2)
     decomposed: dict[Graph, tuple[Decomposition, Optional[tuple]]] = {}
     uses = Counter(sub for sub, _ in subs1 + subs2)  # an entry is dropped once no pair can read it
 
