@@ -1,8 +1,12 @@
 """Chordal-graph primitives: recognition, maximal cliques, leaf cliques, minimal separators.
 
 `is_chordal`, `maximal_cliques`, `leaf_cliques` and `minimal_separators` read
-one elimination pass, made once per graph and kept on it. The engine tests
-chordality only where a graph enters it (`iso.is_isomorphic`).
+one elimination pass, made once per graph and kept on it. The pass is one loop
+that runs maximum cardinality search and the elimination checks together, and
+`maximum_cardinality_search` reads its order from it. The engine tests
+chordality only where a graph enters it (`iso.is_isomorphic`); the components
+of a chordal graph take their slices of its pass (`component_subgraphs`)
+instead of running their own.
 """
 
 from __future__ import annotations

@@ -8,11 +8,16 @@ from typing import Iterable, Optional
 class Graph:
     """Immutable simple undirected graph with frozenset adjacency.
 
+    `Graph(n, edges)` checks its input. A graph derived from a valid one (a
+    parsed text, a subgraph, a disjoint union, a completion) is built by
+    `Graph._raw` from its sorted edges, with no second check.
+
     Two slots memoise what is derived from the whole graph, each computed on
     first use: `_elimination` by `chordal._eliminate`, which every clique and
     chordality query reads, and `_components` by the same pass or, for a graph
-    not eliminated first, by `components` and `is_connected`. A graph never
-    changes, so both stay valid.
+    not eliminated first, by `components` and `is_connected`. A component
+    subgraph of a chordal graph takes both from its parent's pass
+    (`chordal.component_subgraphs`). A graph never changes, so both stay valid.
     """
 
     __slots__ = ("n", "adj", "_edges", "_components", "_elimination")

@@ -1179,14 +1179,14 @@ def marked_union(ms: Sequence[MarkedIntervalGraph]) -> tuple[MarkedIntervalGraph
     offsets = list(accumulate((m.host.n for m in ms[:-1]), initial=0))
     parts = list(zip(ms, offsets))
     trees = [(tree, [v + off for v in back]) for m, off in parts for tree, back in m.component_trees()]
-    edges = [(u + off, v + off) for m, off in parts for u, v in m.host.edges]
+    edges = tuple((u + off, v + off) for m, off in parts for u, v in m.host.edges)  # sorted: offsets ascend
     families = [
         tuple(frozenset(v + off for v in s) for m, off in parts for s in m.families[j])
         for j in range(len(ms[0].families))
     ]
     if ms[0].tail is not None:
         families.append(tuple(frozenset([m.tail + off]) for m, off in parts))
-    return MarkedIntervalGraph(Graph(offsets[-1] + ms[-1].host.n, edges), families, trees=trees), offsets
+    return MarkedIntervalGraph(Graph._raw(offsets[-1] + ms[-1].host.n, edges), families, trees=trees), offsets
 
 
 def marked_isomorphism(
