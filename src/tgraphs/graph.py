@@ -25,34 +25,36 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        pairs = set()
+        adj = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            pairs.add((u, v) if u < v else (v, u))
-        self._fill(n, tuple(sorted(pairs)))
+            adj[u].add(v)
+            adj[v].add(u)
+        self.n = n
+        self.adj = tuple(frozenset(s) for s in adj)
+        self._edges = tuple(sorted((u, v) for u in range(n) for v in adj[u] if u < v))
+        self._components: Optional[tuple[frozenset[int], ...]] = None
+        self._elimination = None
 
     @classmethod
     def _raw(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
         """The graph on 0..n-1 with these edges, unchecked: they must be
         distinct pairs u < v < n in sorted order, as the edges of a graph
         derived from a valid one are."""
-        g = cls.__new__(cls)
-        g._fill(n, edges)
-        return g
-
-    def _fill(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.n = n
-        self.adj = tuple(map(frozenset, adj))
-        self._edges = edges
-        self._components: Optional[tuple[frozenset[int], ...]] = None
-        self._elimination = None
+        g = cls.__new__(cls)
+        g.n = n
+        g.adj = tuple(map(frozenset, adj))
+        g._edges = edges
+        g._components = None
+        g._elimination = None
+        return g
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -151,10 +151,11 @@ class PermGroup:
         """`base` lists points to lead the base in that order, moved or not;
         `order`, if given, is the order of the group the generators generate."""
         self.degree = degree
+        base = list(dict.fromkeys(base))
         for b in base:
             if not 0 <= b < degree:
                 raise DomainMismatch(f"base point {b} outside 0..{degree - 1}")
-        self._levels: list[_Level] = [_Level(b, degree) for b in dict.fromkeys(base)]
+        self._levels: list[_Level] = [_Level(b, degree) for b in base]
         self._sifted: set[tuple[int, ...]] = set()
         kept = []
         for g in generators:
