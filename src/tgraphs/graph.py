@@ -43,11 +43,12 @@ class Graph:
     def _raw(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
         """The graph on 0..n-1 with these edges, unchecked: they must be
         distinct pairs u < v < n in sorted order, as the edges of a graph
-        derived from a valid one are."""
-        adj: list[list[int]] = [[] for _ in range(n)]
+        derived from a valid one are. The adjacency goes through sets, as in
+        `__init__`: a frozenset copied from a set gets the smaller table."""
+        adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
+            adj[u].add(v)
+            adj[v].add(u)
         g = cls.__new__(cls)
         g.n = n
         g.adj = tuple(map(frozenset, adj))
