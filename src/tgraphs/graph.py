@@ -84,10 +84,12 @@ class Graph:
 
     def subgraph(self, vs: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph and the old->new vertex map; on all the vertices, the
-        graph itself (graphs are immutable, so sharing it is safe)."""
+        graph itself (graphs are immutable, so sharing it is safe). Distinct
+        sorted integers are all of 0..n-1 exactly when there are n of them
+        from 0 to n-1, so that test reads no more than the given vertices."""
         vs = sorted(set(vs))
         idx = {v: i for i, v in enumerate(vs)}
-        if vs == list(self.vertices()):
+        if len(vs) == self.n and (not vs or (vs[0] == 0 and vs[-1] == self.n - 1)):
             return self, idx
         edges = sorted((idx[u], idx[v]) for u in vs for v in self.adj[u] if u < v and v in idx)
         return Graph._raw(len(vs), tuple(edges)), idx
@@ -188,8 +190,9 @@ def parse_graph_text(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     fault = None
+    comments = "#" in text  # a text without one splits no line on it
     for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split("#", 1)[0].split()
+        parts = (raw.split("#", 1)[0] if comments else raw).split()
         if not parts:
             continue
         try:

@@ -266,6 +266,16 @@ class TestComponents:
         assert sub is g
         assert idx == {v: v for v in range(g.n)}
 
+    @given(small_graphs, st.data())
+    def test_subgraph_is_the_graph_only_on_all_vertices(self, g, data):
+        # the full-set test reads only the given vertices (their count and
+        # ends), so it must agree with comparing against every vertex
+        vs = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+        sub, idx = g.subgraph(vs)
+        assert (sub is g) == (set(vs) == set(range(g.n)))
+        assert sub.n == len(set(vs)) and idx == {v: i for i, v in enumerate(sorted(set(vs)))}
+        assert set(sub.edges) == {(idx[u], idx[v]) for u, v in g.edges if u in idx and v in idx}
+
 
 class TestSeparates:
     def test_cut_vertex(self):
