@@ -9,13 +9,12 @@ the marked-set machinery consumes.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate, chain
 from math import factorial
-from operator import attrgetter
+from operator import sub
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .chordal import component_subgraphs, is_connected, maximal_cliques
@@ -47,7 +46,7 @@ class PQTree:
     vertex_cliques: tuple[frozenset[int], ...]  # per vertex, the indices of the cliques holding it
     nodes: tuple[PQNode, ...] = ()
     vertex_run: dict[int, tuple[int, int]] = field(default_factory=dict)
-    node_vertices: dict[PQNode, frozenset[int]] = field(default_factory=dict)
+    assigned: tuple[tuple[int, ...], ...] = ()  # per node id, the vertices assigned to the node, ascending
     belonging: tuple[int, ...] = ()  # per node id, the number of vertices belonging to the node
     _forms: Optional[tuple[list[tuple], list[tuple[int, ...]]]] = field(default=None, repr=False, compare=False)
 
@@ -57,9 +56,14 @@ class PQTree:
             self._forms = _canonical_forms(self)
         return self._forms
 
+    @property
+    def node_vertices(self) -> dict[PQNode, frozenset[int]]:
+        """`assigned_vertices` of every node holding a vertex."""
+        return {node: frozenset(vs) for node, vs in zip(self.nodes, self.assigned) if vs}
+
     def assigned_vertices(self, node: PQNode) -> frozenset[int]:
         """Vertices whose minimal covering node is `node` (leaf privates included)."""
-        return self.node_vertices.get(node, frozenset())
+        return frozenset(self.assigned[node.nid])
 
     def belongs(self, node: PQNode) -> frozenset[int]:
         """Vertices of the subgraph belonging to the node: union of its leaf cliques."""
@@ -278,24 +282,41 @@ def _order_component(ground: Sequence[int], ordered: Sequence[Sequence[int]]) ->
     So only the second row has two insertions, and they are mirror images;
     every later insertion commutes with reversal, so the left one loses
     nothing.
+
+    Every row is checked again at the end, a guard on the insertions (a
+    split only divides a cell, so it should keep each placed row a run of
+    whole cells). Each cell is ranked once by the cliques before it and
+    through it; every row's cliques are placed by then, and they are a run
+    of whole cells exactly when the cells they lie in span as many cliques
+    as the row holds.
     """
     cells = _Cells(ordered[0])
     for w in ordered[1:]:
         if not _insert_row(cells, w):
             return None
-    size = cells.size
-    for w in ordered:
-        parts, new, lo, hi = cells.meet(w)
-        if new or lo < 0 or len(parts[lo]) != size[lo] or len(parts[hi]) != size[hi]:
-            return None
-    position: dict[int, int] = {}
-    k = cells.first
+    size, right, cell_of = cells.size, cells.right, cells.cell_of
+    position = [0] * len(size)  # per cell id, its place in the sequence
+    start = [0] * len(size)  # the number of cliques before it
+    end = [0] * len(size)  # and through it
+    k, p, at = cells.first, 0, 0
     while k >= 0:
-        position[k] = len(position)
-        k = cells.right[k]
-    out: list[list[int]] = [[] for _ in position]
+        position[k], start[k] = p, at
+        p, at = p + 1, at + size[k]
+        end[k] = at
+        k = right[k]
+    for w in ordered:
+        lo, hi = at, 0
+        for c in w:
+            k = cell_of[c]
+            if start[k] < lo:
+                lo = start[k]
+            if end[k] > hi:
+                hi = end[k]
+        if hi - lo != len(w):
+            return None
+    out: list[list[int]] = [[] for _ in range(p)]
     for c in ground:
-        out[position[cells.cell_of[c]]].append(c)
+        out[position[cell_of[c]]].append(c)
     return out
 
 
@@ -426,8 +447,9 @@ def _build_tree(k: int, members: Sequence[Sequence[int]]) -> Optional[PQNode]:
 
 
 def _finalize(tree: PQTree) -> Optional[PQTree]:
-    """Assign ids, parents and leaf sets, the MPQ vertex mapping and each
-    node's belonging count; None if alignment fails.
+    """Assign ids, parents and leaf sets, the MPQ vertex mapping (each
+    node's vertices, ascending, and each vertex's run) and each node's
+    belonging count; None if alignment fails.
 
     The leaves are ranked left to right, so every node's leaves are a run of
     ranks. A vertex whose cliques are the ranks a..b belongs at their least
@@ -435,24 +457,28 @@ def _finalize(tree: PQTree) -> Optional[PQTree]:
     aligns when the child reached from a starts at a and the one reached
     from b ends at b, so that its cliques are a run of whole children; on
     the way up every node must start at a (or end at b), so the climb takes
-    no more steps than the vertex has cliques.
+    no more steps than the vertex has cliques. Twins (vertices of one clique
+    set) share one climb.
     """
     root = tree.root
     root.parent = None
     nodes: list[PQNode] = []
     leaves: list[PQNode] = []  # left to right
+    inner: list[PQNode] = []
     stack = [root]
     while stack:
         node = stack.pop()
         node.nid = len(nodes)
         nodes.append(node)
         if node.children:
+            inner.append(node)
             for c in node.children:
                 c.parent = node
             stack += reversed(node.children)
         else:
             leaves.append(node)
     tree.nodes = tuple(nodes)
+    in_order = [leaf.clique for leaf in leaves]
     rank = [0] * len(tree.cliques)
     first = [0] * len(nodes)  # per node id, the ranks of its first and last leaf
     last = [0] * len(nodes)
@@ -460,51 +486,62 @@ def _finalize(tree: PQTree) -> Optional[PQTree]:
     for i, leaf in enumerate(leaves):
         rank[leaf.clique] = first[leaf.nid] = last[leaf.nid] = i
         leaf.leaf_set = frozenset((leaf.clique,))
-    for node in reversed(nodes):  # children first
+    for node in reversed(inner):  # children first
         children = node.children
-        if children:
-            a = first[node.nid] = first[children[0].nid]
-            b = last[node.nid] = last[children[-1].nid]
-            node.leaf_set = frozenset(map(attrgetter("clique"), leaves[a : b + 1]))
-            for i, c in enumerate(children):
-                pos[c.nid] = i
-    held: dict[PQNode, list[int]] = {}
-    spans: tuple[list[int], list[int]] = ([], [])  # each vertex's first and last rank
+        a = first[node.nid] = first[children[0].nid]
+        b = last[node.nid] = last[children[-1].nid]
+        node.leaf_set = frozenset(in_order[a : b + 1])
+        for i, c in enumerate(children):
+            pos[c.nid] = i
+    held: dict[int, list[int]] = {}  # per node id holding a vertex, its vertices
+    began = [0] * len(leaves)  # per rank, the vertices whose run starts there
+    ended = [0] * (len(leaves) + 1)  # per rank, those whose run ends just before it
+    run_of = tree.vertex_run
+    climbed: dict[frozenset[int], tuple[int, int, int, tuple[int, int]]] = {}  # per clique set of two or more
     rank_of = rank.__getitem__
     for v, kv in enumerate(tree.vertex_cliques):
         if len(kv) == 1:
             (c,) = kv
             a = b = rank[c]
-            node = leaves[a]
+            nid = leaves[a].nid
         else:
-            a, b = min(map(rank_of, kv)), max(map(rank_of, kv))
-            node = leaves[a]
-            if b - a + 1 != len(kv):
-                return None
-            while last[node.nid] < b:
-                if first[node.nid] != a:
+            got = climbed.get(kv)  # twins share one climb
+            if got is None:
+                ranks = sorted(map(rank_of, kv))
+                a, b = ranks[0], ranks[-1]
+                node = leaves[a]
+                if b - a + 1 != len(kv):
                     return None
-                lo, node = pos[node.nid], node.parent  # type: ignore[assignment]
-            upper = leaves[b]
-            while upper.parent is not node:
-                if last[upper.nid] != b:
+                while last[node.nid] < b:
+                    if first[node.nid] != a:
+                        return None
+                    lo, node = pos[node.nid], node.parent  # type: ignore[assignment]
+                upper = leaves[b]
+                while upper.parent is not node:
+                    if last[upper.nid] != b:
+                        return None
+                    upper = upper.parent
+                hi = pos[upper.nid]
+                if last[upper.nid] != b or (node.kind == "P" and hi - lo + 1 != len(node.children)):
                     return None
-                upper = upper.parent
-            hi = pos[upper.nid]
-            if last[upper.nid] != b or (node.kind == "P" and hi - lo + 1 != len(node.children)):
-                return None
-            tree.vertex_run[v] = (lo, hi)
-        spans[0].append(a)
-        spans[1].append(b)
-        if node in held:
-            held[node].append(v)
+                got = climbed[kv] = (a, b, node.nid, (lo, hi))
+            a, b, nid, run_of[v] = got
+        began[a] += 1
+        ended[b + 1] += 1
+        if nid in held:
+            held[nid].append(v)
         else:
-            held[node] = [v]
-    tree.node_vertices = {node: frozenset(vs) for node, vs in held.items()}
-    # a vertex belongs to a node when its run of ranks meets the node's; a
-    # run ending before the node's first rank also starts before its last
-    starts, ends = sorted(spans[0]), sorted(spans[1])
-    tree.belonging = tuple(bisect_right(starts, last[i]) - bisect_left(ends, first[i]) for i in range(len(nodes)))
+            held[nid] = [v]
+    assigned: list[tuple[int, ...]] = [()] * len(nodes)
+    for nid, vs in held.items():
+        assigned[nid] = tuple(vs)
+    tree.assigned = tuple(assigned)
+    # a vertex belongs to a node when its run of ranks meets the node's: it
+    # starts by the node's last rank and does not end before its first (a
+    # run ending before the first rank also starts before the last)
+    began = list(accumulate(began))  # per rank, the runs starting by it
+    ended = list(accumulate(ended))  # per rank, the runs ending before it
+    tree.belonging = tuple(map(sub, map(began.__getitem__, last), map(ended.__getitem__, first)))
     return tree
 
 
@@ -525,7 +562,8 @@ def build_pq_tree(g: Graph) -> Optional[PQTree]:
         for v in c:
             incidence[v].append(i)
     k = len(cliques)
-    rows = sorted({tuple(cs) for cs in incidence if 2 <= len(cs) < k}, key=lambda cs: (len(cs), cs))
+    rows = sorted({tuple(cs) for cs in incidence if 2 <= len(cs) < k})
+    rows.sort(key=len)  # stable, so by size, then content
     root = _build_tree(k, rows)
     if root is None:
         return None
@@ -656,13 +694,19 @@ def _forms(
     1979). `flips`, when given, gets the order of each Q-node whose reversed
     code is equal, read reversed.
     """
+    assigned, belonging = tree.assigned, tree.belonging
     for node in reversed(nodes):  # children first
-        own = sorted(tree.assigned_vertices(node))
+        nid = node.nid
+        own = assigned[nid]
         children = node.children
+        if not (own or children):  # a bare leaf
+            codes[nid] = ("L", 0, belonging[nid])
+            orders[nid] = ()
+            continue
         if node.kind == "Q":
             k = len(children)
             key = {v: tree.vertex_run[v] + colour[v] for v in own}  # (lo, hi, *colour)
-            own.sort(key=key.__getitem__)  # stable: by key, then vertex
+            own = sorted(own, key=key.__getitem__)  # stable: by key, then vertex
             counts = tuple(Counter(map(key.__getitem__, own)).items())
             body = (tuple([codes[c.nid] for c in children]), counts)
             bwd = (body[0][::-1], tuple(sorted(((k - 1 - r[1], k - 1 - r[0]) + r[2:], m) for r, m in counts)))
@@ -672,17 +716,17 @@ def _forms(
                 if bwd < body:
                     own, children, body = flipped, children[::-1], bwd
                 else:
-                    flips[node.nid] = tuple(chain(flipped, *(orders[c.nid] for c in children[::-1])))
+                    flips[nid] = tuple(chain(flipped, *(orders[c.nid] for c in children[::-1])))
         else:
             body = ()
             if own:
-                own.sort(key=colour.__getitem__)  # stable: by colour, then vertex
+                own = sorted(own, key=colour.__getitem__)  # stable: by colour, then vertex
                 body = (tuple(filter(None, map(colour.__getitem__, own))),)  # len(own) counts the rest
             if node.kind == "P":
                 children = sorted(children, key=lambda c: (codes[c.nid], c.nid))
                 body += (tuple([codes[c.nid] for c in children]),)
-        order = orders[node.nid] = tuple(chain(own, *(orders[c.nid] for c in children)))
-        codes[node.nid] = (node.kind, len(own), tree.belonging[node.nid] - len(order)) + body
+        order = orders[nid] = tuple(chain(own, *(orders[c.nid] for c in children)))
+        codes[nid] = (node.kind, len(own), belonging[nid] - len(order)) + body
     return codes, orders
 
 
@@ -862,7 +906,7 @@ def _marked_encoding(m: MarkedIntervalGraph) -> _Encoding:
             k = len(node.children)
             drops = dict(red.discarded.get(node.nid, ()))
             columns = [{back[v] for v in red.orders[c.nid]} for c in node.children]
-            for v in tree.assigned_vertices(node):
+            for v in tree.assigned[node.nid]:
                 lo, hi = tree.vertex_run[v]
                 for pos in range(lo, hi + 1):
                     columns[pos].add(back[v])
@@ -1041,7 +1085,7 @@ def marked_set_action(hosts: Sequence[MarkedIntervalGraph]) -> tuple[list[Perm],
                     order *= 2
                     gens.append(on_points([((h, u), (h, w)) for u, w in pairs]))
                     leads.append(min(least[h][u] for u, _w in pairs))
-            own = [v for v in orders[node.nid][: len(tree.assigned_vertices(node))] if least[h][v] < degree]
+            own = [v for v in orders[node.nid][: len(tree.assigned[node.nid])] if least[h][v] < degree]
             twins = _classes(((tree.vertex_run.get(v), colour[v]), (least[h][v], v)) for v in own)
             swaps(twins, lambda u, w, h=h: on_points([((h, u), (h, w)), ((h, w), (h, u))]))
     for members in equal.values():

@@ -15,9 +15,13 @@ from tgraphs.interval import (
     MarkedIntervalGraph,
     PQNode,
     PQTree,
+    _Cells,
+    _insert_row,
+    _order_component,
     brute_marked_autgroup,
     build_pq_tree,
     marked_action_group,
+    _canonical_forms,
     _forms,
     _marked_encoding,
     _realize_vertex_map,
@@ -293,6 +297,102 @@ def test_trees_are_pinned():
         digest.update(b"\n")
     assert (graphs, not_interval) == (3119, 1146)
     assert digest.hexdigest() == "172da43a5e23135c88d6831b44e5e40353ceb80d9afe060e1ece27a08607f95e"
+
+
+def test_canonical_forms_are_pinned():
+    """Every tree of the pin corpus, with its plain canonical codes and
+    orders, and one coloured pass with its reversible Q-nodes, hashes to the
+    value recorded before `_finalize` kept each node's vertices in order."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    trees = 0
+    for g in pin_corpus():
+        tree = build_pq_tree(g)
+        if tree is None:
+            continue
+        trees += 1
+        digest.update(repr(_canonical_forms(tree)).encode())
+        # coloured by degree, an invariant, so that 100 Q-nodes reverse
+        colour = [(g.degree(v) % 3,) if g.degree(v) % 2 else () for v in g.vertices()]
+        blank: list = [()] * len(tree.nodes)
+        flips: dict = {}
+        digest.update(repr(_forms(tree, tree.nodes, colour, blank, list(blank), flips)).encode())
+        digest.update(repr(sorted(flips.items())).encode())
+        digest.update(b"\n")
+    assert trees == 3119 - 1146
+    assert digest.hexdigest() == "222a42eb61dd8bc616a98e47e80b5ac1e89fdfc69e647197f202e68be2e67ec5"
+
+
+def meet_checked_order(ground, ordered):
+    """`_order_component` with its closing check as it was before the cells
+    were ranked: a second `_Cells.meet` per row, which must find every clique
+    placed, the met cells consecutive, the inner ones whole and the end ones
+    whole too. The reference for the rank check."""
+    cells = _Cells(ordered[0])
+    for w in ordered[1:]:
+        if not _insert_row(cells, w):
+            return None
+    size = cells.size
+    for w in ordered:
+        parts, new, lo, hi = cells.meet(w)
+        if new or lo < 0 or len(parts[lo]) != size[lo] or len(parts[hi]) != size[hi]:
+            return None
+    position = {}
+    k = cells.first
+    while k >= 0:
+        position[k] = len(position)
+        k = cells.right[k]
+    out = [[] for _ in position]
+    for c in ground:
+        out[position[cells.cell_of[c]]].append(c)
+    return out
+
+
+@st.composite
+def row_families(draw):
+    """1-7 rows over cliques 0..k-1, each a sorted clique list: runs of one
+    hidden order, so that many families can be laid out, or any cliques."""
+    k = draw(st.integers(2, 9))
+    hidden = draw(st.permutations(range(k)))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.booleans()):
+            a = draw(st.integers(0, k - 1))
+            rows.append(sorted(hidden[a : draw(st.integers(a, k - 1)) + 1]))
+        else:
+            rows.append(sorted(draw(st.sets(st.integers(0, k - 1), min_size=1))))
+    return rows
+
+
+class TestClosingCheck:
+    """`_order_component`'s closing check by cell ranks accepts exactly what
+    the per-row `meet` check accepted, and returns the same cells."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(row_families())
+    def test_random_row_families(self, rows):
+        ground = sorted(set().union(*rows))
+        assert _order_component(ground, rows) == meet_checked_order(ground, rows)
+
+    def test_pin_corpus(self, monkeypatch):
+        from tgraphs import interval
+
+        calls = []
+
+        def recording(ground, ordered):
+            calls.append((list(ground), [list(w) for w in ordered]))
+            return _order_component(ground, ordered)
+
+        monkeypatch.setattr(interval, "_order_component", recording)
+        for g in pin_corpus():
+            build_pq_tree(g)
+        accepted = 0
+        for ground, ordered in calls:
+            got = _order_component(ground, ordered)
+            assert got == meet_checked_order(ground, ordered)
+            accepted += got is not None
+        assert len(calls) > accepted > 0
 
 
 def path_power(n, k):
