@@ -62,8 +62,12 @@ class PQTree:
         return {node: frozenset(vs) for node, vs in zip(self.nodes, self.assigned) if vs}
 
     def assigned_vertices(self, node: PQNode) -> frozenset[int]:
-        """Vertices whose minimal covering node is `node` (leaf privates included)."""
-        return frozenset(self.assigned[node.nid])
+        """Vertices whose minimal covering node is `node` (leaf privates
+        included); empty for a node this finalised tree does not hold."""
+        nid = node.nid
+        if 0 <= nid < len(self.nodes) and self.nodes[nid] is node:
+            return frozenset(self.assigned[nid])
+        return frozenset()
 
     def belongs(self, node: PQNode) -> frozenset[int]:
         """Vertices of the subgraph belonging to the node: union of its leaf cliques."""
@@ -457,8 +461,7 @@ def _finalize(tree: PQTree) -> Optional[PQTree]:
     aligns when the child reached from a starts at a and the one reached
     from b ends at b, so that its cliques are a run of whole children; on
     the way up every node must start at a (or end at b), so the climb takes
-    no more steps than the vertex has cliques. Twins (vertices of one clique
-    set) share one climb.
+    no more steps than the vertex has cliques.
     """
     root = tree.root
     root.parent = None
@@ -497,7 +500,6 @@ def _finalize(tree: PQTree) -> Optional[PQTree]:
     began = [0] * len(leaves)  # per rank, the vertices whose run starts there
     ended = [0] * (len(leaves) + 1)  # per rank, those whose run ends just before it
     run_of = tree.vertex_run
-    climbed: dict[frozenset[int], tuple[int, int, int, tuple[int, int]]] = {}  # per clique set of two or more
     rank_of = rank.__getitem__
     for v, kv in enumerate(tree.vertex_cliques):
         if len(kv) == 1:
@@ -505,27 +507,24 @@ def _finalize(tree: PQTree) -> Optional[PQTree]:
             a = b = rank[c]
             nid = leaves[a].nid
         else:
-            got = climbed.get(kv)  # twins share one climb
-            if got is None:
-                ranks = sorted(map(rank_of, kv))
-                a, b = ranks[0], ranks[-1]
-                node = leaves[a]
-                if b - a + 1 != len(kv):
+            ranks = sorted(map(rank_of, kv))
+            a, b = ranks[0], ranks[-1]
+            node = leaves[a]
+            if b - a + 1 != len(kv):
+                return None
+            while last[node.nid] < b:
+                if first[node.nid] != a:
                     return None
-                while last[node.nid] < b:
-                    if first[node.nid] != a:
-                        return None
-                    lo, node = pos[node.nid], node.parent  # type: ignore[assignment]
-                upper = leaves[b]
-                while upper.parent is not node:
-                    if last[upper.nid] != b:
-                        return None
-                    upper = upper.parent
-                hi = pos[upper.nid]
-                if last[upper.nid] != b or (node.kind == "P" and hi - lo + 1 != len(node.children)):
+                lo, node = pos[node.nid], node.parent  # type: ignore[assignment]
+            upper = leaves[b]
+            while upper.parent is not node:
+                if last[upper.nid] != b:
                     return None
-                got = climbed[kv] = (a, b, node.nid, (lo, hi))
-            a, b, nid, run_of[v] = got
+                upper = upper.parent
+            hi = pos[upper.nid]
+            if last[upper.nid] != b or (node.kind == "P" and hi - lo + 1 != len(node.children)):
+                return None
+            nid, run_of[v] = node.nid, (lo, hi)
         began[a] += 1
         ended[b + 1] += 1
         if nid in held:

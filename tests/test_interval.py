@@ -484,6 +484,15 @@ class TestInnerVertices:
                 want.add(v)
         assert got == want == {1, 2}
 
+    def test_nodes_outside_the_tree_hold_nothing(self):
+        tree = build_pq_tree(path_graph(4))
+        other = build_pq_tree(path_graph(4))
+        assert tree.assigned_vertices(other.root) == frozenset()
+        assert tree.assigned_vertices(PQNode("L", clique=0)) == frozenset()
+        unfinalised = PQTree(tree.graph, tree.cliques, PQNode("L", clique=0), tree.vertex_cliques)
+        assert unfinalised.assigned_vertices(unfinalised.root) == frozenset()
+        assert unfinalised.node_vertices == {}
+
 
 class TestSerialization:
     def test_claw_text(self):
