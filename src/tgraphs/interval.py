@@ -937,7 +937,25 @@ def _absorbed(tree: PQTree, own: frozenset[int], pairs: Sequence[tuple[int, int]
     return all(u in own and run[u] == run[w] for u, w in pairs)
 
 
-def marked_set_action(hosts: Sequence[MarkedIntervalGraph]) -> tuple[list[Perm], list[int], int]:
+class SetAction(tuple):
+    """`marked_set_action`'s (generators, leads, order), with `classes`: per
+    class of two or more hosts of equal coloured root codes, in lead order,
+    each member's points, its host first, then its marked sets' vertex by
+    vertex along its root's canonical order. Zipping two members' points
+    maps one host onto the other with its marked sets, as a host swap does,
+    so carrying each member onto the one a permutation of the class gives
+    it, point by point, is a group element. Empty sets are left out: they
+    swap freely."""
+
+    classes: list[list[list[int]]]
+
+    def __new__(cls, generators: list[Perm], leads: list[int], order: int, classes: list[list[list[int]]]):
+        action = super().__new__(cls, (generators, leads, order))
+        action.classes = classes
+        return action
+
+
+def marked_set_action(hosts: Sequence[MarkedIntervalGraph]) -> SetAction:
     """The action on hosts and marked sets of the isomorphisms between the
     given connected hosts that keep each family and the tails, for marked
     sets of at most one vertex each, read off the hosts' coloured PQ-trees
@@ -947,7 +965,9 @@ def marked_set_action(hosts: Sequence[MarkedIntervalGraph]) -> tuple[list[Perm],
     marked set: family by family, and inside a family host by host, in the
     order of `marked_union`'s families. Returns generators, each one's lead
     (a point it moves, which a chain's base may list), and the order of the
-    group they generate.
+    group they generate, as a `SetAction`, which also holds the classes of
+    equal hosts. A generator that moves a host swaps two members of one
+    class; every other generator fixes every host.
 
     Such marks only colour vertices: a vertex's colour lists the families
     holding it, with repeats, and whether it is the tail. Each host's
@@ -1070,7 +1090,12 @@ def marked_set_action(hosts: Sequence[MarkedIntervalGraph]) -> tuple[list[Perm],
         return on_points(pairs + [(w, u) for u, w in pairs], [(ha, hb), (hb, ha)] if x.parent is None else ())
 
     roots = ((forms[h][1][tree.root.nid], (h, (h, tree.root))) for h, (tree, _back) in enumerate(trees))
-    swaps(_classes(roots), subtree_swap)
+    host_classes = _classes(roots)
+    swaps(host_classes, subtree_swap)
+    classes = [
+        [[h] + [p for u in forms[h][2][root.nid] for sets in points_at[h][u] for p in sets] for _lead, (h, root) in members]
+        for members in host_classes
+    ]
     for h, ((red, codes, orders, flips), colour) in enumerate(zip(forms, colours)):
         tree = red.tree
         for node in red.retained:  # preorder, so top-down
@@ -1094,7 +1119,7 @@ def marked_set_action(hosts: Sequence[MarkedIntervalGraph]) -> tuple[list[Perm],
             images[p], images[q] = q, p
             gens.append(Perm._raw(tuple(images)))
             leads.append(p)
-    return gens, leads, order
+    return SetAction(gens, leads, order, classes)
 
 
 def family_set_action(hosts: Sequence[MarkedIntervalGraph]) -> list[Perm]:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from itertools import accumulate
 from math import factorial
-from typing import Optional
+from typing import Optional, Sequence
 
 from .chordal import component_subgraphs, is_chordal
 from .decompose import Completion, Decomposition, canonical_decomposition, merge_decompositions
@@ -81,6 +82,7 @@ class CombinedDecomposition:
     level_degrees: list[int]
     key_to_terminal: dict[tuple[int, int, int], int]
     level_groups: dict[int, PermGroup] = field(default_factory=dict)
+    level_actions: dict[int, "LevelAction"] = field(default_factory=dict)
 
     @property
     def degree(self) -> int:
@@ -201,31 +203,117 @@ def level_buckets(cd: CombinedDecomposition, level: int) -> list[list[CFragment]
     return list(keyed.values())
 
 
-def level_group(cd: CombinedDecomposition, level: int) -> PermGroup:
-    """The level group: per bucket (the level's fragments of one `_class_key`),
-    the marked automorphisms of the bucket's hosts acting on its fragments
-    and their terminal shards.
+@dataclass
+class LevelAction:
+    """A level group before any chain: generators on the level's points, one
+    lead per generator of a `marked_set_action` bucket, the level's origin
+    fragments (which lead the base, then the leads), and, when every bucket
+    counts its order, that order and the buckets' classes of equal hosts
+    (`SetAction.classes`, on the level's points).
+
+    A counted level answers the constraint tower's two questions from its
+    classes, with no chain. Every generator that moves a host swaps two
+    members of one class and every other fixes every host, so the group acts
+    on each class as the symmetric group on its members, and the kernel of
+    its action on the hosts is generated by the generators that fix them."""
+
+    degree: int
+    generators: tuple[Perm, ...]
+    leads: tuple[int, ...]
+    origins: tuple[int, ...]
+    counted: Optional[int]  # the order, when every bucket counts it
+    classes: list[list[list[int]]]
+
+    @property
+    def base(self) -> tuple[int, ...]:
+        return self.origins + self.leads
+
+    def order(self) -> int:
+        return self.counted
+
+    @cached_property
+    def places(self) -> dict[int, tuple[int, int]]:
+        """Each class member's host point -> (its class, its place there)."""
+        return {m[0]: (c, j) for c, members in enumerate(self.classes) for j, m in enumerate(members)}
+
+    def carry(self, images: dict[int, int]) -> Optional[Perm]:
+        """An element of a counted level group carrying each host point of
+        `images` onto its image, or None when there is none: when an image
+        leaves its host's class or two hosts share one. The other members of
+        a class take its other members' places in order, and each member
+        moves onto its place along their zipped points."""
+        if len(set(images.values())) != len(images):
+            return None
+        places = self.places
+        wanted: dict[int, dict[int, int]] = {}  # class -> place -> its image's place
+        for x, y in images.items():
+            if x != y:
+                (c, i), (c2, j) = places.get(x, (-1, 0)), places.get(y, (-2, 0))
+                if c != c2:
+                    return None
+                wanted.setdefault(c, {})[i] = j
+        for x, y in images.items():  # hosts that stay, in a class that moves
+            if x == y and x in places and places[x][0] in wanted:
+                c, i = places[x]
+                wanted[c][i] = i
+        out = list(range(self.degree))
+        for c, moves in wanted.items():
+            members = self.classes[c]
+            free = [j for j in range(len(members)) if j not in moves.values()]
+            moves.update(zip((i for i in range(len(members)) if i not in moves), free))
+            for i, j in moves.items():
+                if i != j:
+                    for p, q in zip(members[i], members[j]):
+                        out[p] = q
+        return Perm._raw(tuple(out))
+
+    def fixer(self, origins: Sequence[int]) -> tuple[list[Perm], list[int], int]:
+        """A counted level group's pointwise stabiliser of the origin hosts:
+        generators, a base and its order. It is the kernel on the hosts, from
+        the generators that fix every host, with the symmetric group on each
+        class's members that are not origins, from swaps of consecutive
+        ones; the base lists those members, then the kernel's leads. A class
+        of k members, o of them origins, leaves (k - o)! of its k!."""
+        origins = set(origins)
+        hosts = [m[0] for members in self.classes for m in members]
+        gens, base, order = [], [], self.counted
+        for members in self.classes:
+            free = [m for m in members if m[0] not in origins]
+            order = order // factorial(len(members)) * factorial(len(free))
+            for a, b in zip(free, free[1:]):
+                images = list(range(self.degree))
+                for p, q in zip(a, b):
+                    images[p], images[q] = q, p
+                gens.append(Perm._raw(tuple(images)))
+                base.append(a[0])
+        for gen, lead in zip(self.generators, self.leads):
+            if all(gen.images[h] == h for h in hosts):
+                gens.append(gen)
+                base.append(lead)
+        return gens, base, order
+
+
+def level_action(cd: CombinedDecomposition, level: int) -> LevelAction:
+    """The level group's action: per bucket (the level's fragments of one
+    `_class_key`), the marked automorphisms of the bucket's hosts acting on
+    its fragments and their terminal shards.
 
     A bucket whose shards have at most one vertex each reads its action
     straight off the fragments' coloured PQ-trees (`marked_set_action`),
-    with generators, leads and a counted order; a bucket with a larger shard
-    takes `family_autgroup` of its hosts' union (`family_set_action`), whose
-    order is not known. The buckets act on disjoint points, so when every
-    bucket counts its order the level's order is their product, and the
-    chain is built at that stated order: orbit closure on the leads reaches
-    it without forming Schreier generators wherever each class's swaps
-    chain its members by their least points. The order must come from
-    counting, since `PermGroup` cannot tell an understated order that its
-    chain passes through. A reversible Q-node that moves each shard vertex
+    with generators, leads, a counted order and classes of equal hosts; a
+    bucket with a larger shard takes `family_autgroup` of its hosts' union
+    (`family_set_action`), whose order is not known. The buckets act on
+    disjoint points, so when every bucket counts its order the level's
+    order is their product. A reversible Q-node that moves each shard vertex
     onto a twin is absorbed: a twin permutation undoes it on the level's
-    points, so it counts no factor 2. The level's origin fragments lead the
-    base, as `decomposition_autgroup` needs, then the leads."""
-    if level in cd.level_groups:
-        return cd.level_groups[level]
+    points, so it counts no factor 2. Kept on `cd`, each level's once."""
+    if level in cd.level_actions:
+        return cd.level_actions[level]
     offset = sum(cd.level_degrees[: level - 1])  # the domain lists the levels in order
     degree = cd.level_degrees[level - 1]
     gens: list[Perm] = []
     leads: list[int] = []
+    classes: list[list[list[int]]] = []
     order: Optional[int] = 1
     for bucket_frags in level_buckets(cd, level):
         hosts = [cf.marked for cf in bucket_frags]
@@ -235,20 +323,36 @@ def level_group(cd: CombinedDecomposition, level: int) -> PermGroup:
         points = [cd.frag_point[cf.gid] - offset for cf in bucket_frags]
         points += [cd.term_point[t.tid] - offset for j in range(level - 1) for cf in bucket_frags for t in cf.shards[j]]
         if all(len(t.vertices) <= 1 for cf in bucket_frags for fam in cf.shards for t in fam):
-            action, bucket_leads, bucket_order = marked_set_action(hosts)
+            marked = marked_set_action(hosts)
+            bucket_gens, bucket_leads, bucket_order = marked
             leads += map(points.__getitem__, bucket_leads)
+            classes += [[list(map(points.__getitem__, m)) for m in members] for members in marked.classes]
             order = None if order is None else order * bucket_order
         else:
-            action, order = family_set_action(hosts), None
-        for gen in action:
+            bucket_gens, order = family_set_action(hosts), None
+        for gen in bucket_gens:
             images = list(range(degree))
             for p, q in zip(points, gen.images):
                 images[p] = points[q]
             gens.append(Perm._raw(tuple(images)))
     origins = sorted({cd.frag_point[t.origin_gid] - offset for t in cd.terminals if t.origin_level == level})
-    group = PermGroup(degree, gens, base=origins + leads, order=order)
-    cd.level_groups[level] = group
-    return group
+    action = cd.level_actions[level] = LevelAction(degree, tuple(gens), tuple(leads), tuple(origins), order, classes)
+    return action
+
+
+def level_group(cd: CombinedDecomposition, level: int) -> PermGroup:
+    """The level group (`level_action`) as a chain, kept on `cd`.
+
+    When every bucket counts its order the chain is built at that stated
+    order: orbit closure on the leads reaches it without forming Schreier
+    generators wherever each class's swaps chain its members by their least
+    points. The order must come from counting, since `PermGroup` cannot
+    tell an understated order that its chain passes through. The level's
+    origin fragments lead the base, then the leads."""
+    if level not in cd.level_groups:
+        action = level_action(cd, level)
+        cd.level_groups[level] = PermGroup(action.degree, action.generators, base=action.base, order=action.counted)
+    return cd.level_groups[level]
 
 
 def _tower_bound(cd: CombinedDecomposition) -> int:
@@ -271,10 +375,20 @@ def decomposition_autgroup(cd: CombinedDecomposition) -> PermGroup:
     The next K is the fibre product: (a_k, k) for each kept generator k, with
     a_k in the level group inducing k's origin map, plus the level group's
     pointwise stabiliser of the origin fragments.
+
+    A counted level (`LevelAction`) builds no chain: its classes give a_k
+    and the stabiliser with its order, and the deepest level enters the
+    tower as its generators and counted order. A level with a family bucket
+    answers from its chain (`level_group`): one sift, and the stabiliser's
+    levels. Each fibre product is a chain at its stated order, so the
+    counted orders are checked there, through |K| and the stabiliser's.
+    The tower bound is computed only when a stage cuts, the one reader of
+    it.
     """
     starts = list(accumulate(cd.level_degrees, initial=0))  # level i's points begin at starts[i - 1]
-    bound = _tower_bound(cd)
-    group = level_group(cd, cd.depth)
+    bound: Optional[int] = None
+    deepest = level_action(cd, cd.depth)
+    group = deepest if deepest.counted is not None and cd.depth > 1 else level_group(cd, cd.depth)
     for i in range(cd.depth - 1, 0, -1):
         lo, hi = starts[i - 1], starts[i]  # level i's points, then K's from hi on
         shard = {  # K's point of each level-i shard -> (position, host point in K, origin point in level i)
@@ -283,11 +397,19 @@ def decomposition_autgroup(cd: CombinedDecomposition) -> PermGroup:
             if t.origin_level == i
         }
         origins = sorted({o for _pos, _host, o in shard.values()})
-        lam = level_group(cd, i)  # its base starts with the origins
+        action = level_action(cd, i)
+        if action.counted is None:
+            lam = level_group(cd, i)  # its base starts with the origins
+            find = partial(find_element, lam)  # None if not injective
+            fixer = lam.stabilizer(origins)
+            fixer_gens, fixer_base, fixer_order = fixer.generators, fixer.base, fixer.order()
+        else:
+            find = action.carry
+            fixer_gens, fixer_base, fixer_order = action.fixer(origins)
 
         realized: dict[tuple[int, ...], Optional[Perm]] = {}  # k.images -> realize(k), for both uses below
 
-        def realize(k: Perm, shard=shard, lam=lam, realized=realized) -> Optional[Perm]:
+        def realize(k: Perm, shard=shard, find=find, realized=realized) -> Optional[Perm]:
             """A level-group element inducing k's origin map; None if k has no such map or none fits."""
             if k.images not in realized:
                 images: Optional[dict[int, int]] = {}
@@ -296,18 +418,23 @@ def decomposition_autgroup(cd: CombinedDecomposition) -> PermGroup:
                     if image is None or image[:2] != (pos, k(host)) or images.setdefault(o, image[2]) != image[2]:
                         images = None
                         break
-                realized[k.images] = None if images is None else find_element(lam, images)  # None if not injective
+                realized[k.images] = None if images is None else find(images)
             return realized[k.images]
 
-        kept = tower_of_groups(group, [MembershipPredicate(lambda k, f=realize: f(k) is not None, bound, f"a2-{i}")])
-        fixer = lam.stabilizer(origins)
+        def holds(k: Perm, realize=realize) -> bool:
+            return realize(k) is not None
+
+        # only a stage that cuts reads the bound (in fhl_subgroup), so it is computed then
+        if bound is None and not all(map(holds, group.generators)):
+            bound = _tower_bound(cd)
+        kept = tower_of_groups(group, [MembershipPredicate(holds, bound, f"a2-{i}")])
         pairs = [(realize(k), k) for k in kept.generators]
-        pairs += [(s, Perm.identity(kept.degree)) for s in fixer.generators]
-        gens = [Perm(a.images + tuple(x + lam.degree for x in k.images)) for a, k in pairs]
+        pairs += [(s, Perm.identity(kept.degree)) for s in fixer_gens]
+        gens = [Perm(a.images + tuple(x + action.degree for x in k.images)) for a, k in pairs]
         # (a, k) -> k maps the fibre product onto K with kernel the origin fixer; on
         # K's base, then the fixer's, orbit closure reaches that order
-        base = [b + lam.degree for b in kept.base] + list(fixer.base)
-        group = PermGroup(lam.degree + kept.degree, gens, base=base, order=kept.order() * fixer.order())
+        base = [b + action.degree for b in kept.base] + list(fixer_base)
+        group = PermGroup(action.degree + kept.degree, gens, base=base, order=kept.order() * fixer_order)
     return group
 
 

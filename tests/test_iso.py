@@ -32,7 +32,7 @@ from tgraphs.iso import (
     lift_to_vertices,
     project_automorphism,
 )
-from tgraphs.perm import Perm, PermGroup, find_block_swap
+from tgraphs.perm import Perm, PermGroup, find_block_swap, find_element
 
 
 def subdivided_claw():
@@ -362,6 +362,108 @@ class TestDecompositionAutgroup:
         for wrong in (2 * order, order + 1):
             with pytest.raises(AssertionError):
                 PermGroup(degree, gens, base, wrong)
+
+    @staticmethod
+    def class_answer_pairs():
+        """(g, h, d): the bench's `chain` classes and the equal-arm spiders with
+        3 to 32 arms against relabellings, `pendant_swap_pair` seeds 0-149, and
+        the bench's `dense` classes against relabellings by seed 5."""
+        chain = [(path_power(20 + k, k), 2) for k in (1, 2, 3)] + [(spider(5, 5, 5), 3), (spider(6, 6, 6), 3)]
+        spiders = [(spider(*(2,) * k), k) for k in range(3, 33)]
+        pairs = [(g, random_relabel(g, i)[0], d) for i, (g, d) in enumerate(chain + spiders)]
+        pairs += [pendant_swap_pair(seed) for seed in range(150)]
+        dense = [(random_t_graph(d, 30, s)[0], d) for d in (3, 4, 5) for s in range(4)]
+        return pairs + [(g, random_relabel(g, 5)[0], d) for g, d in dense]
+
+    def test_class_answers_agree_with_the_chain(self, monkeypatch):
+        """Every counted level below the deepest that a decomposition group
+        reads, against `level_group`'s chain, built at the level's stated
+        order (so that order is checked here for every such level):
+        `LevelAction.carry` returns None exactly when `find_element` does, and
+        otherwise an element of the chain with the prescribed origin map;
+        `LevelAction.fixer`'s generators lie in the chain's pointwise
+        stabiliser of the origins and reach its order at the stated one, so
+        they generate it. The levels are asked the origin maps the tower
+        asks, and random ones too, some from a prefix of the origins onto any host."""
+        carry, fixer = iso.LevelAction.carry, iso.LevelAction.fixer
+        asked, fixed = [], []
+        monkeypatch.setattr(iso.LevelAction, "carry", lambda self, images: asked.append((self, images)) or carry(self, images))
+        monkeypatch.setattr(iso.LevelAction, "fixer", lambda self, origins: fixed.append((self, origins)) or fixer(self, origins))
+        rng = random.Random(42)
+        answers = defaultdict(int)
+        for g, h, d in self.class_answer_pairs():
+            cd = make_cd(g, h, d)
+            if cd is None or cd.depth < 2:
+                continue
+            asked.clear()
+            fixed.clear()
+            decomposition_autgroup(cd)
+            level_of = {id(action): level for level, action in cd.level_actions.items()}
+            for action, origins in fixed:
+                lam = level_group(cd, level_of[id(action)])
+                # every fragment below the top level is an origin, so half of
+                # them (a prefix of the chain's base) leave members to swap
+                for points in (origins, origins[: len(origins) // 2]):
+                    gens, base, order = fixer(action, points)
+                    assert order == lam.stabilizer(points).order()
+                    assert all(lam.contains(gen) and all(gen(o) == o for o in points) for gen in gens)
+                    PermGroup(action.degree, gens, base, order)  # raises unless the chain reaches that order
+                hosts = sorted({m[0] for members in action.classes for m in members} | set(origins))
+                for _ in range(4):
+                    asked.append((action, dict(zip(origins, rng.sample(origins, len(origins))))))
+                    asked.append((action, {o: rng.choice(origins) for o in origins}))
+                    asked.append((action, {o: rng.choice(hosts) for o in origins[: rng.randint(1, len(origins))]}))
+            for action, images in asked:
+                lam = level_group(cd, level_of[id(action)])
+                got, want = carry(action, images), find_element(lam, images)
+                assert (got is None) == (want is None), images
+                if got is not None:
+                    assert lam.contains(got) and all(got(x) == y for x, y in images.items())
+                answers[got is None, got is not None and not got.is_identity()] += 1
+            answers["fixer"] += len(fixed)
+        assert answers[True, False] > 100 and answers[False, True] > 100 and answers["fixer"] > 100
+
+    def test_counted_levels_build_no_chain(self, monkeypatch):
+        """A decision reads every counted level off its classes: no level
+        chain, no sift and no stabiliser; only the fibre products are chains."""
+        calls, cds = [], []
+        for name in ("level_group", "find_element"):
+            original = getattr(iso, name)
+            monkeypatch.setattr(iso, name, lambda *args, name=name, f=original: calls.append(name) or f(*args))
+        stabilizer = PermGroup.stabilizer
+        monkeypatch.setattr(PermGroup, "stabilizer", lambda self, points: calls.append("stabilizer") or stabilizer(self, points))
+        autgroup = iso.decomposition_autgroup
+        monkeypatch.setattr(iso, "decomposition_autgroup", lambda cd: cds.append(cd) or autgroup(cd))
+        for g, d in ((spider(5, 5, 5), 3), (spider(6, 6, 6), 3), (spider(*(2,) * 8), 8)):
+            assert is_isomorphic(g, random_relabel(g, 1)[0], d).kind == ISOMORPHIC
+        assert len(cds) == 3 and calls == []
+        assert all(action.counted is not None for cd in cds for action in cd.level_actions.values())
+
+    def test_tower_bound_only_when_a_stage_cuts(self, monkeypatch):
+        """`_tower_bound` is computed only when an a2 stage cuts, and the stage
+        then reads the same bound as one computed up front."""
+        import tgraphs.perm as perm
+
+        read, computed = [], []
+        fhl_subgroup, tower_bound = perm.fhl_subgroup, iso._tower_bound
+        monkeypatch.setattr(perm, "fhl_subgroup", lambda group, pred: read.append(pred.index_bound) or fhl_subgroup(group, pred))
+        monkeypatch.setattr(iso, "_tower_bound", lambda cd: computed.append(cd) or tower_bound(cd))
+        for i, (g, d) in enumerate(((spider(5, 5, 5), 3), (spider(6, 6, 6), 3), (spider(*(2,) * 8), 8))):
+            assert is_isomorphic(g, random_relabel(g, i)[0], d).kind == ISOMORPHIC
+        assert read == computed == []
+        cuts = 0
+        for seed in range(150):
+            cd = make_cd(*pendant_swap_pair(seed))
+            if cd is None:
+                continue
+            read.clear()
+            computed.clear()
+            decomposition_autgroup(cd)
+            assert len(computed) == (1 if read else 0)
+            if read:
+                cuts += 1
+                assert set(read) == {tower_bound(cd)}
+        assert cuts > 10
 
     def test_single_level_equals_lambda(self):
         g = path_graph(4)
