@@ -228,7 +228,10 @@ class LevelAction:
     def base(self) -> tuple[int, ...]:
         return self.origins + self.leads
 
-    def order(self) -> int:
+    def order(self) -> Optional[int]:
+        """The counted order. With `degree`, `generators` and `base` it lets a
+        counted level stand in for its group where only those are read: as
+        the deepest level, in `tower_of_groups` and the first fibre product."""
         return self.counted
 
     @cached_property

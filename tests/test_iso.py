@@ -376,9 +376,9 @@ class TestDecompositionAutgroup:
         return pairs + [(g, random_relabel(g, 5)[0], d) for g, d in dense]
 
     def test_class_answers_agree_with_the_chain(self, monkeypatch):
-        """Every counted level below the deepest that a decomposition group
-        reads, against `level_group`'s chain, built at the level's stated
-        order (so that order is checked here for every such level):
+        """Every counted level a decomposition group reads gets `level_group`'s
+        chain, built at the level's stated order, so that order is checked
+        here. Against it, on each level below the deepest:
         `LevelAction.carry` returns None exactly when `find_element` does, and
         otherwise an element of the chain with the prescribed origin map;
         `LevelAction.fixer`'s generators lie in the chain's pointwise
@@ -399,6 +399,10 @@ class TestDecompositionAutgroup:
             fixed.clear()
             decomposition_autgroup(cd)
             level_of = {id(action): level for level, action in cd.level_actions.items()}
+            for level, action in cd.level_actions.items():
+                if action.counted is not None:
+                    assert level_group(cd, level).order() == action.counted
+                    answers["chain"] += 1
             for action, origins in fixed:
                 lam = level_group(cd, level_of[id(action)])
                 # every fragment below the top level is an origin, so half of
@@ -422,6 +426,7 @@ class TestDecompositionAutgroup:
                 answers[got is None, got is not None and not got.is_identity()] += 1
             answers["fixer"] += len(fixed)
         assert answers[True, False] > 100 and answers[False, True] > 100 and answers["fixer"] > 100
+        assert answers["chain"] > answers["fixer"]
 
     def test_counted_levels_build_no_chain(self, monkeypatch):
         """A decision reads every counted level off its classes: no level
